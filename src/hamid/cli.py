@@ -10,10 +10,11 @@ schema and the available experiment kinds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import SWEEP_DEFAULTS, ExperimentConfig, run_experiment
 from .reporting import format_float
 
 
@@ -26,19 +27,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "steps", None) is not None:
-        cfg.n_steps = args.steps
-    if getattr(args, "tol", None) is not None:
-        cfg.newton = dict(cfg.newton or {})
-        cfg.newton["tol"] = args.tol
-    if getattr(args, "nd", None) is not None:
-        cfg.model = dict(cfg.model or {})
-        cfg.model["n_levels"] = args.nd
-    return cfg
+    """The config with the command-line overrides, validated again."""
+    changes = {}
+    if args.out:
+        changes["out_dir"] = args.out
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    if args.steps is not None:
+        changes["n_steps"] = args.steps
+    if args.tol is not None:
+        changes["newton"] = {**cfg.newton, "tol": args.tol}
+    if args.nd is not None:
+        changes["model"] = {**cfg.model, "n_levels": args.nd}
+    return dataclasses.replace(cfg, **changes)
 
 
 def _print_summary(result) -> None:
@@ -59,9 +60,9 @@ def main(argv=None) -> int:
 
     sweep_p = sub.add_parser("sweep", help="perturbation-magnitude sweep on the two-level benchmark")
     sweep_p.add_argument("--etas", help="comma-separated perturbation magnitudes")
-    sweep_p.add_argument("--n-seeds", type=int, default=15)
-    sweep_p.add_argument("--k-max", type=int, default=9)
-    sweep_p.add_argument("--workers", type=int, default=1)
+    sweep_p.add_argument("--n-seeds", type=int, default=SWEEP_DEFAULTS["n_seeds"])
+    sweep_p.add_argument("--k-max", type=int, default=SWEEP_DEFAULTS["k_max"])
+    sweep_p.add_argument("--workers", type=int, default=SWEEP_DEFAULTS["workers"])
     _add_common(sweep_p)
 
     demo_p = sub.add_parser("demo", help="built-in demonstrations")
@@ -73,34 +74,28 @@ def main(argv=None) -> int:
         if args.command == "run":
             with open(args.config) as fh:
                 cfg = ExperimentConfig.from_dict(json.load(fh))
-            cfg = _apply_overrides(cfg, args)
-            result = run_experiment(cfg)
-            _print_summary(result)
         elif args.command == "sweep":
             sweep = {"n_seeds": args.n_seeds, "k_max": args.k_max, "workers": args.workers}
             if args.etas:
                 sweep["etas"] = [float(x) for x in args.etas.split(",")]
             cfg = ExperimentConfig(kind="eta-sweep", sweep=sweep)
-            cfg = _apply_overrides(cfg, args)
-            result = run_experiment(cfg)
-            _print_summary(result)
-        elif args.command == "demo":
+        else:
             cfg = ExperimentConfig(kind="singularity-demo")
-            cfg = _apply_overrides(cfg, args)
-            result = run_experiment(cfg)
-            rank = result.summary["numerical_rank"]
-            refused = result.summary["newton_step_refused"]
-            print(f"reduced-system numerical rank: {rank} (of 4)")
-            print(f"condition estimate: {format_float(result.summary['condition_estimate'])}")
-            print(
-                "Newton step refused (singular Jacobian)"
-                if refused
-                else "Newton step was NOT refused"
-            )
-            _print_summary(result)
+        result = run_experiment(_apply_overrides(cfg, args))
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if args.command == "demo":
+        rank = result.summary["numerical_rank"]
+        refused = result.summary["newton_step_refused"]
+        print(f"reduced-system numerical rank: {rank} (of 4)")
+        print(f"condition estimate: {format_float(result.summary['condition_estimate'])}")
+        print(
+            "Newton step refused (singular Jacobian)"
+            if refused
+            else "Newton step was NOT refused"
+        )
+    _print_summary(result)
     return 0
 
 

@@ -15,8 +15,6 @@ problems contains.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,16 +28,17 @@ from .linalg import (
     spec_norm,
     unitary_exp,
 )
+from . import reporting
 from .newton import (
     FLAG_CONVERGED,
     NewtonConfig,
     NewtonReport,
-    grams_to_jacobians,
-    hermitian_residual,
+    ReducedSystem,
     newton_identify,
-    reduce_system,
+    newton_system,
+    reduced_spectrum,
 )
-from .propagation import HamiltonianPair, propagate_final, propagate_with_gram
+from .propagation import HamiltonianPair, propagate_final
 
 CONTINUATION_OK = "converged"
 CONTINUATION_FAILED = "failed"
@@ -88,28 +87,17 @@ class ContinuationReport:
             ],
         }
 
-    def write_csv(self, path) -> None:
-        from .reporting import format_float
+    def write_csv(self, path):
+        rows = []
+        for st in self.stages:
+            n_it = st.newton_report.n_iterations if st.newton_report else 0
+            rows.append([st.m, n_it, st.dev_u_stage, st.dev_h0, st.dev_h1])
+        return reporting.write_table(
+            path, ["m", "newton_iterations", "dev_U_stage", "dev_H0", "dev_H1"], rows
+        )
 
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "newton_iterations", "dev_U_stage", "dev_H0", "dev_H1"])
-            for st in self.stages:
-                n_it = st.newton_report.n_iterations if st.newton_report else 0
-                writer.writerow(
-                    [
-                        st.m,
-                        n_it,
-                        format_float(st.dev_u_stage),
-                        format_float(st.dev_h0),
-                        format_float(st.dev_h1),
-                    ]
-                )
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+    def write_json(self, path):
+        return reporting.write_json(path, self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -199,15 +187,14 @@ def singularity_probe(
     Singular values below rank_tolerance times the largest are treated as
     zero.  Always returns; never raises on deficiency.
     """
-    u_0 = np.eye(pair.dim, dtype=complex)
-    u_n, g0, g1 = propagate_with_gram(u_0, pair, samples, grid)
-    s_k = hermitian_residual(u_n, np.asarray(u_tar, dtype=complex))
-    j0, j1 = grams_to_jacobians(g0, g1, grid.dt)
-    system = reduce_system(j0, j1, s_k)
-    sv = np.linalg.svd(system.matrix, compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > rank_tolerance * smax)) if smax > 0 else 0
-    cond = float("inf") if sv[-1] == 0.0 else float(smax / sv[-1])
+    _, system = newton_system(np.eye(pair.dim, dtype=complex), pair, samples, grid, u_tar)
+    return system_diagnostic(system, rank_tolerance)
+
+
+def system_diagnostic(system: ReducedSystem, rank_tolerance: float = 1e-9) -> SingularityDiagnostic:
+    """Numerical rank and condition of an assembled reduced system."""
+    sv, cond = reduced_spectrum(system)
+    rank = int(np.sum(sv > rank_tolerance * sv[0])) if sv[0] > 0 else 0
     return SingularityDiagnostic(
         condition_estimate=cond,
         numerical_rank=rank,

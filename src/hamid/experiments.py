@@ -7,17 +7,25 @@ Every run writes CSV/JSON artifacts plus a manifest.json holding all
 resolved parameters, so a run is reproducible from its manifest alone.
 CSV floats are formatted at 12 significant digits and runs are seeded, so
 identical configs produce byte-identical CSVs.
+
+The table ``_KINDS`` maps every kind to its runner, the keys its ``model``
+block accepts and the other config blocks it reads.  ``ExperimentConfig``
+checks each block against that entry when built, so an unknown key raises
+``ValueError`` before any work starts; ``run_experiment`` calls the runner
+and writes the manifest.  The Newton and continuation runners serve both
+model families through a ``_Family`` entry (set-up, Newton settings,
+default perturbation, continuation length, figure name).
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,10 +34,10 @@ from .continuation import (
     ContinuationReport,
     continuation_identify,
     m0_seed,
-    singularity_probe,
+    system_diagnostic,
 )
 from .fields import SinSqEnvelope, TimeGrid, field_to_config, sample_field
-from .linalg import decompose_target, matrix_to_json, spec_norm
+from .linalg import decompose_target, matrix_to_json
 from .models import (
     TWO_LEVEL_DEFAULT_STEPS,
     DoubleWellParams,
@@ -46,26 +54,12 @@ from .newton import (
     NewtonConfig,
     NewtonReport,
     SingularJacobianError,
-    grams_to_jacobians,
-    hermitian_residual,
     newton_identify,
-    reduce_system,
-    reduced_condition,
+    newton_system,
     solve_update,
 )
-from .propagation import HamiltonianPair, propagate_final, propagate_with_gram
-from .reporting import format_float
-
-KINDS = (
-    "newton-two-level",
-    "newton-double-well",
-    "continuation-two-level",
-    "continuation-double-well",
-    "eta-sweep",
-    "singularity-demo",
-    "cn-order-check",
-    "cpu-scaling",
-)
+from .propagation import HamiltonianPair, cn_error_order, propagate_final
+from .reporting import format_float, write_json, write_table
 
 REGIME_RECOVERS = "RecoversOriginal"
 REGIME_ALTERNATE = "AlternateSolution"
@@ -84,6 +78,7 @@ RECOVERY_DEV_TOL = 1e-9
 # remain plain config fields.
 BENCH_TWO_LEVEL_DELTA = 1e-4
 BENCH_TWO_LEVEL_SKEW = 0.1
+_BENCH_TWO_LEVEL = {"delta": BENCH_TWO_LEVEL_DELTA, "envelope_skew": BENCH_TWO_LEVEL_SKEW}
 
 # The truncated-eigenbasis problem driven by a resonant pulse has weakly
 # visible coupling directions (condition numbers a few 1e12); the refusal
@@ -100,6 +95,17 @@ BENCH_DOUBLE_WELL_TOL = 1e-8
 # direction above the noise floor.
 BENCH_DOUBLE_WELL_STEPS = 2**16
 
+SWEEP_DEFAULTS = {"etas": np.logspace(-5, -2, 13).tolist(), "n_seeds": 15, "k_max": 9, "workers": 1}
+
+# keys of the optional config blocks, for the kinds that read them
+_BLOCK_KEYS = {
+    "perturbation": ("eta", "seed"),
+    "newton": tuple(f.name for f in fields(NewtonConfig)),
+    # the newton block configures the continuation's Newton solves
+    "continuation": tuple(f.name for f in fields(ContinuationConfig) if f.name != "newton"),
+    "sweep": tuple(SWEEP_DEFAULTS),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -114,43 +120,46 @@ class ExperimentConfig:
     n_steps: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if not self.out_dir:
             self.out_dir = f"runs/{self.kind}"
+        for name in ("model", *_BLOCK_KEYS):
+            if getattr(self, name) is None:
+                setattr(self, name, {})
+        _check_blocks(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        if "kind" not in payload:
-            raise ValueError("experiment config needs a 'kind' field")
-        known = {
-            "kind",
-            "seed",
-            "out_dir",
-            "model",
-            "perturbation",
-            "newton",
-            "continuation",
-            "sweep",
-            "n_steps",
-        }
-        unknown = set(payload) - known
+        if not isinstance(payload, dict) or "kind" not in payload:
+            raise ValueError("experiment config must be an object with a 'kind' field")
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**payload)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "model": self.model,
-            "perturbation": self.perturbation,
-            "newton": self.newton,
-            "continuation": self.continuation,
-            "sweep": self.sweep,
-            "n_steps": self.n_steps,
-        }
+        return asdict(self)
+
+
+def _check_keys(kind: str, block_name: str, block, accepted) -> None:
+    if not isinstance(block, dict):
+        raise ValueError(f"{kind}: the {block_name} block must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"{kind}: unknown {block_name} keys {unknown}; accepted: {sorted(accepted)}"
+        )
+
+
+def _check_blocks(cfg: ExperimentConfig) -> None:
+    """Every key of every block must be one the kind's table entry reads."""
+    entry = _KINDS[cfg.kind]
+    _check_keys(cfg.kind, "model", cfg.model, entry.model_keys)
+    if "grid" in cfg.model:
+        _check_keys(cfg.kind, "model.grid", cfg.model["grid"], _names(SpatialGrid))
+    for name, keys in _BLOCK_KEYS.items():
+        _check_keys(cfg.kind, name, getattr(cfg, name), keys if name in entry.blocks else ())
 
 
 @dataclass
@@ -198,85 +207,126 @@ def classify_run(report: NewtonReport, tol: float = RECOVERY_DEV_TOL) -> str:
     return classify_devs(fin.dev_h0, fin.dev_h1, fin.dev_u, tol)
 
 
-def _newton_config(overrides: dict, **defaults) -> NewtonConfig:
-    merged = {"tol": 1e-12, "max_iters": 50, "singular_cond_threshold": 1e12}
-    merged.update(defaults)
-    merged.update(overrides or {})
-    return NewtonConfig(**merged)
+def _names(cls) -> frozenset:
+    return frozenset(f.name for f in fields(cls))
 
 
-def _two_level_setup(cfg: ExperimentConfig, benchmark: bool = True):
-    model_overrides = dict(cfg.model or {})
-    n_steps = cfg.n_steps or model_overrides.pop("n_steps", None) or TWO_LEVEL_DEFAULT_STEPS
-    defaults = {}
-    if benchmark:
-        defaults = {"delta": BENCH_TWO_LEVEL_DELTA, "envelope_skew": BENCH_TWO_LEVEL_SKEW}
-    defaults.update(model_overrides)
-    params = TwoLevelParams(**defaults)
+def _newton_config(cfg: ExperimentConfig, **family) -> NewtonConfig:
+    """NewtonConfig's defaults, overridden by the family's settings and then
+    by the config's newton block."""
+    return NewtonConfig(**{**family, **cfg.newton})
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """A model, its sampled field and the reference target U_tar = U_N(truth)."""
+
+    params: object
+    pair: HamiltonianPair
+    field_desc: object
+    grid: TimeGrid
+    samples: np.ndarray
+    u_0: np.ndarray
+    u_tar: np.ndarray
+    resolved_model: dict
+
+
+def _problem(params, pair, field_desc, n_steps, resolved_model=None) -> _Problem:
+    grid = TimeGrid(t_f=params.t_f, n_steps=int(n_steps))
+    samples = sample_field(field_desc, grid)
+    u_0 = np.eye(pair.dim, dtype=complex)
+    u_tar = propagate_final(u_0, pair, samples, grid)
+    return _Problem(params, pair, field_desc, grid, samples, u_0, u_tar, resolved_model)
+
+
+def _two_level_params(cfg: ExperimentConfig):
+    """Benchmark two-level parameters under the model block, and the step count."""
+    model = dict(cfg.model)
+    n_steps = model.pop("n_steps", None)
+    params = TwoLevelParams(**{**_BENCH_TWO_LEVEL, **model})
+    return params, int(cfg.n_steps or n_steps or TWO_LEVEL_DEFAULT_STEPS)
+
+
+def _two_level_setup(cfg: ExperimentConfig) -> _Problem:
+    params, n_steps = _two_level_params(cfg)
     pair, field_desc = two_level_model(params)
-    grid = TimeGrid(t_f=params.t_f, n_steps=int(n_steps))
-    samples = sample_field(field_desc, grid)
-    return params, pair, field_desc, grid, samples
+    resolved = dict(asdict(params), e0=params.resolved_e0)
+    return _problem(params, pair, field_desc, n_steps, resolved)
 
 
-def _double_well_setup(cfg: ExperimentConfig):
-    overrides = dict(cfg.model or {})
-    n_steps = cfg.n_steps or overrides.pop("n_steps", None)
-    grid_cfg = overrides.pop("grid", None)
-    if grid_cfg is not None:
-        overrides["grid"] = SpatialGrid(**grid_cfg)
-    params = DoubleWellParams(**overrides)
-    model = build_double_well(params)
-    if n_steps is None:
-        n_steps = BENCH_DOUBLE_WELL_STEPS
-    grid = TimeGrid(t_f=params.t_f, n_steps=int(n_steps))
-    field_desc = pi_pulse_field(model)
-    samples = sample_field(field_desc, grid)
-    return params, model, field_desc, grid, samples
+def _double_well_setup(cfg: ExperimentConfig) -> _Problem:
+    model = dict(cfg.model)
+    n_steps = model.pop("n_steps", None)
+    if "grid" in model:
+        model["grid"] = SpatialGrid(**model["grid"])
+    params = DoubleWellParams(**model)
+    dw = build_double_well(params)
+    resolved = dict(asdict(params), omega_03=dw.omega_03, mu_03=dw.mu_03)
+    n_steps = cfg.n_steps or n_steps or BENCH_DOUBLE_WELL_STEPS
+    return _problem(params, dw.pair, pi_pulse_field(dw), n_steps, resolved)
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+@dataclass(frozen=True)
+class _Family:
+    """What the Newton and continuation kinds of one model family differ in."""
+
+    setup: Callable  # config -> _Problem
+    model_keys: frozenset  # keys the model block accepts
+    newton: dict  # NewtonConfig fields the family sets
+    eta: Callable  # model parameters -> default perturbation magnitude
+    n_intermediate: int
+    figure: str
+
+
+_TWO_LEVEL = _Family(
+    setup=_two_level_setup,
+    model_keys=_names(TwoLevelParams) | {"n_steps"},
+    newton={},
+    eta=lambda params: 1e-4,
+    n_intermediate=20,
+    figure="fig3.csv",
+)
+_DOUBLE_WELL = _Family(
+    setup=_double_well_setup,
+    model_keys=_names(DoubleWellParams) | {"n_steps"},
+    newton={
+        "tol": BENCH_DOUBLE_WELL_TOL,
+        "singular_cond_threshold": BENCH_DOUBLE_WELL_COND_THRESHOLD,
+    },
+    eta=lambda params: 1e-5 if params.n_levels <= 6 else 1e-6,
+    n_intermediate=30,
+    figure="fig6.csv",
+)
 
 
 def _manifest(out: Path, cfg: ExperimentConfig, resolved: dict, wall: float, files: list) -> Path:
-    config_bytes = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    config = cfg.to_dict()
     payload = {
         "kind": cfg.kind,
-        "config": cfg.to_dict(),
-        "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
+        "config": config,
+        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "resolved": resolved,
         "wall_seconds": wall,
         "outputs": [f.name for f in files],
     }
-    path = out / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=float)
-        fh.write("\n")
-    return path
+    return write_json(out / "manifest.json", payload)
 
 
 def _sweep_seed(base_seed: int, eta_index: int, rep: int) -> int:
     return base_seed + 1000 * eta_index + rep
 
 
-def _sweep_one(args):
+def _sweep_settings(cfg: ExperimentConfig):
+    """The sweep block over its defaults, and the Newton config of every run."""
+    sweep = {**SWEEP_DEFAULTS, **{k: v for k, v in cfg.sweep.items() if v is not None}}
+    return sweep, _newton_config(cfg, max_iters=int(sweep["k_max"]))
+
+
+def _sweep_one(job) -> EtaSweepRun:
     """One (eta, seed) identification, runnable in a worker process."""
-    (model_kwargs, n_steps, newton_kwargs, eta, seed) = args
-    params = TwoLevelParams(**model_kwargs)
-    pair, field_desc = two_level_model(params)
-    grid = TimeGrid(t_f=params.t_f, n_steps=n_steps)
-    samples = sample_field(field_desc, grid)
-    u0 = np.eye(pair.dim, dtype=complex)
-    u_tar = propagate_final(u0, pair, samples, grid)
-    guess = perturb_pair(pair, PerturbationSpec(eta=eta, seed=seed))
-    _, report = newton_identify(
-        u0, u_tar, guess, samples, grid, NewtonConfig(**newton_kwargs), truth=pair
-    )
+    p, newton_cfg, eta, seed = job
+    guess = perturb_pair(p.pair, PerturbationSpec(eta=eta, seed=seed))
+    _, report = newton_identify(p.u_0, p.u_tar, guess, p.samples, p.grid, newton_cfg, truth=p.pair)
     fin = report.final()
     return EtaSweepRun(
         eta=eta,
@@ -290,26 +340,14 @@ def _sweep_one(args):
 
 
 def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
-    sweep = dict(cfg.sweep or {})
-    etas = sweep.get("etas")
-    if etas is None:
-        etas = np.logspace(-5, -2, 13).tolist()
-    n_seeds = int(sweep.get("n_seeds", 15))
-    k_max = int(sweep.get("k_max", 9))
-    workers = int(sweep.get("workers", 1))
-    model_kwargs = {
-        "delta": BENCH_TWO_LEVEL_DELTA,
-        "envelope_skew": BENCH_TWO_LEVEL_SKEW,
-    }
-    model_kwargs.update(cfg.model or {})
-    n_steps = int(cfg.n_steps or TWO_LEVEL_DEFAULT_STEPS)
-    newton_kwargs = {"tol": 1e-12, "max_iters": k_max, "singular_cond_threshold": 1e12}
-    newton_kwargs.update(cfg.newton or {})
+    sweep, newton_cfg = _sweep_settings(cfg)
+    problem = _two_level_setup(cfg)
     jobs = [
-        (model_kwargs, n_steps, newton_kwargs, float(eta), _sweep_seed(cfg.seed, i, r))
-        for i, eta in enumerate(etas)
-        for r in range(n_seeds)
+        (problem, newton_cfg, float(eta), _sweep_seed(cfg.seed, i, r))
+        for i, eta in enumerate(sweep["etas"])
+        for r in range(int(sweep["n_seeds"]))
     ]
+    workers = int(sweep["workers"])
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_sweep_one, jobs))
@@ -351,60 +389,29 @@ SWEEP_AGG_HEADER = [
     "n_alternatesolution",
     "n_diverges",
     "frac_recovers",
-    "median_dev_h0",
-    "median_dev_h1",
-    "median_dev_u",
-    "mean_dev_h0",
-    "mean_dev_h1",
-    "mean_dev_u",
-    "worst_dev_h0",
-    "worst_dev_h1",
-    "worst_dev_u",
+    *(f"{stat}_{dev}" for stat in ("median", "mean", "worst") for dev in ("dev_h0", "dev_h1", "dev_u")),
     "label",
 ]
+CPU_HEADER = ["label", "n_d", "n_steps", "newton_iterations", "wall_seconds"]
 
 
 def write_sweep_csvs(result: EtaSweepResult, out: Path) -> list:
-    agg_rows = []
-    for a in result.aggregates:
-        agg_rows.append(
-            [format_float(a["eta"]), a["n_runs"]]
-            + [a["n_recoversoriginal"], a["n_alternatesolution"], a["n_diverges"]]
-            + [format_float(a["frac_recovers"])]
-            + [format_float(a[f"{s}_{n}"]) for s in ("median", "mean", "worst") for n in ("dev_h0", "dev_h1", "dev_u")]
-            + [a["label"]]
-        )
-    fig2 = out / "fig2.csv"
-    _write_csv(fig2, SWEEP_AGG_HEADER, agg_rows)
-    raw = out / "fig2_raw.csv"
-    raw_rows = [
-        [
-            format_float(r.eta),
-            r.seed,
-            int(r.converged),
-            format_float(r.dev_h0),
-            format_float(r.dev_h1),
-            format_float(r.dev_u),
-            r.regime,
-        ]
-        for r in result.runs
+    return [
+        write_table(
+            out / "fig2.csv",
+            SWEEP_AGG_HEADER,
+            [[a[col] for col in SWEEP_AGG_HEADER] for a in result.aggregates],
+        ),
+        write_table(
+            out / "fig2_raw.csv",
+            [f.name for f in fields(EtaSweepRun)],
+            [astuple(r) for r in result.runs],
+        ),
     ]
-    _write_csv(raw, ["eta", "seed", "converged", "dev_h0", "dev_h1", "dev_u", "regime"], raw_rows)
-    return [fig2, raw]
-
-
-def write_continuation_csv(report: ContinuationReport, path: Path) -> Path:
-    report.write_csv(path)
-    return path
 
 
 def write_cpu_csv(entries: list, path: Path) -> Path:
-    rows = [
-        [e["label"], e["n_d"], e["n_steps"], e["newton_iterations"], format_float(e["wall_seconds"])]
-        for e in entries
-    ]
-    _write_csv(path, ["label", "n_d", "n_steps", "newton_iterations", "wall_seconds"], rows)
-    return path
+    return write_table(path, CPU_HEADER, [[e[col] for col in CPU_HEADER] for e in entries])
 
 
 def emit_plot_data(
@@ -424,66 +431,31 @@ def emit_plot_data(
     if sweep is not None:
         files.extend(write_sweep_csvs(sweep, out))
     if continuation_two_level is not None:
-        files.append(write_continuation_csv(continuation_two_level, out / "fig3.csv"))
+        files.append(continuation_two_level.write_csv(out / "fig3.csv"))
     if continuation_double_well is not None:
-        files.append(write_continuation_csv(continuation_double_well, out / "fig6.csv"))
+        files.append(continuation_double_well.write_csv(out / "fig6.csv"))
     if cpu is not None:
         files.append(write_cpu_csv(cpu, out / "cpu.csv"))
     return files
 
 
-def _run_newton_generic(cfg: ExperimentConfig, out: Path, two_level: bool):
-    if two_level:
-        params, pair, field_desc, grid, samples = _two_level_setup(cfg)
-        newton_cfg = _newton_config(cfg.newton)
-        eta_default = 1e-4
-        resolved_model = {
-            "delta": params.delta,
-            "mu": params.mu,
-            "t_f": params.t_f,
-            "e0": params.resolved_e0,
-            "envelope_skew": params.envelope_skew,
-        }
-    else:
-        params, model, field_desc, grid, samples = _double_well_setup(cfg)
-        pair = model.pair
-        newton_cfg = _newton_config(
-            cfg.newton,
-            tol=BENCH_DOUBLE_WELL_TOL,
-            singular_cond_threshold=BENCH_DOUBLE_WELL_COND_THRESHOLD,
-        )
-        eta_default = 1e-5 if params.n_levels <= 6 else 1e-6
-        resolved_model = {
-            "mass": params.mass,
-            "t_f": params.t_f,
-            "n_levels": params.n_levels,
-            "grid": {
-                "r_min": params.grid.r_min,
-                "r_max": params.grid.r_max,
-                "n_points": params.grid.n_points,
-            },
-            "omega_03": model.omega_03,
-            "mu_03": model.mu_03,
-        }
-    pert = dict(cfg.perturbation or {})
-    eta = float(pert.get("eta", eta_default))
-    pert_seed = int(pert.get("seed", cfg.seed))
-    u0 = np.eye(pair.dim, dtype=complex)
-    u_tar = propagate_final(u0, pair, samples, grid)
-    guess = perturb_pair(pair, PerturbationSpec(eta=eta, seed=pert_seed))
-    recovered, report = newton_identify(u0, u_tar, guess, samples, grid, newton_cfg, truth=pair)
-    files = []
-    report.write_csv(out / "report.csv")
-    report.write_json(out / "report.json")
-    files += [out / "report.csv", out / "report.json"]
-    with open(out / "recovered.json", "w") as fh:
-        json.dump(
+def _run_newton(family: _Family, cfg: ExperimentConfig, out: Path):
+    p = family.setup(cfg)
+    newton_cfg = _newton_config(cfg, **family.newton)
+    eta = float(cfg.perturbation.get("eta", family.eta(p.params)))
+    pert_seed = int(cfg.perturbation.get("seed", cfg.seed))
+    guess = perturb_pair(p.pair, PerturbationSpec(eta=eta, seed=pert_seed))
+    recovered, report = newton_identify(
+        p.u_0, p.u_tar, guess, p.samples, p.grid, newton_cfg, truth=p.pair
+    )
+    files = [
+        report.write_csv(out / "report.csv"),
+        report.write_json(out / "report.json"),
+        write_json(
+            out / "recovered.json",
             {"h0": matrix_to_json(recovered.h0), "h1": matrix_to_json(recovered.h1)},
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
-    files.append(out / "recovered.json")
+        ),
+    ]
     fin = report.final()
     summary = {
         "flag": report.flag,
@@ -494,46 +466,27 @@ def _run_newton_generic(cfg: ExperimentConfig, out: Path, two_level: bool):
         "final_dev_u": fin.dev_u if fin else None,
     }
     resolved = {
-        "model": resolved_model,
-        "field": field_to_config(field_desc),
-        "n_steps": grid.n_steps,
+        "model": p.resolved_model,
+        "field": field_to_config(p.field_desc),
+        "n_steps": p.grid.n_steps,
         "eta": eta,
         "perturbation_seed": pert_seed,
-        "newton": {
-            "tol": newton_cfg.tol,
-            "max_iters": newton_cfg.max_iters,
-            "singular_cond_threshold": newton_cfg.singular_cond_threshold,
-        },
+        "newton": asdict(newton_cfg),
     }
     return files, resolved, summary
 
 
-def _run_continuation_generic(cfg: ExperimentConfig, out: Path, two_level: bool):
-    cont = dict(cfg.continuation or {})
-    if two_level:
-        params, pair, field_desc, grid, samples = _two_level_setup(cfg)
-        newton_cfg = _newton_config(cfg.newton)
-        n_c = int(cont.pop("n_intermediate", 20))
-        fig_name = "fig3.csv"
-    else:
-        params, model, field_desc, grid, samples = _double_well_setup(cfg)
-        pair = model.pair
-        newton_cfg = _newton_config(
-            cfg.newton,
-            tol=BENCH_DOUBLE_WELL_TOL,
-            singular_cond_threshold=BENCH_DOUBLE_WELL_COND_THRESHOLD,
-        )
-        n_c = int(cont.pop("n_intermediate", 30))
-        fig_name = "fig6.csv"
-    cont_cfg = ContinuationConfig(n_intermediate=n_c, newton=newton_cfg, **cont)
-    u0 = np.eye(pair.dim, dtype=complex)
-    u_tar = propagate_final(u0, pair, samples, grid)
-    recovered, report = continuation_identify(u0, u_tar, samples, grid, cont_cfg, truth=pair)
-    files = []
-    report.write_csv(out / "stages.csv")
-    report.write_csv(out / fig_name)
-    report.write_json(out / "stages.json")
-    files += [out / "stages.csv", out / fig_name, out / "stages.json"]
+def _run_continuation(family: _Family, cfg: ExperimentConfig, out: Path):
+    p = family.setup(cfg)
+    n_c = int(cfg.continuation.get("n_intermediate", family.n_intermediate))
+    newton_cfg = _newton_config(cfg, **family.newton)
+    cont_cfg = ContinuationConfig(**{**cfg.continuation, "n_intermediate": n_c, "newton": newton_cfg})
+    _, report = continuation_identify(p.u_0, p.u_tar, p.samples, p.grid, cont_cfg, truth=p.pair)
+    files = [
+        report.write_csv(out / "stages.csv"),
+        report.write_csv(out / family.figure),
+        report.write_json(out / "stages.json"),
+    ]
     last = report.stages[-1] if report.stages else None
     summary = {
         "flag": report.flag,
@@ -544,40 +497,52 @@ def _run_continuation_generic(cfg: ExperimentConfig, out: Path, two_level: bool)
         "final_dev_u_stage": last.dev_u_stage if last else None,
     }
     resolved = {
-        "field": field_to_config(field_desc),
-        "n_steps": grid.n_steps,
+        "field": field_to_config(p.field_desc),
+        "n_steps": p.grid.n_steps,
         "n_intermediate": n_c,
         "refine_m0": cont_cfg.refine_m0,
-        "newton": {
-            "tol": newton_cfg.tol,
-            "max_iters": newton_cfg.max_iters,
-            "singular_cond_threshold": newton_cfg.singular_cond_threshold,
-        },
+        "newton": asdict(newton_cfg),
     }
     return files, resolved, summary
 
 
+def _run_eta_sweep(cfg: ExperimentConfig, out: Path):
+    result = run_eta_sweep(cfg)
+    sweep, newton_cfg = _sweep_settings(cfg)
+    params, n_steps = _two_level_params(cfg)
+    summary = {"labels": {format_float(a["eta"]): a["label"] for a in result.aggregates}}
+    resolved = {
+        "etas": [a["eta"] for a in result.aggregates],
+        "n_seeds": int(sweep["n_seeds"]),
+        "k_max": newton_cfg.max_iters,
+        "n_steps": n_steps,
+        "delta": params.delta,
+        "envelope_skew": params.envelope_skew,
+        "newton": asdict(newton_cfg),
+    }
+    return write_sweep_csvs(result, out), resolved, summary
+
+
+_SINGULARITY_MODEL = {"t_f": 9000.0, "rank_tolerance": 1e-9}
+
+
 def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
-    t_f = float((cfg.model or {}).get("t_f", 9000.0))
+    model = {**_SINGULARITY_MODEL, **cfg.model}
+    t_f = float(model["t_f"])
+    rank_tol = float(model["rank_tolerance"])
     n_steps = int(cfg.n_steps or TWO_LEVEL_DEFAULT_STEPS)
-    rank_tol = float((cfg.model or {}).get("rank_tolerance", 1e-9))
     grid = TimeGrid(t_f=t_f, n_steps=n_steps)
     u_tar = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    dec = decompose_target(u_tar)
-    pair = m0_seed(dec, t_f)
+    pair = m0_seed(decompose_target(u_tar), t_f)
     field_desc = SinSqEnvelope(e0=2.0)  # E(t) = sin^2(pi t / t_f)
     samples = sample_field(field_desc, grid)
-    diag = singularity_probe(pair, samples, grid, u_tar, rank_tolerance=rank_tol)
-    newton_cfg = _newton_config(cfg.newton)
-    u0 = np.eye(2, dtype=complex)
-    u_n, g0, g1 = propagate_with_gram(u0, pair, samples, grid)
-    system = reduce_system(
-        *grams_to_jacobians(g0, g1, grid.dt), hermitian_residual(u_n, u_tar)
-    )
+    _, system = newton_system(np.eye(2, dtype=complex), pair, samples, grid, u_tar)
+    diag = system_diagnostic(system, rank_tol)
+    newton_cfg = _newton_config(cfg)
     refused = False
     error_text = None
     try:
-        solve_update(system, newton_cfg)
+        solve_update(system, newton_cfg, condition=diag.condition_estimate)
     except SingularJacobianError as err:
         refused = True
         error_text = str(err)
@@ -590,10 +555,6 @@ def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
         "error": error_text,
         "seed_h0": matrix_to_json(pair.h0),
     }
-    path = out / "diagnostic.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
     summary = {
         "numerical_rank": diag.numerical_rank,
         "condition_estimate": diag.condition_estimate,
@@ -606,30 +567,25 @@ def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
         "field": field_to_config(field_desc),
         "singular_cond_threshold": newton_cfg.singular_cond_threshold,
     }
-    return [path], resolved, summary
+    return [write_json(out / "diagnostic.json", payload)], resolved, summary
+
+
+_ORDER_CHECK_MODEL = {"t_f": 1.0, "field_value": 0.7, "n_steps": 100}
 
 
 def _run_cn_order_check(cfg: ExperimentConfig, out: Path):
-    from .propagation import cn_error_order
-
-    model = dict(cfg.model or {})
-    t_f = float(model.get("t_f", 1.0))
-    e_value = float(model.get("field_value", 0.7))
-    base_steps = int(cfg.n_steps or model.get("n_steps", 100))
+    model = {**_ORDER_CHECK_MODEL, **cfg.model}
+    t_f = float(model["t_f"])
+    e_value = float(model["field_value"])
+    base_steps = int(cfg.n_steps or model["n_steps"])
     rng = np.random.default_rng(cfg.seed)
     h0 = rng.normal(size=(2, 2))
     h0 = 0.5 * (h0 + h0.T)
     h1 = np.zeros((2, 2))
     h1[0, 1] = h1[1, 0] = rng.normal()
     pair = HamiltonianPair(h0, h1)
-    rows = []
-    ratios = {}
-    for n in (base_steps, 4 * base_steps):
-        ratio = cn_error_order(pair, e_value, t_f, n_steps=n)
-        rows.append([n, format_float(ratio)])
-        ratios[n] = ratio
-    path = out / "order.csv"
-    _write_csv(path, ["n_steps", "error_ratio"], rows)
+    ratios = {n: cn_error_order(pair, e_value, t_f, n_steps=n) for n in (base_steps, 4 * base_steps)}
+    path = write_table(out / "order.csv", ["n_steps", "error_ratio"], ratios.items())
     summary = {"ratios": {str(k): v for k, v in ratios.items()}}
     resolved = {
         "t_f": t_f,
@@ -641,6 +597,9 @@ def _run_cn_order_check(cfg: ExperimentConfig, out: Path):
     return [path], resolved, summary
 
 
+_CPU_SCALING_MODEL = {"n_steps": 2**15, "iterations": 3, "eta": 1e-6}
+
+
 def _run_cpu_scaling(cfg: ExperimentConfig, out: Path):
     """Matched fixed-iteration identification workloads across system sizes.
 
@@ -648,81 +607,74 @@ def _run_cpu_scaling(cfg: ExperimentConfig, out: Path):
     tolerance is set far below reach so the budget is always spent), so the
     recorded wall-clock isolates the cost growth with dimension.
     """
-    model = dict(cfg.model or {})
-    n_steps = int(cfg.n_steps or model.get("n_steps", 2**15))
-    iters = int(model.get("iterations", 3))
-    eta = float(model.get("eta", 1e-6))
+    model = {**_CPU_SCALING_MODEL, **cfg.model}
+    n_steps = int(cfg.n_steps or model["n_steps"])
+    iters = int(model["iterations"])
+    eta = float(model["eta"])
+    budget = NewtonConfig(tol=1e-300, max_iters=iters, singular_cond_threshold=1e30)
     entries = []
 
-    def timed(label, pair, samples, grid, threshold):
-        budget = NewtonConfig(tol=1e-300, max_iters=iters, singular_cond_threshold=threshold)
-        u0 = np.eye(pair.dim, dtype=complex)
-        u_tar = propagate_final(u0, pair, samples, grid)
-        guess = perturb_pair(pair, PerturbationSpec(eta=eta, seed=cfg.seed))
+    def timed(label, p: _Problem):
+        guess = perturb_pair(p.pair, PerturbationSpec(eta=eta, seed=cfg.seed))
         t0 = time.perf_counter()
-        _, report = newton_identify(
-            u0, u_tar, guess, samples, grid, budget, truth=pair
-        )
+        _, report = newton_identify(p.u_0, p.u_tar, guess, p.samples, p.grid, budget, truth=p.pair)
         wall = time.perf_counter() - t0
         entries.append(
             {
                 "label": label,
-                "n_d": pair.dim,
-                "n_steps": grid.n_steps,
+                "n_d": p.pair.dim,
+                "n_steps": p.grid.n_steps,
                 "newton_iterations": report.n_iterations,
                 "wall_seconds": wall,
             }
         )
 
-    params = TwoLevelParams(delta=BENCH_TWO_LEVEL_DELTA, envelope_skew=BENCH_TWO_LEVEL_SKEW)
-    pair2, field2 = two_level_model(params)
-    grid2 = TimeGrid(t_f=params.t_f, n_steps=n_steps)
-    timed("two-level", pair2, sample_field(field2, grid2), grid2, 1e30)
+    params = TwoLevelParams(**_BENCH_TWO_LEVEL)
+    timed("two-level", _problem(params, *two_level_model(params), n_steps))
     for n_levels in (6, 12):
         dw = build_double_well(DoubleWellParams(n_levels=n_levels))
-        gridw = TimeGrid(t_f=dw.params.t_f, n_steps=n_steps)
-        samplesw = sample_field(pi_pulse_field(dw), gridw)
-        timed(f"double-well-{n_levels}", dw.pair, samplesw, gridw, 1e30)
+        timed(f"double-well-{n_levels}", _problem(dw.params, dw.pair, pi_pulse_field(dw), n_steps))
     path = write_cpu_csv(entries, out / "cpu.csv")
     summary = {"entries": entries}
     resolved = {"n_steps": n_steps, "iterations": iters, "eta": eta}
     return [path], resolved, summary
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: its runner and the config it reads."""
+
+    run: Callable  # (config, output directory) -> (files, resolved, summary)
+    model_keys: frozenset
+    blocks: tuple = ()  # the optional blocks of _BLOCK_KEYS it reads
+
+
+_NEWTON_BLOCKS = ("perturbation", "newton")
+_CONTINUATION_BLOCKS = ("newton", "continuation")
+_KINDS = {
+    "newton-two-level": _Kind(partial(_run_newton, _TWO_LEVEL), _TWO_LEVEL.model_keys, _NEWTON_BLOCKS),
+    "newton-double-well": _Kind(
+        partial(_run_newton, _DOUBLE_WELL), _DOUBLE_WELL.model_keys, _NEWTON_BLOCKS
+    ),
+    "continuation-two-level": _Kind(
+        partial(_run_continuation, _TWO_LEVEL), _TWO_LEVEL.model_keys, _CONTINUATION_BLOCKS
+    ),
+    "continuation-double-well": _Kind(
+        partial(_run_continuation, _DOUBLE_WELL), _DOUBLE_WELL.model_keys, _CONTINUATION_BLOCKS
+    ),
+    "eta-sweep": _Kind(_run_eta_sweep, _TWO_LEVEL.model_keys, ("newton", "sweep")),
+    "singularity-demo": _Kind(_run_singularity_demo, frozenset(_SINGULARITY_MODEL), ("newton",)),
+    "cn-order-check": _Kind(_run_cn_order_check, frozenset(_ORDER_CHECK_MODEL)),
+    "cpu-scaling": _Kind(_run_cpu_scaling, frozenset(_CPU_SCALING_MODEL)),
+}
+KINDS = tuple(_KINDS)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    if cfg.kind == "newton-two-level":
-        files, resolved, summary = _run_newton_generic(cfg, out, two_level=True)
-    elif cfg.kind == "newton-double-well":
-        files, resolved, summary = _run_newton_generic(cfg, out, two_level=False)
-    elif cfg.kind == "continuation-two-level":
-        files, resolved, summary = _run_continuation_generic(cfg, out, two_level=True)
-    elif cfg.kind == "continuation-double-well":
-        files, resolved, summary = _run_continuation_generic(cfg, out, two_level=False)
-    elif cfg.kind == "eta-sweep":
-        result = run_eta_sweep(cfg)
-        files = write_sweep_csvs(result, out)
-        labels = {a["eta"]: a["label"] for a in result.aggregates}
-        summary = {"labels": {format_float(k): v for k, v in labels.items()}}
-        resolved = {
-            "etas": [a["eta"] for a in result.aggregates],
-            "n_seeds": int((cfg.sweep or {}).get("n_seeds", 15)),
-            "k_max": int((cfg.sweep or {}).get("k_max", 9)),
-            "n_steps": int(cfg.n_steps or TWO_LEVEL_DEFAULT_STEPS),
-            "delta": (cfg.model or {}).get("delta", BENCH_TWO_LEVEL_DELTA),
-            "envelope_skew": (cfg.model or {}).get("envelope_skew", BENCH_TWO_LEVEL_SKEW),
-        }
-    elif cfg.kind == "singularity-demo":
-        files, resolved, summary = _run_singularity_demo(cfg, out)
-    elif cfg.kind == "cn-order-check":
-        files, resolved, summary = _run_cn_order_check(cfg, out)
-    elif cfg.kind == "cpu-scaling":
-        files, resolved, summary = _run_cpu_scaling(cfg, out)
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise ValueError(cfg.kind)
+    files, resolved, summary = _KINDS[cfg.kind].run(cfg, out)
     wall = time.perf_counter() - t0
-    files = list(files)
     files.append(_manifest(out, cfg, resolved, wall, files))
     return RunResult(out_dir=out, files=files, wall_seconds=wall, summary=summary)

@@ -30,6 +30,13 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Reject NaN and inf, which compare false against every tolerance."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
 def spec_norm(m: np.ndarray) -> float:
     """Largest singular value of a square matrix.
 
@@ -54,7 +61,7 @@ def require_real_symmetric(
     tol: float = SYMMETRY_TOL,
 ) -> np.ndarray:
     """Validate a real symmetric matrix (optionally with zero diagonal)."""
-    m = require_square(np.asarray(m, dtype=float), name)
+    m = require_finite(require_square(np.asarray(m, dtype=float), name), name)
     if symmetry_defect(m) > tol:
         raise ValueError(f"{name} is not symmetric (defect {symmetry_defect(m):.3e})")
     if zero_diag and m.size and np.max(np.abs(np.diag(m))) > tol:
@@ -70,7 +77,7 @@ def unitarity_defect(u: np.ndarray) -> float:
 def require_unitary(
     u: np.ndarray, name: str = "matrix", tol: float = DEFAULT_UNITARITY_TOL
 ) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
+    u = require_finite(np.asarray(u, dtype=complex), name)
     defect = unitarity_defect(u)
     if defect > tol:
         raise ValueError(f"{name} is not unitary within {tol:.1e} (defect {defect:.3e})")
@@ -94,7 +101,7 @@ class TargetDecomposition:
 
     def __post_init__(self):
         s = require_real_symmetric(self.s, "S")
-        a = np.asarray(self.a, dtype=float)
+        a = require_finite(np.asarray(self.a, dtype=float), "A")
         if a.size and np.max(np.abs(a + a.T)) > SYMMETRY_TOL:
             raise ValueError("A is not antisymmetric")
         if s.shape != a.shape:

@@ -21,8 +21,6 @@ of dH1.  Both counts equal d^2, so the reduced system is square.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +30,7 @@ import scipy.linalg
 from .fields import TimeGrid
 from .linalg import require_square, require_unitary, spec_norm
 from .propagation import HamiltonianPair, Trajectory, propagate_final, propagate_with_gram
+from . import reporting
 
 FLAG_CONVERGED = "converged"
 FLAG_MAX_ITERS = "max_iters"
@@ -131,28 +130,15 @@ class NewtonReport:
             ],
         }
 
-    def write_csv(self, path) -> None:
-        from .reporting import format_float
+    def write_csv(self, path):
+        rows = [
+            [it.k, it.e_k, it.dev_h0, it.dev_h1, it.dev_u, it.jacobian_condition]
+            for it in self.iterations
+        ]
+        return reporting.write_table(path, ["k", "e_k", "dev_H0", "dev_H1", "dev_U", "cond"], rows)
 
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "e_k", "dev_H0", "dev_H1", "dev_U", "cond"])
-            for it in self.iterations:
-                writer.writerow(
-                    [
-                        it.k,
-                        format_float(it.e_k),
-                        format_float(it.dev_h0),
-                        format_float(it.dev_h1),
-                        format_float(it.dev_u),
-                        format_float(it.jacobian_condition),
-                    ]
-                )
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+    def write_json(self, path):
+        return reporting.write_json(path, self.to_json_dict())
 
 
 def hermitian_residual(u_n: np.ndarray, u_tar: np.ndarray) -> np.ndarray:
@@ -252,12 +238,16 @@ def reduce_system(j0: np.ndarray, j1: np.ndarray, s_k: np.ndarray) -> ReducedSys
     )
 
 
+def reduced_spectrum(system: ReducedSystem):
+    """Singular values of the reduced matrix (descending) and its 2-norm
+    condition estimate (inf when singular)."""
+    sv = np.linalg.svd(system.matrix, compute_uv=False)
+    return sv, float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+
+
 def reduced_condition(system: ReducedSystem) -> float:
     """2-norm condition estimate of the reduced matrix (inf when singular)."""
-    sv = np.linalg.svd(system.matrix, compute_uv=False)
-    if sv[-1] == 0.0:
-        return float("inf")
-    return float(sv[0] / sv[-1])
+    return reduced_spectrum(system)[1]
 
 
 def expand_update(x: np.ndarray, index_map: tuple, d: int) -> NewtonUpdate:
@@ -284,6 +274,23 @@ def solve_update(
     return expand_update(x, system.unknown_index_map, d)
 
 
+def newton_system(
+    u_0: np.ndarray,
+    pair: HamiltonianPair,
+    samples: np.ndarray,
+    grid: TimeGrid,
+    u_tar: np.ndarray,
+):
+    """Newton system at ``pair``: returns (U_N, reduced system).
+
+    Propagates with the Jacobian Gram sums, Hermitizes the mismatch against
+    ``u_tar`` and reduces the Kronecker blocks to the square real system.
+    """
+    u_n, g0, g1 = propagate_with_gram(u_0, pair, samples, grid)
+    j0, j1 = grams_to_jacobians(g0, g1, grid.dt)
+    return u_n, reduce_system(j0, j1, hermitian_residual(u_n, u_tar))
+
+
 def newton_identify(
     u_0: np.ndarray,
     u_tar: np.ndarray,
@@ -305,18 +312,14 @@ def newton_identify(
     u_tar = require_unitary(u_tar, "target operator")
     samples = np.asarray(samples, dtype=float)
     pair = guess
-    dt = grid.dt
     report = NewtonReport(iterations=[], flag=FLAG_MAX_ITERS)
     pending: Optional[NewtonIteration] = None
     for k in range(1, cfg.max_iters + 1):
-        u_n, g0, g1 = propagate_with_gram(u_0, pair, samples, grid)
+        u_n, system = newton_system(u_0, pair, samples, grid, u_tar)
         if pending is not None:
             pending.dev_u = spec_norm(u_tar - u_n)
             report.iterations.append(pending)
             pending = None
-        s_k = hermitian_residual(u_n, u_tar)
-        j0, j1 = grams_to_jacobians(g0, g1, dt)
-        system = reduce_system(j0, j1, s_k)
         cond = reduced_condition(system)
         try:
             update = solve_update(system, cfg, condition=cond)

@@ -23,6 +23,7 @@ import numpy as np
 from .fields import ControlField, TimeGrid, sample_field
 from .linalg import (
     DEFAULT_UNITARITY_TOL,
+    require_finite,
     require_real_symmetric,
     require_square,
     require_unitary,
@@ -98,7 +99,7 @@ def _validated_samples(samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
         raise ValueError(
             f"field has {samples.shape} samples, grid has {grid.n_steps} steps"
         )
-    return samples
+    return require_finite(samples, "field samples")
 
 
 def _constant_value(pair: HamiltonianPair, samples: np.ndarray):

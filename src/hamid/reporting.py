@@ -1,7 +1,10 @@
-"""Shared formatting for deterministic CSV output."""
+"""Shared formatting and writers for deterministic CSV and JSON output."""
 from __future__ import annotations
 
+import csv
+import json
 import math
+from pathlib import Path
 
 
 def format_float(x) -> str:
@@ -14,3 +17,29 @@ def format_float(x) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return format(x, ".12g")
+
+
+def _cell(value):
+    if isinstance(value, bool):
+        return int(value)
+    if value is None or isinstance(value, float):
+        return format_float(value)
+    return value
+
+
+def write_table(path, header, rows) -> Path:
+    """Write a CSV file: the header row, then the rows, with floats (and
+    None) through :func:`format_float` and bools as 0/1."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    return Path(path)
+
+
+def write_json(path, payload) -> Path:
+    """Write indented JSON with a trailing newline; numpy scalars become floats."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, default=float)
+        fh.write("\n")
+    return Path(path)

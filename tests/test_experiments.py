@@ -139,12 +139,45 @@ def test_cli_demo_singularity(tmp_path, capsys):
     assert "refused" in out
 
 
+BAD_CONFIGS = [
+    # (config, extra CLI arguments, the key the error must name)
+    ({"kind": "unknown-kind"}, [], "unknown-kind"),
+    ({"kind": "newton-two-level", "model": {"bogus": 1}}, [], "bogus"),
+    ({"kind": "continuation-two-level", "continuation": {"bogus": 1}}, [], "bogus"),
+    ({"kind": "newton-two-level", "newton": {"tol2": 1}}, [], "tol2"),
+    ({"kind": "newton-two-level"}, ["--nd", "6"], "n_levels"),
+    ({"kind": "newton-two-level", "perturbation": {"etaa": 1e-3}}, [], "etaa"),
+    ({"kind": "eta-sweep", "sweep": {"n_seed": 2}}, [], "n_seed"),
+    ({"kind": "newton-double-well", "model": {"grid": {"points": 64}}}, [], "points"),
+    ({"kind": "cn-order-check", "sweep": {"etas": [1e-5]}}, [], "etas"),
+]
+
+
 def test_cli_bad_config_returns_error(tmp_path, capsys):
+    # every case is rejected before any work starts, so one test runs them all
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"kind": "unknown-kind"}))
-    rc = main(["run", str(bad)])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    for config, extra, key in BAD_CONFIGS:
+        bad.write_text(json.dumps(config))
+        rc = main(["run", str(bad), "--out", str(tmp_path / "never"), *extra])
+        err = capsys.readouterr().err
+        assert rc == 2, config
+        assert "error:" in err and key in err, (config, err)
+    assert not (tmp_path / "never").exists()
+
+
+def test_eta_sweep_resolves_like_two_level_kinds(tmp_path):
+    cfg = ExperimentConfig(
+        kind="eta-sweep",
+        out_dir=str(tmp_path / "sw"),
+        model={"n_steps": 600},
+        sweep={"etas": [1e-5], "n_seeds": 1, "k_max": 9},
+        newton={"max_iters": 2},
+    )
+    run_experiment(cfg)
+    resolved = json.loads((tmp_path / "sw" / "manifest.json").read_text())["resolved"]
+    assert resolved["n_steps"] == 600
+    assert resolved["k_max"] == 2
+    assert resolved["newton"] == {"tol": 1e-12, "max_iters": 2, "singular_cond_threshold": 1e12}
 
 
 def test_cli_sweep(tmp_path):

@@ -9,7 +9,7 @@ from hamid import (
     unitary_exp,
     unitary_log,
 )
-from hamid.linalg import decompose_target, require_unitary
+from hamid.linalg import TargetDecomposition, decompose_target, require_unitary
 
 from helpers import SIGMA_X, haar_unitary
 
@@ -68,6 +68,16 @@ def test_unitary_log_sigma_x_branch():
 def test_unitary_log_rejects_nonunitary():
     with pytest.raises(ValueError):
         unitary_log(np.diag([2.0, 1.0]).astype(complex))
+
+
+def test_non_finite_matrices_rejected():
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        require_unitary(nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        TargetDecomposition(s=nan, a=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        TargetDecomposition(s=np.eye(2), a=np.array([[0.0, np.inf], [-np.inf, 0.0]]))
 
 
 def test_roundtrip_haar(rng):

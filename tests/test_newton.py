@@ -27,10 +27,12 @@ from hamid.models import (
     perturb_pair,
     two_level_model,
 )
+from hamid.newton import newton_system
+from hamid.propagation import GRAM_CHUNK
 from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
 from hamid.fields import sample_field
 
-from helpers import SIGMA_X, random_direction, random_pair
+from helpers import SIGMA_X, haar_unitary, random_direction, random_pair
 
 
 def vec_f(m):
@@ -120,6 +122,28 @@ def test_jacobian_finite_difference(rng):
             x_fd = 1j * u_n.conj().T @ ((up - um) / (2 * eps))
             x_j = (j0 @ vec_f(dh0) + j1 @ vec_f(dh1)).reshape(d, d, order="F")
             assert spec_norm(x_fd - x_j) <= 1e-6 * spec_norm(x_j)
+
+
+def test_newton_system_matches_stored_trajectory_oracle(rng):
+    # the streaming builder against propagate + assemble_jacobian; N crosses
+    # two Gram chunk boundaries.  Tolerance fixed from float64 round-off: the
+    # Gram sums add N terms of unit size, so N * eps relative to the largest
+    # entry bounds any reordering of the summation.
+    d, n = 3, 2 * GRAM_CHUNK + 123
+    pair = random_pair(d, rng)
+    grid = TimeGrid(t_f=1.7, n_steps=n)
+    samples = rng.normal(size=n)
+    u0 = np.eye(d, dtype=complex)
+    u_tar = haar_unitary(d, rng)
+    u_n, system = newton_system(u0, pair, samples, grid, u_tar)
+    traj = propagate(u0, pair, samples, grid)
+    oracle = reduce_system(*assemble_jacobian(traj, samples), hermitian_residual(traj.final(), u_tar))
+    tol = n * np.finfo(float).eps
+    np.testing.assert_allclose(u_n, traj.final(), rtol=0, atol=tol)
+    scale = np.max(np.abs(oracle.matrix))
+    np.testing.assert_allclose(system.matrix, oracle.matrix, rtol=0, atol=tol * scale)
+    np.testing.assert_allclose(system.rhs, oracle.rhs, rtol=0, atol=tol)
+    assert system.unknown_index_map == oracle.unknown_index_map
 
 
 def test_unknown_index_map_counts():
@@ -279,3 +303,13 @@ def test_newton_skew_norm_reported():
     assert all(np.isfinite(it.residual_skew) for it in report.iterations)
     # without truth, deviation columns stay empty
     assert all(it.dev_h0 is None and it.dev_h1 is None for it in report.iterations)
+
+
+def test_newton_rejects_non_finite_field():
+    pair, samples, grid = _benchmark_two_level()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, pair, samples, grid)
+    samples = samples.copy()
+    samples[17] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        newton_identify(u0, u_tar, pair, samples, grid, NewtonConfig(max_iters=2))

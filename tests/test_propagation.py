@@ -193,3 +193,17 @@ def test_dimension_validation(rng):
         HamiltonianPair(np.zeros((2, 2)), np.array([[0.0, 1.0], [1.1, 0.0]]))
     with pytest.raises(ValueError):
         HamiltonianPair(np.zeros((2, 2)), np.array([[0.5, 1.0], [1.0, 0.0]]))
+
+
+def test_non_finite_inputs_rejected(rng):
+    # a NaN defect compares false against every tolerance, so it is checked apart
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        HamiltonianPair(bad, np.zeros((2, 2)))
+    pair = random_pair(2, rng)
+    grid = TimeGrid(t_f=1.0, n_steps=8)
+    samples = np.zeros(8)
+    samples[3] = np.nan
+    for propagator in (propagate, propagate_final, propagate_with_gram):
+        with pytest.raises(ValueError, match="non-finite"):
+            propagator(np.eye(2, dtype=complex), pair, samples, grid)
