@@ -66,7 +66,6 @@ from .newton import (
     NewtonUpdate,
     ReducedSystem,
     SingularJacobianError,
-    assemble_jacobian,
     grams_to_jacobians,
     hermitian_residual,
     newton_identify,

@@ -9,20 +9,23 @@ CSV floats are formatted at 12 significant digits and runs are seeded, so
 identical configs produce byte-identical CSVs.
 
 The table ``_KINDS`` maps every kind to its runner, the keys its ``model``
-block accepts and the other config blocks it reads.  ``ExperimentConfig``
-checks each block against that entry when built, so an unknown key raises
-``ValueError`` before any work starts; ``run_experiment`` calls the runner
-and writes the manifest.  The Newton and continuation runners serve both
-model families through a ``_Family`` entry (set-up, Newton settings,
-default perturbation, continuation length, figure name).
+block accepts (with their types) and the other config blocks it reads.
+``ExperimentConfig`` checks each block against that entry when built, so an
+unknown key or a value of the wrong type raises ``ValueError`` before any
+work starts; ``run_experiment`` calls the runner and writes the manifest.
+The Newton and continuation runners serve both model families through a
+``_Family`` entry (set-up, Newton settings, default perturbation,
+continuation length, figure name).
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -59,7 +62,7 @@ from .newton import (
     solve_update,
 )
 from .propagation import HamiltonianPair, cn_error_order, propagate_final
-from .reporting import format_float, write_json, write_table
+from .reporting import format_float, json_default, write_json, write_table
 
 REGIME_RECOVERS = "RecoversOriginal"
 REGIME_ALTERNATE = "AlternateSolution"
@@ -97,13 +100,24 @@ BENCH_DOUBLE_WELL_STEPS = 2**16
 
 SWEEP_DEFAULTS = {"etas": np.logspace(-5, -2, 13).tolist(), "n_seeds": 15, "k_max": 9, "workers": 1}
 
-# keys of the optional config blocks, for the kinds that read them
-_BLOCK_KEYS = {
-    "perturbation": ("eta", "seed"),
-    "newton": tuple(f.name for f in fields(NewtonConfig)),
+
+def _field_types(cls, exclude=()) -> dict:
+    """Field name -> type of a dataclass, as the config checks read it."""
+    return {k: v for k, v in typing.get_type_hints(cls).items() if k not in exclude}
+
+
+def _types_of(defaults: dict) -> dict:
+    return {k: type(v) for k, v in defaults.items()}
+
+
+# keys and value types of the optional config blocks, for the kinds that read them
+_BLOCK_TYPES = {
+    "perturbation": _field_types(PerturbationSpec, exclude=("n_seeds",)),
+    "newton": _field_types(NewtonConfig),
     # the newton block configures the continuation's Newton solves
-    "continuation": tuple(f.name for f in fields(ContinuationConfig) if f.name != "newton"),
-    "sweep": tuple(SWEEP_DEFAULTS),
+    "continuation": _field_types(ContinuationConfig, exclude=("newton",)),
+    # a null sweep value takes its default
+    "sweep": {k: Optional[list[float] if k == "etas" else int] for k in SWEEP_DEFAULTS},
 }
 
 
@@ -120,13 +134,15 @@ class ExperimentConfig:
     n_steps: Optional[int] = None
 
     def __post_init__(self):
+        for name, hint in _field_types(ExperimentConfig).items():
+            if hint is not dict:
+                _check_value("config", name, getattr(self, name), hint)
+            elif getattr(self, name) is None:
+                setattr(self, name, {})
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if not self.out_dir:
             self.out_dir = f"runs/{self.kind}"
-        for name in ("model", *_BLOCK_KEYS):
-            if getattr(self, name) is None:
-                setattr(self, name, {})
         _check_blocks(self)
 
     @classmethod
@@ -142,24 +158,49 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _check_keys(kind: str, block_name: str, block, accepted) -> None:
+# the abstract number types a config value may come as (numpy scalars included)
+_NUMBER_TYPES = {int: numbers.Integral, float: numbers.Real}
+
+
+def _accepts(hint, value) -> bool:
+    """Whether ``value`` may set a field of type ``hint``: int fields take
+    integers, float fields any real number, and neither takes a bool."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_accepts(arg, value) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_accepts(args[0], v) for v in value)
+    if isinstance(value, (bool, np.bool_)):
+        return hint is bool
+    return isinstance(value, _NUMBER_TYPES.get(hint, hint))
+
+
+def _check_value(kind: str, key: str, value, hint) -> None:
+    if not _accepts(hint, value):
+        name = hint.__name__ if isinstance(hint, type) else repr(hint).replace("typing.", "")
+        raise ValueError(f"{kind}: {key} must be of type {name}, got {value!r}")
+
+
+def _check_block(kind: str, block_name: str, block, types: dict) -> None:
     if not isinstance(block, dict):
         raise ValueError(f"{kind}: the {block_name} block must be an object, got {block!r}")
-    unknown = sorted(set(block) - set(accepted))
+    unknown = sorted(set(block) - set(types))
     if unknown:
-        raise ValueError(
-            f"{kind}: unknown {block_name} keys {unknown}; accepted: {sorted(accepted)}"
-        )
+        raise ValueError(f"{kind}: unknown {block_name} keys {unknown}; accepted: {sorted(types)}")
+    for key, value in block.items():
+        if is_dataclass(types[key]):
+            _check_block(kind, f"{block_name}.{key}", value, _field_types(types[key]))
+        else:
+            _check_value(kind, f"{block_name}.{key}", value, types[key])
 
 
 def _check_blocks(cfg: ExperimentConfig) -> None:
-    """Every key of every block must be one the kind's table entry reads."""
+    """Every key of every block must be one the kind's table entry reads,
+    with a value of the type of the field it sets."""
     entry = _KINDS[cfg.kind]
-    _check_keys(cfg.kind, "model", cfg.model, entry.model_keys)
-    if "grid" in cfg.model:
-        _check_keys(cfg.kind, "model.grid", cfg.model["grid"], _names(SpatialGrid))
-    for name, keys in _BLOCK_KEYS.items():
-        _check_keys(cfg.kind, name, getattr(cfg, name), keys if name in entry.blocks else ())
+    _check_block(cfg.kind, "model", cfg.model, entry.model_types)
+    for name, types in _BLOCK_TYPES.items():
+        _check_block(cfg.kind, name, getattr(cfg, name), types if name in entry.blocks else {})
 
 
 @dataclass
@@ -205,10 +246,6 @@ def classify_run(report: NewtonReport, tol: float = RECOVERY_DEV_TOL) -> str:
     if fin is None:
         return REGIME_DIVERGES
     return classify_devs(fin.dev_h0, fin.dev_h1, fin.dev_u, tol)
-
-
-def _names(cls) -> frozenset:
-    return frozenset(f.name for f in fields(cls))
 
 
 def _newton_config(cfg: ExperimentConfig, **family) -> NewtonConfig:
@@ -271,7 +308,7 @@ class _Family:
     """What the Newton and continuation kinds of one model family differ in."""
 
     setup: Callable  # config -> _Problem
-    model_keys: frozenset  # keys the model block accepts
+    model_types: dict  # keys the model block accepts, and their types
     newton: dict  # NewtonConfig fields the family sets
     eta: Callable  # model parameters -> default perturbation magnitude
     n_intermediate: int
@@ -280,7 +317,7 @@ class _Family:
 
 _TWO_LEVEL = _Family(
     setup=_two_level_setup,
-    model_keys=_names(TwoLevelParams) | {"n_steps"},
+    model_types={**_field_types(TwoLevelParams), "n_steps": Optional[int]},
     newton={},
     eta=lambda params: 1e-4,
     n_intermediate=20,
@@ -288,7 +325,7 @@ _TWO_LEVEL = _Family(
 )
 _DOUBLE_WELL = _Family(
     setup=_double_well_setup,
-    model_keys=_names(DoubleWellParams) | {"n_steps"},
+    model_types={**_field_types(DoubleWellParams), "n_steps": Optional[int]},
     newton={
         "tol": BENCH_DOUBLE_WELL_TOL,
         "singular_cond_threshold": BENCH_DOUBLE_WELL_COND_THRESHOLD,
@@ -301,10 +338,11 @@ _DOUBLE_WELL = _Family(
 
 def _manifest(out: Path, cfg: ExperimentConfig, resolved: dict, wall: float, files: list) -> Path:
     config = cfg.to_dict()
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True, default=json_default).encode())
     payload = {
         "kind": cfg.kind,
         "config": config,
-        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "config_sha256": digest.hexdigest(),
         "resolved": resolved,
         "wall_seconds": wall,
         "outputs": [f.name for f in files],
@@ -645,27 +683,27 @@ class _Kind:
     """One experiment kind: its runner and the config it reads."""
 
     run: Callable  # (config, output directory) -> (files, resolved, summary)
-    model_keys: frozenset
-    blocks: tuple = ()  # the optional blocks of _BLOCK_KEYS it reads
+    model_types: dict
+    blocks: tuple = ()  # the optional blocks of _BLOCK_TYPES it reads
 
 
 _NEWTON_BLOCKS = ("perturbation", "newton")
 _CONTINUATION_BLOCKS = ("newton", "continuation")
 _KINDS = {
-    "newton-two-level": _Kind(partial(_run_newton, _TWO_LEVEL), _TWO_LEVEL.model_keys, _NEWTON_BLOCKS),
+    "newton-two-level": _Kind(partial(_run_newton, _TWO_LEVEL), _TWO_LEVEL.model_types, _NEWTON_BLOCKS),
     "newton-double-well": _Kind(
-        partial(_run_newton, _DOUBLE_WELL), _DOUBLE_WELL.model_keys, _NEWTON_BLOCKS
+        partial(_run_newton, _DOUBLE_WELL), _DOUBLE_WELL.model_types, _NEWTON_BLOCKS
     ),
     "continuation-two-level": _Kind(
-        partial(_run_continuation, _TWO_LEVEL), _TWO_LEVEL.model_keys, _CONTINUATION_BLOCKS
+        partial(_run_continuation, _TWO_LEVEL), _TWO_LEVEL.model_types, _CONTINUATION_BLOCKS
     ),
     "continuation-double-well": _Kind(
-        partial(_run_continuation, _DOUBLE_WELL), _DOUBLE_WELL.model_keys, _CONTINUATION_BLOCKS
+        partial(_run_continuation, _DOUBLE_WELL), _DOUBLE_WELL.model_types, _CONTINUATION_BLOCKS
     ),
-    "eta-sweep": _Kind(_run_eta_sweep, _TWO_LEVEL.model_keys, ("newton", "sweep")),
-    "singularity-demo": _Kind(_run_singularity_demo, frozenset(_SINGULARITY_MODEL), ("newton",)),
-    "cn-order-check": _Kind(_run_cn_order_check, frozenset(_ORDER_CHECK_MODEL)),
-    "cpu-scaling": _Kind(_run_cpu_scaling, frozenset(_CPU_SCALING_MODEL)),
+    "eta-sweep": _Kind(_run_eta_sweep, _TWO_LEVEL.model_types, ("newton", "sweep")),
+    "singularity-demo": _Kind(_run_singularity_demo, _types_of(_SINGULARITY_MODEL), ("newton",)),
+    "cn-order-check": _Kind(_run_cn_order_check, _types_of(_ORDER_CHECK_MODEL)),
+    "cpu-scaling": _Kind(_run_cpu_scaling, _types_of(_CPU_SCALING_MODEL)),
 }
 KINDS = tuple(_KINDS)
 

@@ -5,6 +5,7 @@ sampling the midpoint time stepper in :mod:`hamid.propagation` assumes.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -21,8 +22,9 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t_f > 0:
             raise ValueError("t_f must be positive")
-        if not self.n_steps >= 1:
-            raise ValueError("n_steps must be a positive integer")
+        n = self.n_steps
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not n >= 1:
+            raise ValueError(f"n_steps must be a positive integer, got {n!r}")
 
     @property
     def dt(self) -> float:

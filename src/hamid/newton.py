@@ -21,7 +21,7 @@ of dH1.  Both counts equal d^2, so the reduced system is square.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .fields import TimeGrid
 from .linalg import require_square, require_unitary, spec_norm
-from .propagation import HamiltonianPair, Trajectory, propagate_final, propagate_with_gram
+from .propagation import HamiltonianPair, propagate_final, propagate_with_gram
 from . import reporting
 
 FLAG_CONVERGED = "converged"
@@ -116,18 +116,7 @@ class NewtonReport:
             "flag": self.flag,
             "failure_condition": self.failure_condition,
             "failed_iteration": self.failed_iteration,
-            "iterations": [
-                {
-                    "k": it.k,
-                    "e_k": it.e_k,
-                    "dev_h0": it.dev_h0,
-                    "dev_h1": it.dev_h1,
-                    "dev_u": it.dev_u,
-                    "jacobian_condition": it.jacobian_condition,
-                    "residual_skew": it.residual_skew,
-                }
-                for it in self.iterations
-            ],
+            "iterations": [asdict(it) for it in self.iterations],
         }
 
     def write_csv(self, path):
@@ -172,20 +161,6 @@ def grams_to_jacobians(g0: np.ndarray, g1: np.ndarray, dt: float):
     j0 = dt * g0.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d2, d2)
     j1 = dt * g1.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d2, d2)
     return j0, j1
-
-
-def assemble_jacobian(traj: Trajectory, samples: np.ndarray):
-    """J0 = dt sum_n (Ubar^T kron Ubar^dag), J1 the field-weighted sum."""
-    samples = np.asarray(samples, dtype=float)
-    n = traj.states.shape[0] - 1
-    if samples.shape != (n,):
-        raise ValueError("field length does not match the trajectory")
-    ubar = traj.midpoint_products()
-    p = ubar.reshape(n, -1)
-    pc = p.conj()
-    g0 = p.T @ pc
-    g1 = (p.T * samples) @ pc
-    return grams_to_jacobians(g0, g1, traj.grid.dt)
 
 
 def unknown_index_map(d: int) -> tuple:

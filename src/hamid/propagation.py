@@ -10,9 +10,10 @@ exactly what the identification Jacobian sums over, so a streaming variant
 folds their Gram accumulation into the time loop without storing the
 trajectory (needed at the 10^6-step molecular scale).
 
-When the generator is constant in time (H1 = 0 or a constant field) the
-stepper collapses to powers of a single Cayley factor, which is evaluated
-through one symmetric eigendecomposition instead of a sequential loop.
+One private kernel, ``_cayley_march``, takes every step: ``propagate`` runs
+it once over the stored trajectory, ``propagate_final`` and
+``propagate_with_gram`` run it block by block over ``GRAM_CHUNK`` steps, and
+``cn_step`` is a one-sample call.  Constant generators take the same loop.
 """
 from __future__ import annotations
 
@@ -25,16 +26,15 @@ from .linalg import (
     DEFAULT_UNITARITY_TOL,
     require_finite,
     require_real_symmetric,
-    require_square,
     require_unitary,
     spec_norm,
     unitary_exp,
 )
 
-# steps per flush of the streaming Gram accumulators; fixed so summation
-# order (and hence output bytes) never depends on run conditions
+# steps per block of the streaming variants (one flush of the Gram
+# accumulators each); fixed so summation order (and hence output bytes)
+# never depends on run conditions
 GRAM_CHUNK = 4096
-_CONST_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,18 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    def midpoint_products(self) -> np.ndarray:
-        """Ubar_n = (U_{n+1} + U_n)/2 for every step."""
-        return 0.5 * (self.states[1:] + self.states[:-1])
+
+def _cayley_march(
+    u: np.ndarray, h0: np.ndarray, h1: np.ndarray, samples, dt: float, out: np.ndarray
+) -> np.ndarray:
+    """Cayley steps from U = ``u`` over ``samples``: writes U_1..U_m into
+    ``out[:m]`` and returns U_m.  The package's only stepping loop."""
+    eye = np.eye(u.shape[0])
+    for i, e in enumerate(samples):
+        l = (0.5j * dt) * (h0 + e * h1)
+        u = np.linalg.solve(eye + l, (eye - l) @ u)
+        out[i] = u
+    return u
 
 
 def cn_step(
@@ -85,38 +94,22 @@ def cn_step(
 ) -> np.ndarray:
     """One Cayley step (I + L)^{-1} (I - L) U with L = i (dt/2)(h0 + e_n h1)."""
     u_n = np.asarray(u_n, dtype=complex)
-    d = u_n.shape[0]
-    if h0.shape != (d, d) or h1.shape != (d, d):
+    if h0.shape != u_n.shape or h1.shape != u_n.shape:
         raise ValueError("Hamiltonian dimensions do not match the state")
-    l = (0.5j * dt) * (h0 + e_n * h1)
-    eye = np.eye(d)
-    return np.linalg.solve(eye + l, (eye - l) @ u_n)
+    return _cayley_march(u_n, h0, h1, [e_n], dt, np.empty((1, *u_n.shape), dtype=complex))
 
 
-def _validated_samples(samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _validated_inputs(u_0, pair: HamiltonianPair, samples, grid: TimeGrid, unitarity_tol: float):
+    """(U_0, samples) after the checks every propagation entry point makes."""
+    u_0 = require_unitary(u_0, "initial operator", unitarity_tol)
+    if u_0.shape != (pair.dim, pair.dim):
+        raise ValueError("initial operator dimension does not match the pair")
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.n_steps,):
         raise ValueError(
             f"field has {samples.shape} samples, grid has {grid.n_steps} steps"
         )
-    return require_finite(samples, "field samples")
-
-
-def _constant_value(pair: HamiltonianPair, samples: np.ndarray):
-    """Constant effective generator value, or None if truly time dependent."""
-    if not np.any(pair.h1):
-        return float(samples[0]) if samples.size else 0.0
-    if samples.size and np.ptp(samples) == 0.0:
-        return float(samples[0])
-    return None
-
-
-def _cayley_eigensystem(pair: HamiltonianPair, e_const: float, dt: float):
-    h = pair.h0 + e_const * pair.h1
-    w, v = np.linalg.eigh(h)
-    # per-step eigenphase of (1 - i w dt/2) / (1 + i w dt/2)
-    theta = -2.0 * np.arctan(0.5 * dt * w)
-    return theta, v
+    return u_0, require_finite(samples, "field samples")
 
 
 def propagate(
@@ -128,29 +121,10 @@ def propagate(
 ) -> Trajectory:
     """Full trajectory U_0..U_N.  Stores every state; use the streaming
     variants where N is large enough for memory to matter."""
-    u_0 = require_unitary(u_0, "initial operator", unitarity_tol)
-    samples = _validated_samples(samples, grid)
-    d = pair.dim
-    require_square(u_0, "initial operator")
-    if u_0.shape[0] != d:
-        raise ValueError("initial operator dimension does not match the pair")
-    n = grid.n_steps
-    dt = grid.dt
-    states = np.empty((n + 1, d, d), dtype=complex)
+    u_0, samples = _validated_inputs(u_0, pair, samples, grid, unitarity_tol)
+    states = np.empty((grid.n_steps + 1, *u_0.shape), dtype=complex)
     states[0] = u_0
-    e_const = _constant_value(pair, samples)
-    if e_const is not None:
-        theta, v = _cayley_eigensystem(pair, e_const, dt)
-        powers = np.exp(1j * np.outer(np.arange(1, n + 1), theta))
-        states[1:] = (v[None, :, :] * powers[:, None, :]) @ (v.T @ u_0)
-        return Trajectory(grid=grid, states=states)
-    eye = np.eye(d)
-    h0, h1 = pair.h0, pair.h1
-    u = u_0
-    for i in range(n):
-        l = (0.5j * dt) * (h0 + samples[i] * h1)
-        u = np.linalg.solve(eye + l, (eye - l) @ u)
-        states[i + 1] = u
+    _cayley_march(u_0, pair.h0, pair.h1, samples, grid.dt, states[1:])
     return Trajectory(grid=grid, states=states)
 
 
@@ -162,20 +136,11 @@ def propagate_final(
     unitarity_tol: float = DEFAULT_UNITARITY_TOL,
 ) -> np.ndarray:
     """Final state U_N only, without storing the trajectory."""
-    u_0 = require_unitary(u_0, "initial operator", unitarity_tol)
-    samples = _validated_samples(samples, grid)
-    dt = grid.dt
-    e_const = _constant_value(pair, samples)
-    if e_const is not None:
-        theta, v = _cayley_eigensystem(pair, e_const, dt)
-        phases = np.exp(1j * grid.n_steps * theta)
-        return (v * phases) @ (v.T @ u_0)
-    eye = np.eye(pair.dim)
-    h0, h1 = pair.h0, pair.h1
-    u = u_0
-    for i in range(grid.n_steps):
-        l = (0.5j * dt) * (h0 + samples[i] * h1)
-        u = np.linalg.solve(eye + l, (eye - l) @ u)
+    u, samples = _validated_inputs(u_0, pair, samples, grid, unitarity_tol)
+    buf = np.empty((min(grid.n_steps, GRAM_CHUNK), *u.shape), dtype=complex)
+    for start in range(0, grid.n_steps, GRAM_CHUNK):
+        block = samples[start : start + GRAM_CHUNK]
+        u = _cayley_march(u, pair.h0, pair.h1, block, grid.dt, buf)
     return u
 
 
@@ -208,45 +173,16 @@ def propagate_with_gram(
     These are reindexed into the Kronecker-form Jacobian blocks by
     :func:`hamid.newton.grams_to_jacobians`.
     """
-    u_0 = require_unitary(u_0, "initial operator", unitarity_tol)
-    samples = _validated_samples(samples, grid)
+    u, samples = _validated_inputs(u_0, pair, samples, grid, unitarity_tol)
     d = pair.dim
-    if u_0.shape[0] != d:
-        raise ValueError("initial operator dimension does not match the pair")
-    n = grid.n_steps
-    dt = grid.dt
     g0 = np.zeros((d * d, d * d), dtype=complex)
     g1 = np.zeros((d * d, d * d), dtype=complex)
-    e_const = _constant_value(pair, samples)
-    if e_const is not None:
-        theta, v = _cayley_eigensystem(pair, e_const, dt)
-        right = v.T @ u_0
-        prev = u_0
-        for start in range(0, n, _CONST_CHUNK):
-            stop = min(start + _CONST_CHUNK, n)
-            powers = np.exp(1j * np.outer(np.arange(start + 1, stop + 1), theta))
-            block_states = (v[None, :, :] * powers[:, None, :]) @ right
-            block = np.concatenate([prev[None, :, :], block_states], axis=0)
-            _accumulate_gram(block, samples[start:stop], g0, g1)
-            prev = block_states[-1]
-        return prev, g0, g1
-    eye = np.eye(d)
-    h0, h1 = pair.h0, pair.h1
-    buf = np.empty((GRAM_CHUNK + 1, d, d), dtype=complex)
-    buf[0] = u_0
-    u = u_0
-    start = 0
-    for i in range(n):
-        l = (0.5j * dt) * (h0 + samples[i] * h1)
-        u = np.linalg.solve(eye + l, (eye - l) @ u)
-        buf[i - start + 1] = u
-        if i - start + 1 == GRAM_CHUNK:
-            _accumulate_gram(buf, samples[start : start + GRAM_CHUNK], g0, g1)
-            buf[0] = buf[GRAM_CHUNK]
-            start = i + 1
-    tail = n - start
-    if tail > 0:
-        _accumulate_gram(buf[: tail + 1], samples[start:n], g0, g1)
+    buf = np.empty((min(grid.n_steps, GRAM_CHUNK) + 1, *u.shape), dtype=complex)
+    for start in range(0, grid.n_steps, GRAM_CHUNK):
+        block = samples[start : start + GRAM_CHUNK]
+        buf[0] = u
+        u = _cayley_march(u, pair.h0, pair.h1, block, grid.dt, buf[1:])
+        _accumulate_gram(buf[: block.size + 1], block, g0, g1)
     return u, g0, g1
 
 
@@ -266,9 +202,9 @@ def cn_error_order(
         e_value = float(field_desc)
     else:
         probe = sample_field(field_desc, TimeGrid(t_f=t_f, n_steps=n_steps))
-        if probe.size and np.ptp(probe) != 0.0:
+        if np.ptp(probe) != 0.0:
             raise ValueError("cn_error_order needs a field that is constant in time")
-        e_value = float(probe[0]) if probe.size else 0.0
+        e_value = float(probe[0])
     h = pair.h0 + e_value * pair.h1
     exact = unitary_exp(-1j * t_f * h)
     eye = np.eye(pair.dim)

@@ -6,6 +6,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 
 def format_float(x) -> str:
     """Fixed 12-significant-digit rendering; None becomes an empty field."""
@@ -37,9 +39,15 @@ def write_table(path, header, rows) -> Path:
     return Path(path)
 
 
+def json_default(value):
+    """JSON form of a value json cannot write: a numpy scalar becomes the
+    Python number it holds, anything else a float."""
+    return value.item() if isinstance(value, np.generic) else float(value)
+
+
 def write_json(path, payload) -> Path:
-    """Write indented JSON with a trailing newline; numpy scalars become floats."""
+    """Write indented JSON with a trailing newline, through :func:`json_default`."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=float)
+        json.dump(payload, fh, indent=2, default=json_default)
         fh.write("\n")
     return Path(path)

@@ -1,7 +1,8 @@
-"""Shared test utilities."""
+"""Shared test utilities, and the stored-trajectory reference for the
+streaming Jacobian path."""
 import numpy as np
 
-from hamid import HamiltonianPair
+from hamid import HamiltonianPair, grams_to_jacobians
 
 
 def haar_unitary(d, rng):
@@ -27,6 +28,25 @@ def random_direction(d, rng):
     dh1 = 0.5 * (dh1 + dh1.T)
     np.fill_diagonal(dh1, 0.0)
     return dh0, dh1
+
+
+def midpoint_products(traj):
+    """Ubar_n = (U_{n+1} + U_n)/2 for every step of a stored trajectory."""
+    return 0.5 * (traj.states[1:] + traj.states[:-1])
+
+
+def assemble_jacobian(traj, samples):
+    """J0 = dt sum_n (Ubar^T kron Ubar^dag), J1 the field-weighted sum, from
+    a stored trajectory: the reference the streaming Gram sums must match."""
+    samples = np.asarray(samples, dtype=float)
+    n = traj.states.shape[0] - 1
+    if samples.shape != (n,):
+        raise ValueError("field length does not match the trajectory")
+    p = midpoint_products(traj).reshape(n, -1)
+    pc = p.conj()
+    g0 = p.T @ pc
+    g1 = (p.T * samples) @ pc
+    return grams_to_jacobians(g0, g1, traj.grid.dt)
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])

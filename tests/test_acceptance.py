@@ -51,7 +51,6 @@ from hamid.models import (
 )
 from hamid.newton import (
     SingularJacobianError,
-    assemble_jacobian,
     grams_to_jacobians,
     hermitian_residual,
     reduce_system,
@@ -59,7 +58,7 @@ from hamid.newton import (
 )
 from hamid.propagation import HamiltonianPair, propagate_with_gram
 
-from helpers import SIGMA_X, haar_unitary, random_direction, random_pair
+from helpers import SIGMA_X, assemble_jacobian, haar_unitary, random_direction, random_pair
 
 
 def _report(num, name, ok, detail=""):

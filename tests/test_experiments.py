@@ -150,6 +150,17 @@ BAD_CONFIGS = [
     ({"kind": "eta-sweep", "sweep": {"n_seed": 2}}, [], "n_seed"),
     ({"kind": "newton-double-well", "model": {"grid": {"points": 64}}}, [], "points"),
     ({"kind": "cn-order-check", "sweep": {"etas": [1e-5]}}, [], "etas"),
+    # values of the wrong type for the field they set
+    ({"kind": "eta-sweep", "sweep": {"n_seeds": [1]}}, [], "sweep.n_seeds"),
+    ({"kind": "eta-sweep", "sweep": {"etas": [1e-5, "x"]}}, [], "sweep.etas"),
+    ({"kind": "newton-two-level", "newton": {"max_iters": "5"}}, [], "newton.max_iters"),
+    ({"kind": "newton-two-level", "n_steps": 2.5}, [], "n_steps"),
+    ({"kind": "newton-two-level", "model": {"n_steps": 2.5}}, [], "model.n_steps"),
+    ({"kind": "newton-two-level", "model": {"delta": "x"}}, [], "model.delta"),
+    ({"kind": "newton-two-level", "seed": True}, [], "seed"),
+    ({"kind": "newton-double-well", "model": {"grid": {"n_points": 64.5}}}, [], "n_points"),
+    ({"kind": "continuation-two-level", "continuation": {"refine_m0": 1}}, [], "refine_m0"),
+    ({"kind": "cpu-scaling", "model": {"iterations": 1.0}}, [], "model.iterations"),
 ]
 
 
@@ -163,6 +174,21 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
         assert rc == 2, config
         assert "error:" in err and key in err, (config, err)
     assert not (tmp_path / "never").exists()
+
+
+def test_config_accepts_numpy_and_integer_numbers(tmp_path):
+    # numpy integers set int fields and plain integers set float fields; the
+    # manifest keeps them as numbers a later config check accepts again
+    cfg = ExperimentConfig(
+        kind="cn-order-check",
+        out_dir=str(tmp_path / "o"),
+        seed=np.int64(3),
+        model={"t_f": 1, "field_value": np.float64(0.7), "n_steps": np.int64(100)},
+    )
+    run_experiment(cfg)
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 3 and isinstance(manifest["config"]["seed"], int)
+    ExperimentConfig.from_dict(manifest["config"])
 
 
 def test_eta_sweep_resolves_like_two_level_kinds(tmp_path):

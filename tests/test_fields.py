@@ -26,6 +26,10 @@ def test_grid_validation():
         TimeGrid(t_f=-1.0, n_steps=10)
     with pytest.raises(ValueError):
         TimeGrid(t_f=1.0, n_steps=0)
+    for n_steps in (2.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="n_steps must be a positive integer"):
+            TimeGrid(t_f=1.0, n_steps=n_steps)
+    assert TimeGrid(t_f=1.0, n_steps=np.int64(4)).dt == 0.25
 
 
 def test_sin_sq_first_midpoint():

@@ -8,7 +8,6 @@ from hamid import (
     ReducedSystem,
     SingularJacobianError,
     TimeGrid,
-    assemble_jacobian,
     grams_to_jacobians,
     hermitian_residual,
     newton_identify,
@@ -32,7 +31,14 @@ from hamid.propagation import GRAM_CHUNK
 from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
 from hamid.fields import sample_field
 
-from helpers import SIGMA_X, haar_unitary, random_direction, random_pair
+from helpers import (
+    SIGMA_X,
+    assemble_jacobian,
+    haar_unitary,
+    midpoint_products,
+    random_direction,
+    random_pair,
+)
 
 
 def vec_f(m):
@@ -95,7 +101,7 @@ def test_jacobian_matches_kron_oracle(rng):
     samples = rng.normal(size=n)
     traj = propagate(np.eye(d, dtype=complex), pair, samples, grid)
     j0, j1 = assemble_jacobian(traj, samples)
-    ubar = traj.midpoint_products()
+    ubar = midpoint_products(traj)
     j0_oracle = grid.dt * sum(np.kron(ubar[i].T, ubar[i].conj().T) for i in range(n))
     j1_oracle = grid.dt * sum(
         samples[i] * np.kron(ubar[i].T, ubar[i].conj().T) for i in range(n)

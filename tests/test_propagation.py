@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamid import (
     HamiltonianPair,
@@ -17,8 +18,9 @@ from hamid import (
     unitary_exp,
 )
 from hamid.models import TWO_LEVEL_DEFAULT_STEPS
+from hamid.propagation import GRAM_CHUNK
 
-from helpers import random_direction, random_pair
+from helpers import midpoint_products, random_direction, random_pair
 
 
 def zero_pair(d):
@@ -64,8 +66,8 @@ def test_propagate_pi_pulse_inversion():
 
 
 def test_fast_path_matches_loop(rng):
-    # constant generator goes through the eigenphase fast path; compare with
-    # an explicit step loop on the same samples
+    # a constant generator takes the same stepping kernel as a time-dependent
+    # one; compare with an explicit step loop on the same samples
     pair = random_pair(3, rng)
     grid = TimeGrid(t_f=2.0, n_steps=50)
     samples = np.full(50, 0.8)
@@ -79,6 +81,45 @@ def test_fast_path_matches_loop(rng):
     )
 
 
+def test_entry_points_share_one_kernel(rng):
+    # every entry point takes the same steps in the same order, so U_N agrees
+    # bit for bit; N crosses the streaming block size twice, and a constant
+    # generator (H1 = 0) must take those same steps too
+    d, n = 3, 2 * GRAM_CHUNK + 123
+    grid = TimeGrid(t_f=5.0, n_steps=n)
+    u_0 = np.eye(d, dtype=complex)
+    pair = random_pair(d, rng)
+    cases = [
+        (pair, rng.normal(size=n)),
+        (HamiltonianPair(pair.h0, np.zeros((d, d))), rng.normal(size=n)),
+    ]
+    for case, samples in cases:
+        u = u_0
+        for e in samples:
+            u = cn_step(u, case.h0, case.h1, e, grid.dt)
+        finals = [
+            propagate(u_0, case, samples, grid).states[-1],
+            propagate_final(u_0, case, samples, grid),
+            propagate_with_gram(u_0, case, samples, grid)[0],
+        ]
+        for final in finals:
+            assert np.array_equal(final, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=5),
+    n=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernel_unitary_property(d, n, seed):
+    rng = np.random.default_rng(seed)
+    pair = random_pair(d, rng)
+    grid = TimeGrid(t_f=float(rng.uniform(0.1, 10.0)), n_steps=n)
+    traj = propagate(np.eye(d, dtype=complex), pair, rng.normal(size=n), grid)
+    assert max_unitarity_drift(traj.states) <= 1e-12
+
+
 def test_streaming_matches_stored(rng):
     d, n = 3, 257  # not a multiple of the chunk size
     pair = random_pair(d, rng)
@@ -87,7 +128,7 @@ def test_streaming_matches_stored(rng):
     traj = propagate(np.eye(d, dtype=complex), pair, samples, grid)
     u_n, g0, g1 = propagate_with_gram(np.eye(d, dtype=complex), pair, samples, grid)
     np.testing.assert_allclose(u_n, traj.final(), atol=1e-13)
-    ubar = traj.midpoint_products().reshape(n, -1)
+    ubar = midpoint_products(traj).reshape(n, -1)
     np.testing.assert_allclose(g0, ubar.T @ ubar.conj(), atol=1e-11)
     np.testing.assert_allclose(g1, (ubar.T * samples) @ ubar.conj(), atol=1e-11)
 
@@ -185,8 +226,9 @@ def test_exact_vs_cn_tiny_step(rng):
 def test_dimension_validation(rng):
     pair = random_pair(2, rng)
     grid = TimeGrid(t_f=1.0, n_steps=4)
-    with pytest.raises(ValueError):
-        propagate(np.eye(3, dtype=complex), pair, np.zeros(4), grid)
+    for propagator in (propagate, propagate_final, propagate_with_gram):
+        with pytest.raises(ValueError, match="does not match the pair"):
+            propagator(np.eye(3, dtype=complex), pair, np.zeros(4), grid)
     with pytest.raises(ValueError):
         propagate(np.eye(2, dtype=complex), pair, np.zeros(5), grid)
     with pytest.raises(ValueError):
