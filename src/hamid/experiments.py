@@ -196,11 +196,25 @@ def _check_block(kind: str, block_name: str, block, types: dict) -> None:
 
 def _check_blocks(cfg: ExperimentConfig) -> None:
     """Every key of every block must be one the kind's table entry reads,
-    with a value of the type of the field it sets."""
+    with a value of the type of the field it sets and, for the counts, in
+    range."""
     entry = _KINDS[cfg.kind]
     _check_block(cfg.kind, "model", cfg.model, entry.model_types)
     for name, types in _BLOCK_TYPES.items():
         _check_block(cfg.kind, name, getattr(cfg, name), types if name in entry.blocks else {})
+    _check_ranges(cfg)
+
+
+def _check_ranges(cfg: ExperimentConfig) -> None:
+    """Step and run counts must be positive and the eta list non-empty; a
+    zero would otherwise fall through to a default or to an empty sweep."""
+    counts = {"n_steps": cfg.n_steps, "model.n_steps": cfg.model.get("n_steps")}
+    counts.update({f"sweep.{k}": cfg.sweep.get(k) for k in ("n_seeds", "k_max", "workers")})
+    for key, value in counts.items():
+        if value is not None and value <= 0:
+            raise ValueError(f"{cfg.kind}: {key} must be positive, got {value!r}")
+    if cfg.sweep.get("etas") == []:
+        raise ValueError(f"{cfg.kind}: sweep.etas must not be empty")
 
 
 @dataclass

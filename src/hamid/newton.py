@@ -22,6 +22,7 @@ of dH1.  Both counts equal d^2, so the reduced system is square.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -163,26 +164,49 @@ def grams_to_jacobians(g0: np.ndarray, g1: np.ndarray, dt: float):
     return j0, j1
 
 
+@lru_cache(maxsize=64)
 def unknown_index_map(d: int) -> tuple:
     entries = [("h0", i, j) for i in range(d) for j in range(i, d)]
     entries += [("h1", i, j) for i in range(d) for j in range(i + 1, d)]
     return tuple(entries)
 
 
-def _merged_columns(j: np.ndarray, d: int, include_diagonal: bool) -> list:
-    """Columns of a Kronecker block merged over symmetric unknown entries.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, as every cached index array is."""
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=64)
+def _reduction_indices(d: int):
+    """Gather indices of the reduction at dimension d, cached per d.
 
     Entry (p, q) of a symmetric update appears at vec indices q*d+p and
-    p*d+q; its merged column is the sum of both (one column on the diagonal).
+    p*d+q, so the merged columns are the columns ``first`` of [J0 | J1],
+    with the columns ``second`` added to the off-diagonal ones (positions
+    ``pairs``).
+    Reduced row r is row ``rows[r]`` of [Re; Im] of the merged matrix (and of
+    vec(S)): for every entry (i, j), i <= j in row-major order, its real part
+    and then, for i < j, its imaginary part.
     """
-    cols = []
-    for p in range(d):
-        for q in range(p if include_diagonal else p + 1, d):
-            col = j[:, q * d + p].copy()
-            if p != q:
-                col += j[:, p * d + q]
-            cols.append(col)
-    return cols
+    d2 = d * d
+    offset = {"h0": 0, "h1": d2}
+    index_map = unknown_index_map(d)
+    first = [offset[w] + q * d + p for w, p, q in index_map]
+    second = [offset[w] + p * d + q for w, p, q in index_map if p != q]
+    pairs = [k for k, (_, p, q) in enumerate(index_map) if p != q]
+    rows = []
+    for i in range(d):
+        for j in range(i, d):
+            rows.append(j * d + i)
+            if i < j:
+                rows.append(d2 + j * d + i)
+    return (
+        _frozen(np.array(first, dtype=int)),
+        _frozen(np.array(second, dtype=int)),
+        _frozen(np.array(pairs, dtype=int)),
+        _frozen(np.array(rows, dtype=int)),
+    )
 
 
 def reduce_system(j0: np.ndarray, j1: np.ndarray, s_k: np.ndarray) -> ReducedSystem:
@@ -193,22 +217,14 @@ def reduce_system(j0: np.ndarray, j1: np.ndarray, s_k: np.ndarray) -> ReducedSys
         raise ValueError("Jacobian blocks must be square and equally sized")
     if s_k.shape != (d, d):
         raise ValueError("residual dimension does not match the Jacobian")
-    cols = _merged_columns(j0, d, include_diagonal=True)
-    cols += _merged_columns(j1, d, include_diagonal=False)
-    full = np.column_stack(cols)  # complex, d^2 x d^2
-    rows = []
-    rhs = []
-    for i in range(d):
-        for j in range(i, d):
-            a = j * d + i  # vec index of matrix entry (i, j)
-            rows.append(full[a].real)
-            rhs.append(s_k[i, j].real)
-            if i < j:
-                rows.append(full[a].imag)
-                rhs.append(s_k[i, j].imag)
+    first, second, pairs, rows = _reduction_indices(d)
+    blocks = np.concatenate([j0, j1], axis=1)
+    full = blocks[:, first]  # complex, d^2 x d^2
+    full[:, pairs] += blocks[:, second]
+    vec_s = s_k.ravel(order="F")
     return ReducedSystem(
-        matrix=np.array(rows),
-        rhs=np.array(rhs),
+        matrix=np.concatenate([full.real, full.imag])[rows],
+        rhs=np.concatenate([vec_s.real, vec_s.imag])[rows],
         unknown_index_map=unknown_index_map(d),
     )
 
@@ -225,14 +241,18 @@ def reduced_condition(system: ReducedSystem) -> float:
     return reduced_spectrum(system)[1]
 
 
+@lru_cache(maxsize=64)
+def _scatter_indices(index_map: tuple) -> np.ndarray:
+    """Rows (matrix, i, j) of an index map, matrix 0 for h0 and 1 for h1."""
+    return _frozen(np.array([(which == "h1", i, j) for which, i, j in index_map], dtype=int).T)
+
+
 def expand_update(x: np.ndarray, index_map: tuple, d: int) -> NewtonUpdate:
-    dh0 = np.zeros((d, d))
-    dh1 = np.zeros((d, d))
-    for value, (which, i, j) in zip(x, index_map):
-        target = dh0 if which == "h0" else dh1
-        target[i, j] = value
-        target[j, i] = value
-    return NewtonUpdate(dh0=dh0, dh1=dh1)
+    which, i, j = _scatter_indices(index_map)
+    dh = np.zeros((2, d, d))
+    dh[which, i, j] = x
+    dh[which, j, i] = x
+    return NewtonUpdate(dh0=dh[0], dh1=dh[1])
 
 
 def solve_update(

@@ -14,6 +14,13 @@ One private kernel, ``_cayley_march``, takes every step: ``propagate`` runs
 it once over the stored trajectory, ``propagate_final`` and
 ``propagate_with_gram`` run it block by block over ``GRAM_CHUNK`` steps, and
 ``cn_step`` is a one-sample call.  Constant generators take the same loop.
+
+The kernel builds the Cayley factors C_n = (I + L_n)^{-1} (I - L_n) of up to
+``GRAM_CHUNK`` steps in one batched LAPACK solve, so the per-step work is a
+single matrix product U_{n+1} = C_n U_n written into the output buffer.  The
+factors are applied one at a time in time order, never regrouped, so every
+entry point (and a loop of ``cn_step`` calls) produces the same bits;
+temporary memory is bounded by the chunk, not by N.
 """
 from __future__ import annotations
 
@@ -80,13 +87,22 @@ def _cayley_march(
     u: np.ndarray, h0: np.ndarray, h1: np.ndarray, samples, dt: float, out: np.ndarray
 ) -> np.ndarray:
     """Cayley steps from U = ``u`` over ``samples``: writes U_1..U_m into
-    ``out[:m]`` and returns U_m.  The package's only stepping loop."""
+    ``out[:m]`` and returns a copy of U_m (the streaming callers reuse
+    ``out``, so the result must not alias it).  The package's only stepping
+    loop.
+
+    Per slice of at most ``GRAM_CHUNK`` samples, every factor
+    C_n = (I + L_n)^{-1} (I - L_n) is built by one batched solve; the steps
+    then apply them one matrix product each, in time order."""
+    samples = np.asarray(samples, dtype=float)
     eye = np.eye(u.shape[0])
-    for i, e in enumerate(samples):
+    for start in range(0, samples.size, GRAM_CHUNK):
+        e = samples[start : start + GRAM_CHUNK, None, None]
         l = (0.5j * dt) * (h0 + e * h1)
-        u = np.linalg.solve(eye + l, (eye - l) @ u)
-        out[i] = u
-    return u
+        factors = np.linalg.solve(eye + l, eye - l)
+        for c, dst in zip(factors, out[start : start + e.shape[0]]):
+            u = np.dot(c, u, out=dst)
+    return u.copy()
 
 
 def cn_step(

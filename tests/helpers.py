@@ -49,4 +49,40 @@ def assemble_jacobian(traj, samples):
     return grams_to_jacobians(g0, g1, traj.grid.dt)
 
 
+def reduce_system_loop(j0, j1, s_k):
+    """(matrix, rhs) of the reduced system built entry by entry: the loop
+    reference the index-array reduction must match bit for bit."""
+    d = s_k.shape[0]
+    cols = []
+    for block, include_diagonal in ((j0, True), (j1, False)):
+        for p in range(d):
+            for q in range(p if include_diagonal else p + 1, d):
+                col = block[:, q * d + p].copy()
+                if p != q:
+                    col += block[:, p * d + q]
+                cols.append(col)
+    full = np.column_stack(cols)
+    rows, rhs = [], []
+    for i in range(d):
+        for j in range(i, d):
+            a = j * d + i  # vec index of matrix entry (i, j)
+            rows.append(full[a].real)
+            rhs.append(s_k[i, j].real)
+            if i < j:
+                rows.append(full[a].imag)
+                rhs.append(s_k[i, j].imag)
+    return np.array(rows), np.array(rhs)
+
+
+def expand_update_loop(x, index_map, d):
+    """(dH0, dH1) set entry by entry from the reduced unknowns."""
+    dh0 = np.zeros((d, d))
+    dh1 = np.zeros((d, d))
+    for value, (which, i, j) in zip(x, index_map):
+        target = dh0 if which == "h0" else dh1
+        target[i, j] = value
+        target[j, i] = value
+    return dh0, dh1
+
+
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])

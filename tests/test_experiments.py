@@ -161,6 +161,16 @@ BAD_CONFIGS = [
     ({"kind": "newton-double-well", "model": {"grid": {"n_points": 64.5}}}, [], "n_points"),
     ({"kind": "continuation-two-level", "continuation": {"refine_m0": 1}}, [], "refine_m0"),
     ({"kind": "cpu-scaling", "model": {"iterations": 1.0}}, [], "model.iterations"),
+    # counts out of range, which would otherwise become the default or an empty sweep
+    ({"kind": "cn-order-check", "n_steps": 0}, [], "n_steps"),
+    ({"kind": "cpu-scaling"}, ["--steps", "0"], "n_steps"),
+    ({"kind": "newton-two-level", "model": {"n_steps": 0}}, [], "model.n_steps"),
+    ({"kind": "newton-double-well", "model": {"n_steps": -4}}, [], "model.n_steps"),
+    ({"kind": "cn-order-check", "model": {"n_steps": 0}}, [], "model.n_steps"),
+    ({"kind": "eta-sweep", "sweep": {"n_seeds": 0}}, [], "sweep.n_seeds"),
+    ({"kind": "eta-sweep", "sweep": {"k_max": 0}}, [], "sweep.k_max"),
+    ({"kind": "eta-sweep", "sweep": {"workers": -1}}, [], "sweep.workers"),
+    ({"kind": "eta-sweep", "sweep": {"etas": []}}, [], "sweep.etas"),
 ]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamid import (
     FLAG_CONVERGED,
@@ -26,7 +27,7 @@ from hamid.models import (
     perturb_pair,
     two_level_model,
 )
-from hamid.newton import newton_system
+from hamid.newton import expand_update, newton_system
 from hamid.propagation import GRAM_CHUNK
 from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
 from hamid.fields import sample_field
@@ -34,10 +35,12 @@ from hamid.fields import sample_field
 from helpers import (
     SIGMA_X,
     assemble_jacobian,
+    expand_update_loop,
     haar_unitary,
     midpoint_products,
     random_direction,
     random_pair,
+    reduce_system_loop,
 )
 
 
@@ -186,6 +189,47 @@ def test_reduce_system_shape_and_ordering():
     np.testing.assert_allclose(
         system.matrix[:, 1], [merged[0].real, merged[2].real, merged[2].imag, merged[3].real]
     )
+
+
+def random_complex(shape, rng):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_reduction_matches_entry_loop(rng):
+    # the index-array gathers sum exactly the pairs the entry loop sums, so
+    # matrix, rhs and the expanded update agree byte for byte
+    for d in range(1, 7):
+        j0, j1 = random_complex((d * d, d * d), rng), random_complex((d * d, d * d), rng)
+        s = random_complex((d, d), rng)
+        system = reduce_system(j0, j1, s)
+        matrix, rhs = reduce_system_loop(j0, j1, s)
+        assert system.matrix.tobytes() == matrix.tobytes()
+        assert system.rhs.tobytes() == rhs.tobytes()
+        x = rng.normal(size=d * d)
+        update = expand_update(x, system.unknown_index_map, d)
+        dh0, dh1 = expand_update_loop(x, system.unknown_index_map, d)
+        assert update.dh0.tobytes() == dh0.tobytes()
+        assert update.dh1.tobytes() == dh1.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(min_value=1, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_reduce_expand_round_trip_property(d, seed):
+    # the d^2 reduced unknowns and the symmetric updates (dH0, zero-diagonal
+    # dH1) map one to one, and the reduced system is the complex map
+    # restricted to them: M x reproduces the reduced form of J0 vec(dH0) +
+    # J1 vec(dH1) for any blocks
+    rng = np.random.default_rng(seed)
+    dh0, dh1 = random_direction(d, rng)
+    index_map = unknown_index_map(d)
+    x = np.array([(dh0 if which == "h0" else dh1)[i, j] for which, i, j in index_map])
+    update = expand_update(x, index_map, d)
+    assert np.array_equal(update.dh0, dh0) and np.array_equal(update.dh1, dh1)
+    j0, j1 = random_complex((d * d, d * d), rng), random_complex((d * d, d * d), rng)
+    s = (j0 @ vec_f(dh0) + j1 @ vec_f(dh1)).reshape(d, d, order="F")
+    system = reduce_system(j0, j1, s)
+    assert system.size == len(index_map) == d * d
+    np.testing.assert_allclose(system.matrix @ x, system.rhs, rtol=0, atol=1e-12 * d * d)
 
 
 def test_reduce_identity_states_is_singular():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hamid import (
     HamiltonianPair,
@@ -9,6 +9,7 @@ from hamid import (
     TwoLevelParams,
     cn_error_order,
     cn_step,
+    grams_to_jacobians,
     propagate,
     propagate_final,
     propagate_with_gram,
@@ -106,6 +107,21 @@ def test_entry_points_share_one_kernel(rng):
             assert np.array_equal(final, u)
 
 
+def test_final_states_own_their_memory(rng):
+    # the kernel writes into per-call step buffers; a returned U_N must be its
+    # own array, not a view that keeps a 4096-step buffer alive
+    pair = random_pair(2, rng)
+    grid = TimeGrid(t_f=1.0, n_steps=GRAM_CHUNK + 5)
+    samples = rng.normal(size=grid.n_steps)
+    u0 = np.eye(2, dtype=complex)
+    finals = [
+        propagate_final(u0, pair, samples, grid),
+        propagate_with_gram(u0, pair, samples, grid)[0],
+        cn_step(u0, pair.h0, pair.h1, 0.3, 0.1),
+    ]
+    assert all(final.base is None for final in finals)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(min_value=1, max_value=5),
@@ -118,6 +134,55 @@ def test_kernel_unitary_property(d, n, seed):
     grid = TimeGrid(t_f=float(rng.uniform(0.1, 10.0)), n_steps=n)
     traj = propagate(np.eye(d, dtype=complex), pair, rng.normal(size=n), grid)
     assert max_unitarity_drift(traj.states) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=4),
+    t_f=st.floats(min_value=0.5, max_value=3.0),
+    e_value=st.floats(min_value=-1.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cn_error_order_property(d, t_f, e_value, seed):
+    # generator scaled to unit norm: at 100 steps the phase error per step
+    # is far above round-off and its dt^4 correction moves the ratio < 1e-3
+    pair = random_pair(d, np.random.default_rng(seed))
+    scale = spec_norm(pair.h0 + e_value * pair.h1)
+    assume(scale > 0.0)
+    pair = HamiltonianPair(pair.h0 / scale, pair.h1 / scale)
+    assert abs(cn_error_order(pair, e_value, t_f, n_steps=100) - 4.0) <= 0.01
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=1, max_value=64),
+    t_f=st.floats(min_value=0.1, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_streaming_jacobian_fd_property(d, n, t_f, seed):
+    # i U_N^dag dU_N along a unit symmetric direction, by central differences
+    # of propagate_final, matches the Jacobian built from the streaming Gram
+    # sums (the criterion-2 tolerance)
+    rng = np.random.default_rng(seed)
+    pair = random_pair(d, rng)
+    dh0, dh1 = random_direction(d, rng)
+    norm = spec_norm(dh0) + spec_norm(dh1)
+    assume(norm > 0.0)
+    dh0, dh1 = dh0 / norm, dh1 / norm
+    grid = TimeGrid(t_f=t_f, n_steps=n)
+    samples = rng.normal(size=n)
+    u0 = np.eye(d, dtype=complex)
+    u_n, g0, g1 = propagate_with_gram(u0, pair, samples, grid)
+    j0, j1 = grams_to_jacobians(g0, g1, grid.dt)
+    x_j = (j0 @ dh0.reshape(-1, order="F") + j1 @ dh1.reshape(-1, order="F")).reshape(
+        d, d, order="F"
+    )
+    eps = 1e-6
+    up = propagate_final(u0, pair.shifted(eps * dh0, eps * dh1), samples, grid)
+    um = propagate_final(u0, pair.shifted(-eps * dh0, -eps * dh1), samples, grid)
+    x_fd = 1j * u_n.conj().T @ ((up - um) / (2 * eps))
+    assert spec_norm(x_fd - x_j) <= 1e-6 * max(1.0, spec_norm(x_j))
 
 
 def test_streaming_matches_stored(rng):
