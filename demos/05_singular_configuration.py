@@ -3,8 +3,9 @@
 For the swap target [[0,1],[1,0]] the continuation seed (-S/t_f, 0) leaves
 the system rank deficient: with only a time-symmetric field acting through
 zero coupling, one combination of the unknowns produces no first-order
-response in the final propagator.  The probe reports rank 3 of 4 and the
-Newton solve refuses the step.  Also runnable as `hamid demo singularity`.
+response in the final propagator.  The system is built once; its one SVD
+gives the rank (3 of 4) and the Newton solve's refusal of the step.  Also
+runnable as `hamid demo singularity`.
 """
 import numpy as np
 
@@ -16,11 +17,9 @@ from hamid import (
     decompose_target,
     m0_seed,
     sample_field,
-    singularity_probe,
     solve_update,
 )
-from hamid.newton import grams_to_jacobians, hermitian_residual, reduce_system
-from hamid.propagation import propagate_with_gram
+from hamid.newton import newton_system, system_diagnostic
 
 t_f = 9000.0
 swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -32,13 +31,12 @@ print(pair.h0)
 grid = TimeGrid(t_f, 2000)
 samples = sample_field(SinSqEnvelope(e0=2.0), grid)  # E(t) = sin^2(pi t / t_f)
 
-diag = singularity_probe(pair, samples, grid, swap)
+_, system = newton_system(np.eye(2, dtype=complex), pair, samples, grid, swap)
+diag = system_diagnostic(system)
 print(f"\nsingular values of the reduced system: {np.array(diag.singular_values)}")
+print("(the smallest one, and so the condition, are round-off; the rank is not)")
 print(f"numerical rank: {diag.numerical_rank} of 4")
-print(f"condition estimate: {diag.condition_estimate:.2e}")
 
-u_n, g0, g1 = propagate_with_gram(np.eye(2, dtype=complex), pair, samples, grid)
-system = reduce_system(*grams_to_jacobians(g0, g1, grid.dt), hermitian_residual(u_n, swap))
 try:
     solve_update(system, NewtonConfig())
     print("unexpected: the step was accepted")

@@ -14,11 +14,9 @@ from .continuation import (
     ContinuationConfig,
     ContinuationReport,
     ContinuationStage,
-    SingularityDiagnostic,
     continuation_identify,
     intermediate_target,
     m0_seed,
-    singularity_probe,
 )
 from .fields import (
     ControlField,
@@ -65,12 +63,14 @@ from .newton import (
     NewtonReport,
     NewtonUpdate,
     ReducedSystem,
+    SingularityDiagnostic,
     SingularJacobianError,
     grams_to_jacobians,
     hermitian_residual,
     newton_identify,
     reduce_system,
     reduced_condition,
+    singularity_probe,
     solve_update,
     unknown_index_map,
 )

@@ -89,7 +89,6 @@ def main(argv=None) -> int:
         rank = result.summary["numerical_rank"]
         refused = result.summary["newton_step_refused"]
         print(f"reduced-system numerical rank: {rank} (of 4)")
-        print(f"condition estimate: {format_float(result.summary['condition_estimate'])}")
         print(
             "Newton step refused (singular Jacobian)"
             if refused

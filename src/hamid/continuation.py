@@ -8,10 +8,6 @@ solved with the Newton iteration warm-started from the previous stage's
 solution.  The closed form solves the continuous-time problem, not the
 time-discretized one, so stage 0 is optionally Newton-polished before the
 path is walked.
-
-Also here: a rank diagnostic for the reduced Newton system at a given
-point, used to exhibit the exactly singular configurations this family of
-problems contains.
 """
 from __future__ import annotations
 
@@ -29,15 +25,7 @@ from .linalg import (
     unitary_exp,
 )
 from . import reporting
-from .newton import (
-    FLAG_CONVERGED,
-    NewtonConfig,
-    NewtonReport,
-    ReducedSystem,
-    newton_identify,
-    newton_system,
-    reduced_spectrum,
-)
+from .newton import FLAG_CONVERGED, NewtonConfig, NewtonReport, newton_identify
 from .propagation import HamiltonianPair, propagate_final
 
 CONTINUATION_OK = "converged"
@@ -98,14 +86,6 @@ class ContinuationReport:
 
     def write_json(self, path):
         return reporting.write_json(path, self.to_json_dict())
-
-
-@dataclass(frozen=True)
-class SingularityDiagnostic:
-    condition_estimate: float
-    numerical_rank: int
-    rank_tolerance: float
-    singular_values: tuple
 
 
 def intermediate_target(dec: TargetDecomposition, m: int, n_c: int) -> np.ndarray:
@@ -173,31 +153,3 @@ def _run_path(u_0, u_tar, samples, grid, cfg, truth, n_c):
             report.failed_stage = m
             break
     return pair, report
-
-
-def singularity_probe(
-    pair: HamiltonianPair,
-    samples: np.ndarray,
-    grid: TimeGrid,
-    u_tar: np.ndarray,
-    rank_tolerance: float = 1e-9,
-) -> SingularityDiagnostic:
-    """Numerical rank and condition of the reduced system at a given point.
-
-    Singular values below rank_tolerance times the largest are treated as
-    zero.  Always returns; never raises on deficiency.
-    """
-    _, system = newton_system(np.eye(pair.dim, dtype=complex), pair, samples, grid, u_tar)
-    return system_diagnostic(system, rank_tolerance)
-
-
-def system_diagnostic(system: ReducedSystem, rank_tolerance: float = 1e-9) -> SingularityDiagnostic:
-    """Numerical rank and condition of an assembled reduced system."""
-    sv, cond = reduced_spectrum(system)
-    rank = int(np.sum(sv > rank_tolerance * sv[0])) if sv[0] > 0 else 0
-    return SingularityDiagnostic(
-        condition_estimate=cond,
-        numerical_rank=rank,
-        rank_tolerance=rank_tolerance,
-        singular_values=tuple(float(s) for s in sv),
-    )

@@ -37,7 +37,6 @@ from .continuation import (
     ContinuationReport,
     continuation_identify,
     m0_seed,
-    system_diagnostic,
 )
 from .fields import SinSqEnvelope, TimeGrid, field_to_config, sample_field
 from .linalg import decompose_target, matrix_to_json
@@ -60,6 +59,7 @@ from .newton import (
     newton_identify,
     newton_system,
     solve_update,
+    system_diagnostic,
 )
 from .propagation import HamiltonianPair, cn_error_order, propagate_final
 from .reporting import format_float, json_default, write_json, write_table
@@ -594,7 +594,7 @@ def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
     refused = False
     error_text = None
     try:
-        solve_update(system, newton_cfg, condition=diag.condition_estimate)
+        solve_update(system, newton_cfg)
     except SingularJacobianError as err:
         refused = True
         error_text = str(err)
@@ -607,11 +607,7 @@ def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
         "error": error_text,
         "seed_h0": matrix_to_json(pair.h0),
     }
-    summary = {
-        "numerical_rank": diag.numerical_rank,
-        "condition_estimate": diag.condition_estimate,
-        "newton_step_refused": refused,
-    }
+    summary = {"numerical_rank": diag.numerical_rank, "newton_step_refused": refused}
     resolved = {
         "t_f": t_f,
         "n_steps": n_steps,

@@ -1,8 +1,10 @@
-"""Shared test utilities, and the stored-trajectory reference for the
-streaming Jacobian path."""
+"""Shared test utilities, the stored-trajectory reference for the
+streaming Jacobian path, and the LU reference for the SVD step."""
 import numpy as np
+import scipy.linalg
 
 from hamid import HamiltonianPair, grams_to_jacobians
+from hamid.newton import expand_update
 
 
 def haar_unitary(d, rng):
@@ -83,6 +85,13 @@ def expand_update_loop(x, index_map, d):
         target[i, j] = value
         target[j, i] = value
     return dh0, dh1
+
+
+def solve_update_lu(system):
+    """(dH0, dH1) from a dense LU solve of a reduced system: the reference
+    the SVD step must match."""
+    x = scipy.linalg.solve(system.matrix, system.rhs)
+    return expand_update(x, system.unknown_index_map, int(round(system.size**0.5)))
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])

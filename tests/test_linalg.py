@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamid import (
     matrix_from_json,
@@ -104,6 +105,35 @@ def test_log_phases_in_principal_branch(rng):
         m = unitary_log(u)
         k = np.linalg.eigvalsh(-1j * m)  # eigenphases of the log
         assert np.all(k > -np.pi) and np.all(k <= np.pi + 1e-12)
+
+
+_NEAR_CUT = st.one_of(
+    st.just(np.pi),
+    st.floats(min_value=np.pi - 1e-12, max_value=np.pi),
+    st.floats(min_value=-np.pi, max_value=-np.pi + 1e-12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cut=_NEAR_CUT,
+    others=st.lists(st.one_of(_NEAR_CUT, st.floats(min_value=-3.0, max_value=3.0)), max_size=3),
+    rotate=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_log_exp_round_trip_at_branch_cut_property(cut, others, rotate, seed):
+    # eigenphases within 1e-12 of +-pi, or exactly pi: the log's phases lie
+    # in (-pi, pi], where a phase folded up from -pi may exceed pi by the
+    # 1e-12 fold width (plus 1e-13 for the eigensolver), and exp(log U)
+    # returns U to 1e-10; bounds fixed before the first run
+    phases = np.array([cut, *others])
+    d = phases.size
+    q = haar_unitary(d, np.random.default_rng(seed)) if rotate else np.eye(d)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    m = unitary_log(u)
+    k = np.linalg.eigvalsh(-1j * m)
+    assert np.all(k > -np.pi) and np.all(k <= np.pi + 1.1e-12)
+    assert spec_norm(unitary_exp(m) - u) <= 1e-10
 
 
 def test_split_log_zero():

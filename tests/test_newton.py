@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import hamid.newton
 from hamid import (
     FLAG_CONVERGED,
     HamiltonianPair,
@@ -41,6 +43,7 @@ from helpers import (
     random_direction,
     random_pair,
     reduce_system_loop,
+    solve_update_lu,
 )
 
 
@@ -290,6 +293,66 @@ def test_reduction_consistency(rng):
     assert spec_norm(lhs - s) <= 1e-10 * max(1.0, spec_norm(s))
 
 
+def test_svd_step_matches_lu_reference(rng):
+    # both solves are backward stable, so each lies within about n eps cond
+    # of the exact step (n = d^2 <= 16 unknowns); the bound 1e-13 cond |x|,
+    # fixed before the first run, leaves a margin of ~25 over n eps
+    n = 40
+    grid = TimeGrid(t_f=1.3, n_steps=n)
+    for d in range(1, 5):
+        for _ in range(5):
+            pair = random_pair(d, rng)
+            samples = rng.uniform(-1.0, 1.0, size=n)
+            u_tar = haar_unitary(d, rng)
+            _, system = newton_system(np.eye(d, dtype=complex), pair, samples, grid, u_tar)
+            update = solve_update(system, NewtonConfig())  # raises unless full rank
+            ref = solve_update_lu(system)
+            size = spec_norm(ref.dh0) + spec_norm(ref.dh1)
+            err = spec_norm(update.dh0 - ref.dh0) + spec_norm(update.dh1 - ref.dh1)
+            assert err <= 1e-13 * reduced_condition(system) * max(1.0, size)
+
+
+def test_svd_step_accurate_on_column_scaled_systems(rng):
+    # M = M0 D with cond(M0) = 10 and column scales D from 1e-6 to 1e4, as
+    # in the double-well systems; an LU solve is blind to column scaling, so
+    # the step must be too: error below 1e-12 in the scaled unknowns D x
+    # (bound fixed before the first run), for the LU reference as well
+    for d in range(2, 5):
+        n = d * d
+        q1, q2 = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+        m0 = (q1 * np.linspace(1.0, 10.0, n)) @ q2.T
+        scales = np.logspace(-6, 4, n)[rng.permutation(n)]
+        y = rng.normal(size=n)
+        y /= np.linalg.norm(y)
+        index_map = unknown_index_map(d)
+        system = ReducedSystem(matrix=m0 * scales, rhs=m0 @ y, unknown_index_map=index_map)
+        cfg = NewtonConfig(singular_cond_threshold=1e15)
+        for update in (solve_update(system, cfg), solve_update_lu(system)):
+            x = np.array([(update.dh0 if w == "h0" else update.dh1)[i, j] for w, i, j in index_map])
+            assert np.linalg.norm(scales * x - y) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=8, max_value=64),
+    t_f=st.floats(min_value=0.5, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_zero_update_at_truth_property(d, n, t_f, seed):
+    # at the truth the Hermitized mismatch is round-off, so the Newton step
+    # is too: below 1e-10 in spectral norm (bound fixed before the first run)
+    rng = np.random.default_rng(seed)
+    truth = random_pair(d, rng)
+    grid = TimeGrid(t_f=t_f, n_steps=n)
+    samples = rng.uniform(-1.0, 1.0, size=n)
+    u_0 = haar_unitary(d, rng)
+    u_tar = propagate_final(u_0, truth, samples, grid)
+    _, system = newton_system(u_0, truth, samples, grid, u_tar)
+    update = solve_update(system, NewtonConfig())
+    assert spec_norm(update.dh0) + spec_norm(update.dh1) <= 1e-10
+
+
 def _benchmark_two_level():
     p = TwoLevelParams(delta=BENCH_TWO_LEVEL_DELTA, envelope_skew=BENCH_TWO_LEVEL_SKEW)
     pair, fld = two_level_model(p)
@@ -322,6 +385,39 @@ def test_newton_recovers_small_perturbation():
     fin = report.final()
     assert report.flag == FLAG_CONVERGED
     assert fin.dev_h0 <= 1e-10 and fin.dev_h1 <= 1e-9 and fin.dev_u <= 1e-10
+
+
+def test_one_factorization_per_system(monkeypatch):
+    # each reduced system of a Newton run goes through exactly one SVD, which
+    # gives the recorded condition and the step; no LU solve touches it
+    systems, factored, solved = [], [], []
+    build = hamid.newton.reduce_system
+
+    def recording_build(*args):
+        systems.append(build(*args))
+        return systems[-1]
+
+    def recording(call, calls):
+        def wrapper(a, *args, **kwargs):
+            calls.append(a)
+            return call(a, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(hamid.newton, "reduce_system", recording_build)
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd, factored))
+    for module, name in ((np.linalg, "solve"), (scipy.linalg, "solve"), (scipy.linalg, "lu_factor")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name), solved))
+
+    pair, samples, grid = _benchmark_two_level()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, pair, samples, grid)
+    guess = perturb_pair(pair, PerturbationSpec(eta=1e-5, seed=2))
+    _, report = newton_identify(u0, u_tar, guess, samples, grid, NewtonConfig(max_iters=3))
+    assert len(systems) == report.n_iterations == 3
+    assert [sum(a is s.matrix for a in factored) for s in systems] == [1, 1, 1]
+    # the stepper's batched Cayley solves are 3-D; a reduced system is 4 x 4
+    assert not any(np.shape(a) == (4, 4) for a in solved)
 
 
 def test_newton_report_serialization(tmp_path):
