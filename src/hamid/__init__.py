@@ -58,6 +58,7 @@ from .newton import (
     FLAG_CONVERGED,
     FLAG_MAX_ITERS,
     FLAG_SINGULAR,
+    Linearization,
     NewtonConfig,
     NewtonIteration,
     NewtonReport,
@@ -67,6 +68,7 @@ from .newton import (
     SingularJacobianError,
     grams_to_jacobians,
     hermitian_residual,
+    linearize,
     newton_identify,
     reduce_system,
     reduced_condition,

@@ -17,9 +17,9 @@ DEFAULT_UNITARITY_TOL = 1e-10
 DEFAULT_DECOMP_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 
-# Eigenphases this close to -pi are folded onto +pi, so the principal branch
-# is (-pi, pi] with pi attainable (a phase of exactly pi must decompose with
-# a positive sign, not flip to -pi through round-off).
+# Eigenphases this close to -pi are snapped to exactly +pi, so the principal
+# branch is (-pi, pi] with pi attainable (a phase of exactly pi must
+# decompose with a positive sign, not flip to -pi through round-off).
 _BRANCH_SNAP = 1e-12
 
 
@@ -123,12 +123,13 @@ def unitary_log(u: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray
 
     Uses a complex Schur decomposition so the similarity transform stays
     unitary even for (near-)degenerate eigenvalues; eigenvalue phases are
-    taken in (-pi, pi], with exactly -pi folded to +pi.
+    taken in (-pi, pi]; a phase within 1e-12 of -pi is snapped to exactly
+    +pi, which moves the log by at most that width.
     """
     u = require_unitary(u, "unitary_log input", tol)
     t, q = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diag(t))
-    phases = np.where(phases <= -np.pi + _BRANCH_SNAP, phases + 2 * np.pi, phases)
+    phases = np.where(phases <= -np.pi + _BRANCH_SNAP, np.pi, phases)
     m = (q * (1j * phases)) @ q.conj().T
     # anti-Hermitize away the Schur round-off
     m = 0.5 * (m - m.conj().T)

@@ -1,6 +1,8 @@
 """Newton solve for (H0, H1) from initial and target propagators.
 
-One iteration: propagate the current pair, Hermitize the mismatch
+One iteration: linearize at the current pair (one propagation gives U_N and
+the Jacobian blocks, which depend on the pair, the field and the grid but
+not on the target), Hermitize the mismatch
 
     S = i (U_N^dag U_tar - U_tar^dag U_N) / 2,
 
@@ -44,11 +46,14 @@ FLAG_SINGULAR = "singular_jacobian"
 class SingularJacobianError(np.linalg.LinAlgError):
     """Reduced Newton system judged numerically singular."""
 
-    def __init__(self, condition: float):
+    def __init__(self, condition: float, threshold: float):
         self.condition = condition
+        self.threshold = threshold
+        # the estimate itself is round-off on a singular system, so the
+        # message names only the threshold it exceeded
         super().__init__(
             "reduced Newton system is numerically singular "
-            f"(condition estimate {condition:.3e})"
+            f"(condition estimate above {threshold:.3e})"
         )
 
 
@@ -104,14 +109,35 @@ class NewtonIteration:
     residual_skew: float
 
 
+@dataclass(frozen=True)
+class Linearization:
+    """What the Newton system at ``pair`` has that does not depend on the
+    target: U_N and the Jacobian blocks J0, J1, from one propagation with
+    Gram sums.  ``system(u_tar)`` is the Newton system for any target."""
+
+    pair: HamiltonianPair
+    u_n: np.ndarray
+    j0: np.ndarray
+    j1: np.ndarray
+
+    def system(self, u_tar: np.ndarray) -> ReducedSystem:
+        return reduce_system(self.j0, self.j1, hermitian_residual(self.u_n, u_tar))
+
+
 @dataclass
 class NewtonReport:
-    """Per-iteration convergence records plus the stopping flag."""
+    """Per-iteration convergence records plus the stopping flag.
+
+    ``linearization`` is the linearization at the final pair when the solve
+    was asked to close with one (``newton_identify(linearize_final=True)``);
+    it is not serialized.
+    """
 
     iterations: list = field(default_factory=list)
     flag: str = FLAG_MAX_ITERS
     failure_condition: Optional[float] = None
     failed_iteration: Optional[int] = None
+    linearization: Optional[Linearization] = field(default=None, repr=False, compare=False)
 
     @property
     def n_iterations(self) -> int:
@@ -272,7 +298,7 @@ def solve_update(system: ReducedSystem, cfg: NewtonConfig) -> NewtonUpdate:
     """
     sv, cond = reduced_spectrum(system)
     if not cond <= cfg.singular_cond_threshold:
-        raise SingularJacobianError(cond)
+        raise SingularJacobianError(cond, cfg.singular_cond_threshold)
     u, _, vt = system.svd
     x = vt.T @ ((u.T @ system.rhs) / sv)
     x += vt.T @ ((u.T @ (system.rhs - system.matrix @ x)) / sv)
@@ -304,6 +330,15 @@ def system_diagnostic(system: ReducedSystem, rank_tolerance: float = 1e-9) -> Si
     )
 
 
+def linearize(
+    u_0: np.ndarray, pair: HamiltonianPair, samples: np.ndarray, grid: TimeGrid
+) -> Linearization:
+    """U_N and the Jacobian blocks at ``pair``, from one propagation with
+    the Jacobian Gram sums."""
+    u_n, g0, g1 = propagate_with_gram(u_0, pair, samples, grid)
+    return Linearization(pair, u_n, *grams_to_jacobians(g0, g1, grid.dt))
+
+
 def newton_system(
     u_0: np.ndarray,
     pair: HamiltonianPair,
@@ -313,12 +348,11 @@ def newton_system(
 ):
     """Newton system at ``pair``: returns (U_N, reduced system).
 
-    Propagates with the Jacobian Gram sums, Hermitizes the mismatch against
-    ``u_tar`` and reduces the Kronecker blocks to the square real system.
+    Linearizes at ``pair``, Hermitizes the mismatch against ``u_tar`` and
+    reduces the Kronecker blocks to the square real system.
     """
-    u_n, g0, g1 = propagate_with_gram(u_0, pair, samples, grid)
-    j0, j1 = grams_to_jacobians(g0, g1, grid.dt)
-    return u_n, reduce_system(j0, j1, hermitian_residual(u_n, u_tar))
+    lin = linearize(u_0, pair, samples, grid)
+    return lin.u_n, lin.system(u_tar)
 
 
 def singularity_probe(
@@ -337,28 +371,40 @@ def singularity_probe(
 def newton_identify(
     u_0: np.ndarray,
     u_tar: np.ndarray,
-    guess: HamiltonianPair,
+    guess: HamiltonianPair | Linearization,
     samples: np.ndarray,
     grid: TimeGrid,
     cfg: NewtonConfig = NewtonConfig(),
     truth: Optional[HamiltonianPair] = None,
+    *,
+    linearize_final: bool = False,
 ):
     """Full Newton iteration; returns (final pair, report).
+
+    ``guess`` is the starting pair, or a ``Linearization`` at it (taken with
+    the same ``u_0``, ``samples`` and ``grid``), whose first system then
+    costs no propagation.
 
     Row k of the report describes iterate k (after k updates): e_k is the
     spectral-norm size of update k, dev_* the deviations of iterate k from
     the supplied truth and target, and the condition number that of the
     system solved to produce iterate k.  dev_U of a row is filled by the
-    next propagation (one extra propagation finishes the last row).
+    next propagation; one extra propagation finishes the last row.  That
+    one is ``propagate_final``, unless ``linearize_final`` asks for a
+    linearization at the final pair instead: it costs the Gram sums and is
+    left on ``report.linearization`` for a caller that solves on from there.
     """
     u_0 = require_unitary(u_0, "initial operator")
     u_tar = require_unitary(u_tar, "target operator")
     samples = np.asarray(samples, dtype=float)
-    pair = guess
+    lin = guess if isinstance(guess, Linearization) else None
+    pair = guess if lin is None else lin.pair
     report = NewtonReport(iterations=[], flag=FLAG_MAX_ITERS)
     pending: Optional[NewtonIteration] = None
     for k in range(1, cfg.max_iters + 1):
-        u_n, system = newton_system(u_0, pair, samples, grid, u_tar)
+        if k > 1 or lin is None:
+            lin = linearize(u_0, pair, samples, grid)
+        u_n, system = lin.u_n, lin.system(u_tar)
         if pending is not None:
             pending.dev_u = spec_norm(u_tar - u_n)
             report.iterations.append(pending)
@@ -386,7 +432,11 @@ def newton_identify(
             report.flag = FLAG_CONVERGED
             break
     if pending is not None:
-        u_n = propagate_final(u_0, pair, samples, grid)
+        if linearize_final:
+            report.linearization = linearize(u_0, pair, samples, grid)
+            u_n = report.linearization.u_n
+        else:
+            u_n = propagate_final(u_0, pair, samples, grid)
         pending.dev_u = spec_norm(u_tar - u_n)
         report.iterations.append(pending)
     return pair, report

@@ -1,9 +1,24 @@
 """Shared test utilities, the stored-trajectory reference for the
-streaming Jacobian path, and the LU reference for the SVD step."""
+streaming Jacobian path, the LU reference for the SVD step, and the
+standalone-stage reference for the continuation walk."""
 import numpy as np
 import scipy.linalg
 
-from hamid import HamiltonianPair, grams_to_jacobians
+from hamid import (
+    CONTINUATION_FAILED,
+    CONTINUATION_OK,
+    FLAG_CONVERGED,
+    ContinuationReport,
+    HamiltonianPair,
+    decompose_target,
+    grams_to_jacobians,
+    intermediate_target,
+    m0_seed,
+    newton_identify,
+    propagate_final,
+    spec_norm,
+)
+from hamid.continuation import ContinuationStage
 from hamid.newton import expand_update
 
 
@@ -92,6 +107,40 @@ def solve_update_lu(system):
     the SVD step must match."""
     x = scipy.linalg.solve(system.matrix, system.rhs)
     return expand_update(x, system.unknown_index_map, int(round(system.size**0.5)))
+
+
+def continuation_walk_reference(u_0, u_tar, samples, grid, cfg, truth=None):
+    """(final pair, report) of ``continuation_identify`` walked without any
+    hand-off: every stage is a standalone ``newton_identify`` from the
+    previous stage's pair, and its dev_U_stage comes from one more
+    ``propagate_final`` at the stage's final pair.  The reference the
+    hand-off walk must match bit for bit."""
+    n_paths = (cfg.n_intermediate, 2 * cfg.n_intermediate) if cfg.retry_doubled else (cfg.n_intermediate,)
+    for n_c in n_paths:
+        dec = decompose_target(u_tar)
+        pair = m0_seed(dec, grid.t_f)
+        report = ContinuationReport(stages=[], flag=CONTINUATION_OK)
+        for m in range(n_c + 1):
+            target_m = intermediate_target(dec, m, n_c)
+            newton_report = None
+            if m > 0 or cfg.refine_m0:
+                pair, newton_report = newton_identify(u_0, target_m, pair, samples, grid, cfg.newton)
+            report.stages.append(
+                ContinuationStage(
+                    m=m,
+                    newton_report=newton_report,
+                    dev_u_stage=spec_norm(target_m - propagate_final(u_0, pair, samples, grid)),
+                    dev_h0=spec_norm(truth.h0 - pair.h0) if truth is not None else None,
+                    dev_h1=spec_norm(truth.h1 - pair.h1) if truth is not None else None,
+                )
+            )
+            if newton_report is not None and newton_report.flag != FLAG_CONVERGED:
+                report.flag = CONTINUATION_FAILED
+                report.failed_stage = m
+                break
+        if report.flag == CONTINUATION_OK:
+            break
+    return pair, report
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -1,27 +1,39 @@
+import json
+
 import numpy as np
 import pytest
 
+import hamid.continuation
+import hamid.newton
 from hamid import (
     CONTINUATION_OK,
     ContinuationConfig,
+    DoubleWellParams,
     HamiltonianPair,
     NewtonConfig,
     SinSqEnvelope,
     TimeGrid,
+    build_double_well,
     continuation_identify,
     decompose_target,
     intermediate_target,
     m0_seed,
+    pi_pulse_field,
     propagate_final,
     sample_field,
     singularity_probe,
     spec_norm,
     unitary_exp,
 )
-from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
+from hamid.experiments import (
+    BENCH_DOUBLE_WELL_COND_THRESHOLD,
+    BENCH_DOUBLE_WELL_TOL,
+    BENCH_TWO_LEVEL_DELTA,
+    BENCH_TWO_LEVEL_SKEW,
+)
 from hamid.models import TwoLevelParams, two_level_model
 
-from helpers import SIGMA_X, haar_unitary, random_pair
+from helpers import SIGMA_X, continuation_walk_reference, haar_unitary, random_pair
 
 
 def test_intermediate_target_endpoints(rng):
@@ -189,3 +201,140 @@ def test_singularity_probe_generic_full_rank(rng):
     diag = singularity_probe(pair, samples, grid, u_tar)
     assert diag.numerical_rank == 4
     assert diag.condition_estimate < 1e6
+
+
+@pytest.fixture(scope="module")
+def double_well_walk():
+    """The 4-level double well on 2048 steps, its field samples, grid,
+    identity start and target."""
+    dw = build_double_well(DoubleWellParams(n_levels=4))
+    grid = TimeGrid(dw.params.t_f, 2048)
+    samples = sample_field(pi_pulse_field(dw), grid)
+    u0 = np.eye(4, dtype=complex)
+    return dw.pair, samples, grid, u0, propagate_final(u0, dw.pair, samples, grid)
+
+
+def _double_well_newton(**overrides):
+    return NewtonConfig(
+        **{
+            "tol": BENCH_DOUBLE_WELL_TOL,
+            "singular_cond_threshold": BENCH_DOUBLE_WELL_COND_THRESHOLD,
+            "max_iters": 8,
+            **overrides,
+        }
+    )
+
+
+# name -> (model, continuation config); "two-level" is the benchmark walk
+HAND_OFF_CASES = {
+    "two-level-benchmark": (
+        "two-level",
+        ContinuationConfig(n_intermediate=20, newton=NewtonConfig(tol=1e-12, max_iters=50)),
+    ),
+    "double-well": ("double-well", ContinuationConfig(n_intermediate=4, newton=_double_well_newton())),
+    "double-well-unrefined-m0": (
+        "double-well",
+        ContinuationConfig(n_intermediate=4, refine_m0=False, newton=_double_well_newton()),
+    ),
+    "two-level-max-iters-1": (
+        "two-level",
+        ContinuationConfig(n_intermediate=2, newton=NewtonConfig(max_iters=1)),
+    ),
+    "two-level-unrefined-max-iters-1": (
+        "two-level",
+        ContinuationConfig(n_intermediate=2, refine_m0=False, newton=NewtonConfig(max_iters=1)),
+    ),
+    "two-level-refused-at-k1": (
+        "two-level",
+        ContinuationConfig(n_intermediate=2, newton=NewtonConfig(singular_cond_threshold=1.0)),
+    ),
+    "two-level-unrefined-refused-at-k1": (
+        "two-level",
+        ContinuationConfig(
+            n_intermediate=2, refine_m0=False, newton=NewtonConfig(singular_cond_threshold=1.0)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(HAND_OFF_CASES))
+def test_hand_off_walk_matches_standalone_stages(case, request):
+    # each stage starting from the previous stage's closing linearization,
+    # and dev_U_stage read off the last Newton row, must reproduce the walk
+    # of standalone Newton solves with one more propagation per stage, bit
+    # for bit: report, flags and final pair
+    model, cfg = HAND_OFF_CASES[case]
+    if model == "two-level":
+        truth, samples, grid = _benchmark_setup()
+        u0 = np.eye(2, dtype=complex)
+        u_tar = propagate_final(u0, truth, samples, grid)
+    else:
+        truth, samples, grid, u0, u_tar = request.getfixturevalue("double_well_walk")
+    pair, report = continuation_identify(u0, u_tar, samples, grid, cfg, truth=truth)
+    ref_pair, ref_report = continuation_walk_reference(u0, u_tar, samples, grid, cfg, truth=truth)
+    assert json.dumps(report.to_json_dict()) == json.dumps(ref_report.to_json_dict())
+    assert pair.h0.tobytes() == ref_pair.h0.tobytes()
+    assert pair.h1.tobytes() == ref_pair.h1.tobytes()
+    expect_ok = "max-iters" not in case and "refused" not in case
+    assert (report.flag == CONTINUATION_OK) == expect_ok
+    if "refused" in case:
+        refused = report.stages[-1].newton_report
+        assert refused.failed_iteration == 1 and refused.n_iterations == 0
+
+
+def _count_calls(monkeypatch, sites):
+    """Calls per "module.name" of each (module, name) site, from now on."""
+    counts = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in sites:
+        key = f"{module.__name__}.{name}"
+        counts[key] = 0
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    return counts
+
+
+PROPAGATION_SITES = (
+    (hamid.newton, "propagate_with_gram"),
+    (hamid.newton, "propagate_final"),
+    (hamid.continuation, "propagate_final"),
+)
+
+
+def test_converged_walk_propagates_each_pair_once(monkeypatch):
+    truth, samples, grid = _benchmark_setup()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, truth, samples, grid)
+    counts = _count_calls(monkeypatch, PROPAGATION_SITES)
+    cfg = ContinuationConfig(n_intermediate=20, newton=NewtonConfig(tol=1e-12, max_iters=50))
+    _, report = continuation_identify(u0, u_tar, samples, grid, cfg, truth=truth)
+    assert report.flag == CONTINUATION_OK
+    n_iterations = sum(st.newton_report.n_iterations for st in report.stages)
+    # one Gram propagation per Newton iteration, and one final-state-only
+    # propagation closing the last stage
+    assert counts == {
+        "hamid.newton.propagate_with_gram": n_iterations,
+        "hamid.newton.propagate_final": 1,
+        "hamid.continuation.propagate_final": 0,
+    }
+
+
+def test_standalone_newton_closes_without_gram(monkeypatch):
+    truth, samples, grid = _benchmark_setup()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, truth, samples, grid)
+    counts = _count_calls(monkeypatch, PROPAGATION_SITES[:2])
+    guess = m0_seed(decompose_target(u_tar), grid.t_f)
+    _, report = hamid.newton.newton_identify(u0, u_tar, guess, samples, grid, NewtonConfig(max_iters=50))
+    assert report.flag == hamid.FLAG_CONVERGED
+    assert report.linearization is None
+    assert counts == {
+        "hamid.newton.propagate_with_gram": report.n_iterations,
+        "hamid.newton.propagate_final": 1,
+    }

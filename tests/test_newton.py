@@ -29,7 +29,7 @@ from hamid.models import (
     perturb_pair,
     two_level_model,
 )
-from hamid.newton import expand_update, newton_system
+from hamid.newton import expand_update, linearize, newton_system
 from hamid.propagation import GRAM_CHUNK
 from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
 from hamid.fields import sample_field
@@ -250,6 +250,22 @@ def test_reduce_identity_states_is_singular():
         solve_update(system, NewtonConfig())
 
 
+def test_singular_error_names_threshold_not_estimate():
+    # the estimate of a singular system is round-off, so the message (which
+    # diagnostic.json and demo 05 print) carries only the threshold
+    system = ReducedSystem(
+        matrix=np.diag([1.0, 1.0, 1.0, 1e-14]),
+        rhs=np.ones(4),
+        unknown_index_map=unknown_index_map(2),
+    )
+    with pytest.raises(SingularJacobianError) as info:
+        solve_update(system, NewtonConfig(singular_cond_threshold=1e12))
+    err = info.value
+    assert err.condition == reduced_condition(system) and err.threshold == 1e12
+    assert "1.000e+12" in str(err)
+    assert f"{err.condition:.3e}" not in str(err)
+
+
 def test_solve_update_identity_system():
     d = 2
     system = ReducedSystem(
@@ -459,3 +475,23 @@ def test_newton_rejects_non_finite_field():
     samples[17] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         newton_identify(u0, u_tar, pair, samples, grid, NewtonConfig(max_iters=2))
+
+
+def test_identify_from_linearization_matches_pair_start():
+    # a Linearization guess replaces the first propagation and nothing else;
+    # linearize_final closes with the linearization at the final pair
+    pair, samples, grid = _benchmark_two_level()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, pair, samples, grid)
+    guess = perturb_pair(pair, PerturbationSpec(eta=1e-5, seed=2))
+    cfg = NewtonConfig(max_iters=9)
+    ref_pair, ref = newton_identify(u0, u_tar, guess, samples, grid, cfg, truth=pair)
+    lin = linearize(u0, guess, samples, grid)
+    got_pair, got = newton_identify(u0, u_tar, lin, samples, grid, cfg, truth=pair, linearize_final=True)
+    assert got.to_json_dict() == ref.to_json_dict()
+    assert got_pair.h0.tobytes() == ref_pair.h0.tobytes()
+    assert got_pair.h1.tobytes() == ref_pair.h1.tobytes()
+    closing = linearize(u0, got_pair, samples, grid)
+    assert got.linearization.pair is got_pair
+    for name in ("u_n", "j0", "j1"):
+        assert getattr(got.linearization, name).tobytes() == getattr(closing, name).tobytes()
