@@ -154,6 +154,9 @@ def _run_path(u_0, u_tar, samples, grid, cfg, truth, n_c):
                 linearize_final=m < n_c,
             )
             start = newton_report.linearization or pair
+            # handed on: the stage record keeps no Jacobian blocks (2 d^4
+            # complex numbers, 0.66 MB a stage at d = 12)
+            newton_report.linearization = None
         if newton_report is not None and newton_report.iterations:
             dev_u_stage = newton_report.final().dev_u
         else:
