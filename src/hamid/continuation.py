@@ -10,15 +10,17 @@ time-discretized one, so stage 0 is optionally Newton-polished before the
 path is walked.
 
 Only the Hermitized residual depends on the target; U_N and the Jacobian
-depend on the pair, the field and the grid.  So each stage but the last
-closes its Newton solve with a linearization at its final pair (one
+depend on the pair, the field and the grid.  So each converged stage but
+the last closes its Newton solve with a linearization at its final pair (one
 propagation with Gram sums, instead of a final-state-only one), and the next
-stage starts from it: its first Newton system costs no propagation.  A
-stage's dev_U_stage is its last Newton row's dev_U, taken at the same final
-pair.  Every propagation of the walk is then made once: on a walk of N
+stage starts from it: its first Newton system costs no propagation.  A stage
+that stops at max_iters ends the walk, so it closes final-state-only.
+A stage's dev_U_stage is its last Newton row's dev_U, taken at the same
+final pair.  Every propagation of the walk is then made once: on a walk of N
 Newton iterations in total, N with Gram sums and one final-state-only
-propagation closing the last stage (83 for the 21-stage two-level benchmark
-walk, where a standalone solve per stage would make 124).
+propagation closing the stage the walk ends on (83 for the 21-stage
+two-level benchmark walk, where a standalone solve per stage would make
+124).
 """
 from __future__ import annotations
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_UNITARITY_TOL = 1e-10
 DEFAULT_DECOMP_TOL = 1e-10
@@ -124,8 +123,12 @@ def unitary_log(u: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray
     Uses a complex Schur decomposition so the similarity transform stays
     unitary even for (near-)degenerate eigenvalues; eigenvalue phases are
     taken in (-pi, pi]; a phase within 1e-12 of -pi is snapped to exactly
-    +pi, which moves the log by at most that width.
+    +pi, which moves the log by at most that width.  ``scipy.linalg`` is
+    imported here, on the first call, because this is its only user: the
+    Newton solve and the sweep never take a log and skip its ~27 MB import.
     """
+    import scipy.linalg  # deferred: ~27 MB resident, needed only for the log
+
     u = require_unitary(u, "unitary_log input", tol)
     t, q = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diag(t))

@@ -391,8 +391,11 @@ def newton_identify(
     system solved to produce iterate k.  dev_U of a row is filled by the
     next propagation; one extra propagation finishes the last row.  That
     one is ``propagate_final``, unless ``linearize_final`` asks for a
-    linearization at the final pair instead: it costs the Gram sums and is
-    left on ``report.linearization`` for a caller that solves on from there.
+    linearization at the final pair and the solve converged: it costs the
+    Gram sums and is left on ``report.linearization`` for a caller that
+    solves on from there.  A solve that stops at ``max_iters`` closes with
+    ``propagate_final`` either way, since no caller solves on from a failure
+    (both give U_N bit for bit, so the report is the same).
     """
     u_0 = require_unitary(u_0, "initial operator")
     u_tar = require_unitary(u_tar, "target operator")
@@ -432,7 +435,7 @@ def newton_identify(
             report.flag = FLAG_CONVERGED
             break
     if pending is not None:
-        if linearize_final:
+        if linearize_final and report.flag == FLAG_CONVERGED:
             report.linearization = linearize(u_0, pair, samples, grid)
             u_n = report.linearization.u_n
         else:

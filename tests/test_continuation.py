@@ -6,7 +6,9 @@ import pytest
 import hamid.continuation
 import hamid.newton
 from hamid import (
+    CONTINUATION_FAILED,
     CONTINUATION_OK,
+    FLAG_MAX_ITERS,
     ContinuationConfig,
     DoubleWellParams,
     HamiltonianPair,
@@ -322,6 +324,27 @@ def test_converged_walk_propagates_each_pair_once(monkeypatch):
         "hamid.newton.propagate_with_gram": n_iterations,
         "hamid.newton.propagate_final": 1,
         "hamid.continuation.propagate_final": 0,
+    }
+
+
+@pytest.mark.parametrize("case", ["two-level-max-iters-1", "two-level-unrefined-max-iters-1"])
+def test_failed_stage_closes_without_gram(case, monkeypatch):
+    # the walk stops at a failed stage, so a linearization at its final pair
+    # would never be solved from: it closes final-state-only
+    _, cfg = HAND_OFF_CASES[case]
+    truth, samples, grid = _benchmark_setup()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, truth, samples, grid)
+    counts = _count_calls(monkeypatch, PROPAGATION_SITES)
+    _, report = continuation_identify(u0, u_tar, samples, grid, cfg, truth=truth)
+    assert report.flag == CONTINUATION_FAILED
+    assert report.stages[-1].newton_report.flag == FLAG_MAX_ITERS
+    n_iterations = sum(st.newton_report.n_iterations for st in report.stages if st.newton_report)
+    assert counts == {
+        "hamid.newton.propagate_with_gram": n_iterations,
+        "hamid.newton.propagate_final": 1,
+        # stage 0 without refinement takes its dev_U_stage here
+        "hamid.continuation.propagate_final": int(not cfg.refine_m0),
     }
 
 

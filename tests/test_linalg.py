@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,3 +208,45 @@ def test_matrix_json_roundtrip(rng):
     payload = matrix_to_json(r)
     assert "im" not in payload
     np.testing.assert_allclose(matrix_from_json(payload), r)
+
+
+# a Newton solve and a sweep take no log, so they must not pay scipy.linalg's
+# import (about 27 MB resident); the first log then loads it on demand
+IMPORT_FOOTPRINT_SCRIPT = """
+import sys
+import numpy as np
+import hamid
+from hamid.experiments import ExperimentConfig, run_eta_sweep
+
+params = hamid.TwoLevelParams(delta=1e-4, envelope_skew=0.1)
+truth, fld = hamid.two_level_model(params)
+grid = hamid.TimeGrid(params.t_f, 200)
+samples = hamid.sample_field(fld, grid)
+u0 = np.eye(2, dtype=complex)
+u_tar = hamid.propagate_final(u0, truth, samples, grid)
+guess = hamid.perturb_pair(truth, hamid.PerturbationSpec(eta=1e-4, seed=3))
+_, report = hamid.newton_identify(u0, u_tar, guess, samples, grid, truth=truth)
+assert report.n_iterations > 0
+sweep = run_eta_sweep(ExperimentConfig.from_dict(
+    {"kind": "eta-sweep", "n_steps": 200, "sweep": {"etas": [1e-4], "n_seeds": 2, "k_max": 3}}
+))
+assert len(sweep.runs) == 2
+assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded without a log"
+
+rng = np.random.default_rng(0)
+q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+dec = hamid.decompose_target(q * (np.diag(r) / np.abs(np.diag(r))))  # Haar
+assert dec.dim == 3 and "scipy.linalg" in sys.modules
+print("ok")
+"""
+
+
+def test_newton_and_sweep_leave_scipy_linalg_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
