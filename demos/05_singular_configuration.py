@@ -19,7 +19,7 @@ from hamid import (
     sample_field,
     solve_update,
 )
-from hamid.newton import newton_system, system_diagnostic
+from hamid.newton import linearize, system_diagnostic
 
 t_f = 9000.0
 swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -31,7 +31,7 @@ print(pair.h0)
 grid = TimeGrid(t_f, 2000)
 samples = sample_field(SinSqEnvelope(e0=2.0), grid)  # E(t) = sin^2(pi t / t_f)
 
-_, system = newton_system(np.eye(2, dtype=complex), pair, samples, grid, swap)
+system = linearize(np.eye(2, dtype=complex), pair, samples, grid).system(swap)
 diag = system_diagnostic(system)
 print(f"\nsingular values of the reduced system: {np.array(diag.singular_values)}")
 print("(the smallest one, and so the condition, are round-off; the rank is not)")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import sys
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +35,6 @@ import numpy as np
 
 from .continuation import (
     ContinuationConfig,
-    ContinuationReport,
     continuation_identify,
     m0_seed,
 )
@@ -56,8 +56,8 @@ from .newton import (
     NewtonConfig,
     NewtonReport,
     SingularJacobianError,
+    linearize,
     newton_identify,
-    newton_system,
     solve_update,
     system_diagnostic,
 )
@@ -164,7 +164,8 @@ _NUMBER_TYPES = {int: numbers.Integral, float: numbers.Real}
 
 def _accepts(hint, value) -> bool:
     """Whether ``value`` may set a field of type ``hint``: int fields take
-    integers, float fields any real number, and neither takes a bool."""
+    integers, float fields any finite real number, and neither takes a
+    bool."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union:
         return any(_accepts(arg, value) for arg in args)
@@ -172,12 +173,16 @@ def _accepts(hint, value) -> bool:
         return isinstance(value, list) and all(_accepts(args[0], v) for v in value)
     if isinstance(value, (bool, np.bool_)):
         return hint is bool
+    if hint is float and isinstance(value, numbers.Real):
+        # false for NaN and inf, and for an integer too large for a float
+        return abs(value) <= sys.float_info.max
     return isinstance(value, _NUMBER_TYPES.get(hint, hint))
 
 
 def _check_value(kind: str, key: str, value, hint) -> None:
     if not _accepts(hint, value):
         name = hint.__name__ if isinstance(hint, type) else repr(hint).replace("typing.", "")
+        name = name.replace("float", "finite float")
         raise ValueError(f"{kind}: {key} must be of type {name}, got {value!r}")
 
 
@@ -447,50 +452,6 @@ SWEEP_AGG_HEADER = [
 CPU_HEADER = ["label", "n_d", "n_steps", "newton_iterations", "wall_seconds"]
 
 
-def write_sweep_csvs(result: EtaSweepResult, out: Path) -> list:
-    return [
-        write_table(
-            out / "fig2.csv",
-            SWEEP_AGG_HEADER,
-            [[a[col] for col in SWEEP_AGG_HEADER] for a in result.aggregates],
-        ),
-        write_table(
-            out / "fig2_raw.csv",
-            [f.name for f in fields(EtaSweepRun)],
-            [astuple(r) for r in result.runs],
-        ),
-    ]
-
-
-def write_cpu_csv(entries: list, path: Path) -> Path:
-    return write_table(path, CPU_HEADER, [[e[col] for col in CPU_HEADER] for e in entries])
-
-
-def emit_plot_data(
-    out_dir,
-    sweep: Optional[EtaSweepResult] = None,
-    continuation_two_level: Optional[ContinuationReport] = None,
-    continuation_double_well: Optional[ContinuationReport] = None,
-    cpu: Optional[list] = None,
-) -> list:
-    """Write the figure-analogue CSV files for whichever reports are given.
-
-    Passing an empty report produces a header-only file.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    if sweep is not None:
-        files.extend(write_sweep_csvs(sweep, out))
-    if continuation_two_level is not None:
-        files.append(continuation_two_level.write_csv(out / "fig3.csv"))
-    if continuation_double_well is not None:
-        files.append(continuation_double_well.write_csv(out / "fig6.csv"))
-    if cpu is not None:
-        files.append(write_cpu_csv(cpu, out / "cpu.csv"))
-    return files
-
-
 def _run_newton(family: _Family, cfg: ExperimentConfig, out: Path):
     p = family.setup(cfg)
     newton_cfg = _newton_config(cfg, **family.newton)
@@ -572,7 +533,19 @@ def _run_eta_sweep(cfg: ExperimentConfig, out: Path):
         "envelope_skew": params.envelope_skew,
         "newton": asdict(newton_cfg),
     }
-    return write_sweep_csvs(result, out), resolved, summary
+    files = [
+        write_table(
+            out / "fig2.csv",
+            SWEEP_AGG_HEADER,
+            [[a[col] for col in SWEEP_AGG_HEADER] for a in result.aggregates],
+        ),
+        write_table(
+            out / "fig2_raw.csv",
+            [f.name for f in fields(EtaSweepRun)],
+            [astuple(r) for r in result.runs],
+        ),
+    ]
+    return files, resolved, summary
 
 
 _SINGULARITY_MODEL = {"t_f": 9000.0, "rank_tolerance": 1e-9}
@@ -588,7 +561,7 @@ def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
     pair = m0_seed(decompose_target(u_tar), t_f)
     field_desc = SinSqEnvelope(e0=2.0)  # E(t) = sin^2(pi t / t_f)
     samples = sample_field(field_desc, grid)
-    _, system = newton_system(np.eye(2, dtype=complex), pair, samples, grid, u_tar)
+    system = linearize(np.eye(2, dtype=complex), pair, samples, grid).system(u_tar)
     diag = system_diagnostic(system, rank_tol)
     newton_cfg = _newton_config(cfg)
     refused = False
@@ -682,7 +655,7 @@ def _run_cpu_scaling(cfg: ExperimentConfig, out: Path):
     for n_levels in (6, 12):
         dw = build_double_well(DoubleWellParams(n_levels=n_levels))
         timed(f"double-well-{n_levels}", _problem(dw.params, dw.pair, pi_pulse_field(dw), n_steps))
-    path = write_cpu_csv(entries, out / "cpu.csv")
+    path = write_table(out / "cpu.csv", CPU_HEADER, [[e[col] for col in CPU_HEADER] for e in entries])
     summary = {"entries": entries}
     resolved = {"n_steps": n_steps, "iterations": iters, "eta": eta}
     return [path], resolved, summary

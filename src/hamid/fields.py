@@ -5,6 +5,7 @@ sampling the midpoint time stepper in :mod:`hamid.propagation` assumes.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Union
@@ -20,8 +21,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.t_f > 0:
-            raise ValueError("t_f must be positive")
+        if not 0 < self.t_f < math.inf:
+            raise ValueError(f"t_f must be positive and finite, got {self.t_f!r}")
         n = self.n_steps
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not n >= 1:
             raise ValueError(f"n_steps must be a positive integer, got {n!r}")

@@ -339,22 +339,6 @@ def linearize(
     return Linearization(pair, u_n, *grams_to_jacobians(g0, g1, grid.dt))
 
 
-def newton_system(
-    u_0: np.ndarray,
-    pair: HamiltonianPair,
-    samples: np.ndarray,
-    grid: TimeGrid,
-    u_tar: np.ndarray,
-):
-    """Newton system at ``pair``: returns (U_N, reduced system).
-
-    Linearizes at ``pair``, Hermitizes the mismatch against ``u_tar`` and
-    reduces the Kronecker blocks to the square real system.
-    """
-    lin = linearize(u_0, pair, samples, grid)
-    return lin.u_n, lin.system(u_tar)
-
-
 def singularity_probe(
     pair: HamiltonianPair,
     samples: np.ndarray,
@@ -364,7 +348,7 @@ def singularity_probe(
 ) -> SingularityDiagnostic:
     """``system_diagnostic`` of the Newton system at ``pair``, propagated
     from the identity."""
-    _, system = newton_system(np.eye(pair.dim, dtype=complex), pair, samples, grid, u_tar)
+    system = linearize(np.eye(pair.dim, dtype=complex), pair, samples, grid).system(u_tar)
     return system_diagnostic(system, rank_tolerance)
 
 
@@ -387,31 +371,27 @@ def newton_identify(
 
     Row k of the report describes iterate k (after k updates): e_k is the
     spectral-norm size of update k, dev_* the deviations of iterate k from
-    the supplied truth and target, and the condition number that of the
-    system solved to produce iterate k.  dev_U of a row is filled by the
-    next propagation; one extra propagation finishes the last row.  That
-    one is ``propagate_final``, unless ``linearize_final`` asks for a
-    linearization at the final pair and the solve converged: it costs the
-    Gram sums and is left on ``report.linearization`` for a caller that
-    solves on from there.  A solve that stops at ``max_iters`` closes with
-    ``propagate_final`` either way, since no caller solves on from a failure
-    (both give U_N bit for bit, so the report is the same).
+    the supplied truth and target, residual_skew that of the U_N the system
+    was built from, and the condition number that of the system solved to
+    produce iterate k.  Each iteration finishes its own row: it solves the
+    current system, steps, and makes exactly one propagation at the new
+    iterate, whose U_N gives dev_U.  That is ``linearize``, which gives the
+    next system, or, when the solve stops, ``propagate_final``, unless
+    ``linearize_final`` asks for a linearization at the final pair and the
+    solve converged: that costs the Gram sums and is left on
+    ``report.linearization`` for a caller that solves on from there.  A
+    solve that stops at ``max_iters`` closes with ``propagate_final`` either
+    way, since no caller solves on from a failure (both give U_N bit for
+    bit, so the report is the same).
     """
     u_0 = require_unitary(u_0, "initial operator")
     u_tar = require_unitary(u_tar, "target operator")
     samples = np.asarray(samples, dtype=float)
-    lin = guess if isinstance(guess, Linearization) else None
-    pair = guess if lin is None else lin.pair
+    lin = guess if isinstance(guess, Linearization) else linearize(u_0, guess, samples, grid)
+    pair = lin.pair
     report = NewtonReport(iterations=[], flag=FLAG_MAX_ITERS)
-    pending: Optional[NewtonIteration] = None
     for k in range(1, cfg.max_iters + 1):
-        if k > 1 or lin is None:
-            lin = linearize(u_0, pair, samples, grid)
-        u_n, system = lin.u_n, lin.system(u_tar)
-        if pending is not None:
-            pending.dev_u = spec_norm(u_tar - u_n)
-            report.iterations.append(pending)
-            pending = None
+        system = lin.system(u_tar)
         cond = reduced_condition(system)
         try:
             update = solve_update(system, cfg)
@@ -419,27 +399,31 @@ def newton_identify(
             report.flag = FLAG_SINGULAR
             report.failure_condition = err.condition
             report.failed_iteration = k
-            return pair, report
+            break
         pair = pair.shifted(update.dh0, update.dh1)
         e_k = spec_norm(update.dh0) + spec_norm(update.dh1)
-        pending = NewtonIteration(
-            k=k,
-            e_k=e_k,
-            dev_h0=spec_norm(truth.h0 - pair.h0) if truth is not None else None,
-            dev_h1=spec_norm(truth.h1 - pair.h1) if truth is not None else None,
-            dev_u=None,
-            jacobian_condition=cond,
-            residual_skew=residual_skew_norm(u_n, u_tar),
-        )
-        if e_k <= cfg.tol:
+        converged = e_k <= cfg.tol
+        if converged:
             report.flag = FLAG_CONVERGED
-            break
-    if pending is not None:
-        if linearize_final and report.flag == FLAG_CONVERGED:
-            report.linearization = linearize(u_0, pair, samples, grid)
-            u_n = report.linearization.u_n
+        stops = converged or k == cfg.max_iters
+        u_n = lin.u_n
+        if stops and not (converged and linearize_final):
+            lin, u_next = None, propagate_final(u_0, pair, samples, grid)
         else:
-            u_n = propagate_final(u_0, pair, samples, grid)
-        pending.dev_u = spec_norm(u_tar - u_n)
-        report.iterations.append(pending)
+            lin = linearize(u_0, pair, samples, grid)
+            u_next = lin.u_n
+        report.iterations.append(
+            NewtonIteration(
+                k=k,
+                e_k=e_k,
+                dev_h0=spec_norm(truth.h0 - pair.h0) if truth is not None else None,
+                dev_h1=spec_norm(truth.h1 - pair.h1) if truth is not None else None,
+                dev_u=spec_norm(u_tar - u_next),
+                jacobian_condition=cond,
+                residual_skew=residual_skew_norm(u_n, u_tar),
+            )
+        )
+        if stops:
+            report.linearization = lin
+            break
     return pair, report

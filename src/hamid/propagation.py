@@ -10,17 +10,17 @@ exactly what the identification Jacobian sums over, so a streaming variant
 folds their Gram accumulation into the time loop without storing the
 trajectory (needed at the 10^6-step molecular scale).
 
-One private kernel, ``_cayley_march``, takes every step: ``propagate`` runs
-it once over the stored trajectory, ``propagate_final`` and
-``propagate_with_gram`` run it block by block over ``GRAM_CHUNK`` steps, and
-``cn_step`` is a one-sample call.  Constant generators take the same loop.
-
-The kernel builds the Cayley factors C_n = (I + L_n)^{-1} (I - L_n) of up to
-``GRAM_CHUNK`` steps in one batched LAPACK solve, so the per-step work is a
-single matrix product U_{n+1} = C_n U_n written into the output buffer.  The
-factors are applied one at a time in time order, never regrouped, so every
-entry point (and a loop of ``cn_step`` calls) produces the same bits;
-temporary memory is bounded by the chunk, not by N.
+One private generator, ``_cayley_blocks``, takes every step.  It slices the
+samples into blocks of at most ``GRAM_CHUNK`` steps, builds each block's
+Cayley factors C_n = (I + L_n)^{-1} (I - L_n) in one batched LAPACK solve,
+and applies them one matrix product U_{n+1} = C_n U_n each, in time order,
+into one buffer that every block reuses.  It yields each block's samples
+and states (the block's starting U first).  ``propagate`` copies the states
+out, ``propagate_final`` keeps the last one, ``propagate_with_gram`` folds
+each block into the Gram sums, and ``cn_step`` is a one-sample call.
+Constant generators take the same loop.  The factors are never regrouped,
+so every entry point (and a loop of ``cn_step`` calls) produces the same
+bits; temporary memory is bounded by the block, not by N.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ import numpy as np
 
 from .fields import ControlField, TimeGrid, sample_field
 from .linalg import (
-    DEFAULT_UNITARITY_TOL,
     require_finite,
     require_real_symmetric,
     require_unitary,
@@ -38,9 +37,9 @@ from .linalg import (
     unitary_exp,
 )
 
-# steps per block of the streaming variants (one flush of the Gram
-# accumulators each); fixed so summation order (and hence output bytes)
-# never depends on run conditions
+# steps per block of the stepping loop (one batched factor solve and one
+# flush of the Gram accumulators each); fixed so summation order (and hence
+# output bytes) never depends on run conditions
 GRAM_CHUNK = 4096
 
 
@@ -83,28 +82,47 @@ class Trajectory:
         return self.states[-1]
 
 
-def _cayley_march(
-    u: np.ndarray, h0: np.ndarray, h1: np.ndarray, samples, dt: float, out: np.ndarray
-) -> np.ndarray:
-    """Cayley steps from U = ``u`` over ``samples``: writes U_1..U_m into
-    ``out[:m]`` and returns a copy of U_m (the streaming callers reuse
-    ``out``, so the result must not alias it).  The package's only stepping
-    loop.
+def _step_block(
+    states: np.ndarray, h0: np.ndarray, h1: np.ndarray, e: np.ndarray, dt: float
+) -> None:
+    """Step ``states[0]`` over the block's samples ``e`` into ``states[1:]``.
 
-    Per slice of at most ``GRAM_CHUNK`` samples, every factor
-    C_n = (I + L_n)^{-1} (I - L_n) is built by one batched solve; the steps
-    then apply them one matrix product each, in time order."""
-    samples = np.asarray(samples, dtype=float)
-    eye = np.eye(u.shape[0])
+    One batched solve builds every factor C_n = (I + L_n)^{-1} (I - L_n) of
+    the block; the steps then apply them one matrix product each, in time
+    order."""
+    eye = np.eye(states.shape[1])
+    l = (0.5j * dt) * (h0 + e[:, None, None] * h1)
+    factors = np.linalg.solve(eye + l, eye - l)
+    u = states[0]
+    # the ndarray method runs np.dot's C routine without numpy's
+    # __array_function__ dispatch, a measurable share of a d = 2 step
+    for c, dst in zip(factors, states[1:]):
+        u = c.dot(u, out=dst)
+
+
+def _cayley_blocks(
+    u: np.ndarray, h0: np.ndarray, h1: np.ndarray, samples: np.ndarray, dt: float
+):
+    """Cayley steps from U = ``u`` over ``samples``, block by block: the
+    package's only stepping loop.
+
+    Blocks hold at most ``GRAM_CHUNK`` samples and are stepped in time order
+    into one buffer that every block reuses.  Yields ``(E block, states)``
+    with ``states[0]`` the block's starting U and ``states[n + 1] = C_n
+    states[n]``; the states are overwritten by the next block, so a caller
+    keeps what it needs before asking for it.  A block's factors are freed
+    before it is yielded (``_step_block`` has returned), so the caller's work
+    on the block (the Gram sums) reuses their memory; held across the yield,
+    they raised each call's peak heap enough for the allocator to hand the
+    memory back and fault it in again on the next call."""
+    buf = np.empty((min(samples.size, GRAM_CHUNK) + 1, *u.shape), dtype=complex)
+    buf[0] = u
     for start in range(0, samples.size, GRAM_CHUNK):
-        e = samples[start : start + GRAM_CHUNK, None, None]
-        l = (0.5j * dt) * (h0 + e * h1)
-        factors = np.linalg.solve(eye + l, eye - l)
-        # the ndarray method runs np.dot's C routine without numpy's
-        # __array_function__ dispatch, a measurable share of a d = 2 step
-        for c, dst in zip(factors, out[start : start + e.shape[0]]):
-            u = c.dot(u, out=dst)
-    return u.copy()
+        e = samples[start : start + GRAM_CHUNK]
+        states = buf[: e.size + 1]
+        _step_block(states, h0, h1, e, dt)
+        yield e, states
+        buf[0] = states[-1]
 
 
 def cn_step(
@@ -114,12 +132,14 @@ def cn_step(
     u_n = np.asarray(u_n, dtype=complex)
     if h0.shape != u_n.shape or h1.shape != u_n.shape:
         raise ValueError("Hamiltonian dimensions do not match the state")
-    return _cayley_march(u_n, h0, h1, [e_n], dt, np.empty((1, *u_n.shape), dtype=complex))
+    require_finite(np.array([e_n, dt], dtype=float), "field value and time step")
+    ((_, states),) = _cayley_blocks(u_n, h0, h1, np.array([e_n], dtype=float), dt)
+    return states[1].copy()
 
 
-def _validated_inputs(u_0, pair: HamiltonianPair, samples, grid: TimeGrid, unitarity_tol: float):
+def _validated_inputs(u_0, pair: HamiltonianPair, samples, grid: TimeGrid):
     """(U_0, samples) after the checks every propagation entry point makes."""
-    u_0 = require_unitary(u_0, "initial operator", unitarity_tol)
+    u_0 = require_unitary(u_0, "initial operator")
     if u_0.shape != (pair.dim, pair.dim):
         raise ValueError("initial operator dimension does not match the pair")
     samples = np.asarray(samples, dtype=float)
@@ -135,14 +155,12 @@ def propagate(
     pair: HamiltonianPair,
     samples: np.ndarray,
     grid: TimeGrid,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
 ) -> Trajectory:
     """Full trajectory U_0..U_N.  Stores every state; use the streaming
     variants where N is large enough for memory to matter."""
-    u_0, samples = _validated_inputs(u_0, pair, samples, grid, unitarity_tol)
-    states = np.empty((grid.n_steps + 1, *u_0.shape), dtype=complex)
-    states[0] = u_0
-    _cayley_march(u_0, pair.h0, pair.h1, samples, grid.dt, states[1:])
+    u_0, samples = _validated_inputs(u_0, pair, samples, grid)
+    blocks = _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt)
+    states = np.concatenate([u_0[None], *(block[1:].copy() for _, block in blocks)])
     return Trajectory(grid=grid, states=states)
 
 
@@ -151,15 +169,12 @@ def propagate_final(
     pair: HamiltonianPair,
     samples: np.ndarray,
     grid: TimeGrid,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
 ) -> np.ndarray:
     """Final state U_N only, without storing the trajectory."""
-    u, samples = _validated_inputs(u_0, pair, samples, grid, unitarity_tol)
-    buf = np.empty((min(grid.n_steps, GRAM_CHUNK), *u.shape), dtype=complex)
-    for start in range(0, grid.n_steps, GRAM_CHUNK):
-        block = samples[start : start + GRAM_CHUNK]
-        u = _cayley_march(u, pair.h0, pair.h1, block, grid.dt, buf)
-    return u
+    u_0, samples = _validated_inputs(u_0, pair, samples, grid)
+    for _, block in _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt):
+        pass
+    return block[-1].copy()
 
 
 def _accumulate_gram(
@@ -178,7 +193,6 @@ def propagate_with_gram(
     pair: HamiltonianPair,
     samples: np.ndarray,
     grid: TimeGrid,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
 ):
     """Propagate while accumulating the two Jacobian Gram sums.
 
@@ -191,17 +205,13 @@ def propagate_with_gram(
     These are reindexed into the Kronecker-form Jacobian blocks by
     :func:`hamid.newton.grams_to_jacobians`.
     """
-    u, samples = _validated_inputs(u_0, pair, samples, grid, unitarity_tol)
+    u_0, samples = _validated_inputs(u_0, pair, samples, grid)
     d = pair.dim
     g0 = np.zeros((d * d, d * d), dtype=complex)
     g1 = np.zeros((d * d, d * d), dtype=complex)
-    buf = np.empty((min(grid.n_steps, GRAM_CHUNK) + 1, *u.shape), dtype=complex)
-    for start in range(0, grid.n_steps, GRAM_CHUNK):
-        block = samples[start : start + GRAM_CHUNK]
-        buf[0] = u
-        u = _cayley_march(u, pair.h0, pair.h1, block, grid.dt, buf[1:])
-        _accumulate_gram(buf[: block.size + 1], block, g0, g1)
-    return u, g0, g1
+    for e, block in _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt):
+        _accumulate_gram(block, e, g0, g1)
+    return block[-1].copy(), g0, g1
 
 
 def cn_error_order(

@@ -361,3 +361,30 @@ def test_standalone_newton_closes_without_gram(monkeypatch):
         "hamid.newton.propagate_with_gram": report.n_iterations,
         "hamid.newton.propagate_final": 1,
     }
+
+
+def test_refusal_after_a_finished_row(monkeypatch):
+    # iteration 1 finishes its own row from its propagation at the new
+    # iterate; iteration 2 is refused before it propagates anything
+    truth, samples, grid = _benchmark_setup()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, truth, samples, grid)
+    counts = _count_calls(monkeypatch, PROPAGATION_SITES[:2])
+    solve = hamid.newton.solve_update
+    systems = []
+
+    def refuse_second(system, cfg):
+        systems.append(system)
+        if len(systems) == 2:
+            raise hamid.newton.SingularJacobianError(float("inf"), cfg.singular_cond_threshold)
+        return solve(system, cfg)
+
+    monkeypatch.setattr(hamid.newton, "solve_update", refuse_second)
+    guess = m0_seed(decompose_target(u_tar), grid.t_f)
+    _, report = hamid.newton.newton_identify(u0, u_tar, guess, samples, grid, NewtonConfig(max_iters=50))
+    assert report.flag == hamid.newton.FLAG_SINGULAR and report.failed_iteration == 2
+    assert report.n_iterations == 1 and np.isfinite(report.iterations[0].dev_u)
+    assert counts == {
+        "hamid.newton.propagate_with_gram": 2,
+        "hamid.newton.propagate_final": 0,
+    }

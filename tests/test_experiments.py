@@ -8,10 +8,8 @@ from hamid.experiments import (
     REGIME_ALTERNATE,
     REGIME_DIVERGES,
     REGIME_RECOVERS,
-    EtaSweepResult,
     ExperimentConfig,
     classify_devs,
-    emit_plot_data,
     run_experiment,
     run_eta_sweep,
 )
@@ -33,23 +31,6 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict({})
     cfg = ExperimentConfig.from_dict({"kind": "cn-order-check"})
     assert cfg.out_dir == "runs/cn-order-check"
-
-
-def test_emit_plot_data_headers_for_empty(tmp_path):
-    from hamid.continuation import ContinuationReport
-
-    files = emit_plot_data(
-        tmp_path,
-        sweep=EtaSweepResult(runs=[], aggregates=[]),
-        continuation_two_level=ContinuationReport(stages=[]),
-        continuation_double_well=ContinuationReport(stages=[]),
-        cpu=[],
-    )
-    names = sorted(f.name for f in files)
-    assert names == ["cpu.csv", "fig2.csv", "fig2_raw.csv", "fig3.csv", "fig6.csv"]
-    for f in files:
-        lines = f.read_text().splitlines()
-        assert len(lines) == 1 and "," in lines[0]
 
 
 def test_cn_order_check_kind(tmp_path):
@@ -161,6 +142,11 @@ BAD_CONFIGS = [
     ({"kind": "newton-double-well", "model": {"grid": {"n_points": 64.5}}}, [], "n_points"),
     ({"kind": "continuation-two-level", "continuation": {"refine_m0": 1}}, [], "refine_m0"),
     ({"kind": "cpu-scaling", "model": {"iterations": 1.0}}, [], "model.iterations"),
+    # non-finite floats, which would otherwise fail deep inside the run
+    ({"kind": "cn-order-check", "model": {"t_f": float("inf")}}, [], "model.t_f"),
+    ({"kind": "cn-order-check", "model": {"field_value": float("nan")}}, [], "model.field_value"),
+    ({"kind": "cpu-scaling", "model": {"eta": float("nan")}}, [], "model.eta"),
+    ({"kind": "cn-order-check", "model": {"t_f": 10**400}}, [], "model.t_f"),
     # counts out of range, which would otherwise become the default or an empty sweep
     ({"kind": "cn-order-check", "n_steps": 0}, [], "n_steps"),
     ({"kind": "cpu-scaling"}, ["--steps", "0"], "n_steps"),

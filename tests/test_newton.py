@@ -29,7 +29,7 @@ from hamid.models import (
     perturb_pair,
     two_level_model,
 )
-from hamid.newton import expand_update, linearize, newton_system
+from hamid.newton import expand_update, linearize
 from hamid.propagation import GRAM_CHUNK
 from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
 from hamid.fields import sample_field
@@ -136,7 +136,7 @@ def test_jacobian_finite_difference(rng):
             assert spec_norm(x_fd - x_j) <= 1e-6 * spec_norm(x_j)
 
 
-def test_newton_system_matches_stored_trajectory_oracle(rng):
+def test_linearized_system_matches_stored_trajectory_oracle(rng):
     # the streaming builder against propagate + assemble_jacobian; N crosses
     # two Gram chunk boundaries.  Tolerance fixed from float64 round-off: the
     # Gram sums add N terms of unit size, so N * eps relative to the largest
@@ -147,7 +147,8 @@ def test_newton_system_matches_stored_trajectory_oracle(rng):
     samples = rng.normal(size=n)
     u0 = np.eye(d, dtype=complex)
     u_tar = haar_unitary(d, rng)
-    u_n, system = newton_system(u0, pair, samples, grid, u_tar)
+    lin = linearize(u0, pair, samples, grid)
+    u_n, system = lin.u_n, lin.system(u_tar)
     traj = propagate(u0, pair, samples, grid)
     oracle = reduce_system(*assemble_jacobian(traj, samples), hermitian_residual(traj.final(), u_tar))
     tol = n * np.finfo(float).eps
@@ -320,7 +321,7 @@ def test_svd_step_matches_lu_reference(rng):
             pair = random_pair(d, rng)
             samples = rng.uniform(-1.0, 1.0, size=n)
             u_tar = haar_unitary(d, rng)
-            _, system = newton_system(np.eye(d, dtype=complex), pair, samples, grid, u_tar)
+            system = linearize(np.eye(d, dtype=complex), pair, samples, grid).system(u_tar)
             update = solve_update(system, NewtonConfig())  # raises unless full rank
             ref = solve_update_lu(system)
             size = spec_norm(ref.dh0) + spec_norm(ref.dh1)
@@ -364,7 +365,7 @@ def test_zero_update_at_truth_property(d, n, t_f, seed):
     samples = rng.uniform(-1.0, 1.0, size=n)
     u_0 = haar_unitary(d, rng)
     u_tar = propagate_final(u_0, truth, samples, grid)
-    _, system = newton_system(u_0, truth, samples, grid, u_tar)
+    system = linearize(u_0, truth, samples, grid).system(u_tar)
     update = solve_update(system, NewtonConfig())
     assert spec_norm(update.dh0) + spec_norm(update.dh1) <= 1e-10
 

@@ -82,11 +82,12 @@ def test_fast_path_matches_loop(rng):
     )
 
 
-def test_entry_points_share_one_kernel(rng):
+@pytest.mark.parametrize("n", [1, GRAM_CHUNK, GRAM_CHUNK + 1, 2 * GRAM_CHUNK + 123])
+def test_entry_points_share_one_kernel(n, rng):
     # every entry point takes the same steps in the same order, so U_N agrees
-    # bit for bit; N crosses the streaming block size twice, and a constant
-    # generator (H1 = 0) must take those same steps too
-    d, n = 3, 2 * GRAM_CHUNK + 123
+    # bit for bit; each N leaves a different last block in the reused step
+    # buffer, and a constant generator (H1 = 0) must take those same steps too
+    d = 3
     grid = TimeGrid(t_f=5.0, n_steps=n)
     u_0 = np.eye(d, dtype=complex)
     pair = random_pair(d, rng)
@@ -314,3 +315,9 @@ def test_non_finite_inputs_rejected(rng):
     for propagator in (propagate, propagate_final, propagate_with_gram):
         with pytest.raises(ValueError, match="non-finite"):
             propagator(np.eye(2, dtype=complex), pair, samples, grid)
+    for t_f in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(t_f=t_f, n_steps=8)
+    for e_n, dt in ((np.nan, 0.1), (0.3, np.nan), (0.3, np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            cn_step(np.eye(2, dtype=complex), pair.h0, pair.h1, e_n, dt)
