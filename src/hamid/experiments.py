@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import os
 import sys
 import time
 import typing
@@ -44,7 +45,6 @@ from .models import (
     TWO_LEVEL_DEFAULT_STEPS,
     DoubleWellParams,
     PerturbationSpec,
-    SpatialGrid,
     TwoLevelParams,
     build_double_well,
     perturb_pair,
@@ -112,7 +112,7 @@ def _types_of(defaults: dict) -> dict:
 
 # keys and value types of the optional config blocks, for the kinds that read them
 _BLOCK_TYPES = {
-    "perturbation": _field_types(PerturbationSpec, exclude=("n_seeds",)),
+    "perturbation": _field_types(PerturbationSpec),
     "newton": _field_types(NewtonConfig),
     # the newton block configures the continuation's Newton solves
     "continuation": _field_types(ContinuationConfig, exclude=("newton",)),
@@ -201,13 +201,35 @@ def _check_block(kind: str, block_name: str, block, types: dict) -> None:
 
 def _check_blocks(cfg: ExperimentConfig) -> None:
     """Every key of every block must be one the kind's table entry reads,
-    with a value of the type of the field it sets and, for the counts, in
-    range."""
+    with a value of the type of the field it sets and in range: a block that
+    sets a dataclass is built into it, whose own checks are the range rules."""
     entry = _KINDS[cfg.kind]
     _check_block(cfg.kind, "model", cfg.model, entry.model_types)
     for name, types in _BLOCK_TYPES.items():
         _check_block(cfg.kind, name, getattr(cfg, name), types if name in entry.blocks else {})
     _check_ranges(cfg)
+    model = {k: v for k, v in cfg.model.items() if k != "n_steps"}
+    if entry.params is not None:
+        _build(cfg.kind, "model", entry.params, model)
+    _build(cfg.kind, "newton", NewtonConfig, cfg.newton)
+    _build(cfg.kind, "continuation", ContinuationConfig, cfg.continuation)
+    # the eta stands in for the family default, which is in range
+    perturbation = {"eta": 0.0, "seed": cfg.seed, **cfg.perturbation}
+    _build(cfg.kind, "perturbation", PerturbationSpec, perturbation)
+
+
+def _build(kind: str, path: str, cls, block: dict):
+    """``cls`` built from the checked config block at ``path``, its nested
+    blocks first; an error of a dataclass's own checks names the key."""
+    hints = typing.get_type_hints(cls)
+    values = dict(block)
+    for key, value in block.items():
+        if is_dataclass(hints[key]):
+            values[key] = _build(kind, f"{path}.{key}", hints[key], value)
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"{kind}: {path}.{err}") from None
 
 
 def _check_ranges(cfg: ExperimentConfig) -> None:
@@ -245,26 +267,27 @@ class EtaSweepRun:
 class EtaSweepResult:
     runs: list
     aggregates: list  # one dict per eta
+    resolved: dict  # the settings the sweep ran with, as its manifest records them
 
 
-def classify_devs(dev_h0, dev_h1, dev_u, tol: float = RECOVERY_DEV_TOL) -> str:
-    if dev_u is None or not np.isfinite(dev_u) or dev_u > tol:
+def classify_devs(dev_h0, dev_h1, dev_u) -> str:
+    if dev_u is None or not np.isfinite(dev_u) or dev_u > RECOVERY_DEV_TOL:
         return REGIME_DIVERGES
     if (
         dev_h0 is not None
         and dev_h1 is not None
-        and dev_h0 <= tol
-        and dev_h1 <= tol
+        and dev_h0 <= RECOVERY_DEV_TOL
+        and dev_h1 <= RECOVERY_DEV_TOL
     ):
         return REGIME_RECOVERS
     return REGIME_ALTERNATE
 
 
-def classify_run(report: NewtonReport, tol: float = RECOVERY_DEV_TOL) -> str:
+def classify_run(report: NewtonReport) -> str:
     fin = report.final()
     if fin is None:
         return REGIME_DIVERGES
-    return classify_devs(fin.dev_h0, fin.dev_h1, fin.dev_u, tol)
+    return classify_devs(fin.dev_h0, fin.dev_h1, fin.dev_u)
 
 
 def _newton_config(cfg: ExperimentConfig, **family) -> NewtonConfig:
@@ -295,27 +318,20 @@ def _problem(params, pair, field_desc, n_steps, resolved_model=None) -> _Problem
     return _Problem(params, pair, field_desc, grid, samples, u_0, u_tar, resolved_model)
 
 
-def _two_level_params(cfg: ExperimentConfig):
-    """Benchmark two-level parameters under the model block, and the step count."""
+def _two_level_setup(cfg: ExperimentConfig) -> _Problem:
     model = dict(cfg.model)
     n_steps = model.pop("n_steps", None)
     params = TwoLevelParams(**{**_BENCH_TWO_LEVEL, **model})
-    return params, int(cfg.n_steps or n_steps or TWO_LEVEL_DEFAULT_STEPS)
-
-
-def _two_level_setup(cfg: ExperimentConfig) -> _Problem:
-    params, n_steps = _two_level_params(cfg)
     pair, field_desc = two_level_model(params)
     resolved = dict(asdict(params), e0=params.resolved_e0)
+    n_steps = cfg.n_steps or n_steps or TWO_LEVEL_DEFAULT_STEPS
     return _problem(params, pair, field_desc, n_steps, resolved)
 
 
 def _double_well_setup(cfg: ExperimentConfig) -> _Problem:
     model = dict(cfg.model)
     n_steps = model.pop("n_steps", None)
-    if "grid" in model:
-        model["grid"] = SpatialGrid(**model["grid"])
-    params = DoubleWellParams(**model)
+    params = _build(cfg.kind, "model", DoubleWellParams, model)
     dw = build_double_well(params)
     resolved = dict(asdict(params), omega_03=dw.omega_03, mu_03=dw.mu_03)
     n_steps = cfg.n_steps or n_steps or BENCH_DOUBLE_WELL_STEPS
@@ -327,16 +343,20 @@ class _Family:
     """What the Newton and continuation kinds of one model family differ in."""
 
     setup: Callable  # config -> _Problem
-    model_types: dict  # keys the model block accepts, and their types
+    params: type  # the parameter dataclass the model block sets, with n_steps
     newton: dict  # NewtonConfig fields the family sets
     eta: Callable  # model parameters -> default perturbation magnitude
     n_intermediate: int
     figure: str
 
+    @property
+    def model_types(self) -> dict:
+        return {**_field_types(self.params), "n_steps": Optional[int]}
+
 
 _TWO_LEVEL = _Family(
     setup=_two_level_setup,
-    model_types={**_field_types(TwoLevelParams), "n_steps": Optional[int]},
+    params=TwoLevelParams,
     newton={},
     eta=lambda params: 1e-4,
     n_intermediate=20,
@@ -344,7 +364,7 @@ _TWO_LEVEL = _Family(
 )
 _DOUBLE_WELL = _Family(
     setup=_double_well_setup,
-    model_types={**_field_types(DoubleWellParams), "n_steps": Optional[int]},
+    params=DoubleWellParams,
     newton={
         "tol": BENCH_DOUBLE_WELL_TOL,
         "singular_cond_threshold": BENCH_DOUBLE_WELL_COND_THRESHOLD,
@@ -373,12 +393,6 @@ def _sweep_seed(base_seed: int, eta_index: int, rep: int) -> int:
     return base_seed + 1000 * eta_index + rep
 
 
-def _sweep_settings(cfg: ExperimentConfig):
-    """The sweep block over its defaults, and the Newton config of every run."""
-    sweep = {**SWEEP_DEFAULTS, **{k: v for k, v in cfg.sweep.items() if v is not None}}
-    return sweep, _newton_config(cfg, max_iters=int(sweep["k_max"]))
-
-
 def _sweep_one(job) -> EtaSweepRun:
     """One (eta, seed) identification, runnable in a worker process."""
     p, newton_cfg, eta, seed = job
@@ -397,14 +411,19 @@ def _sweep_one(job) -> EtaSweepRun:
 
 
 def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
-    sweep, newton_cfg = _sweep_settings(cfg)
+    """Identify the two-level benchmark from ``n_seeds`` perturbations at each
+    eta and label each eta with its majority regime.  Every setting is resolved
+    here once and returned in ``resolved``.  The pool of ``workers`` processes
+    is capped by the job count and the CPU count; at 1 the runs stay here."""
+    sweep = {**SWEEP_DEFAULTS, **{k: v for k, v in cfg.sweep.items() if v is not None}}
+    newton_cfg = _newton_config(cfg, max_iters=int(sweep["k_max"]))
     problem = _two_level_setup(cfg)
     jobs = [
         (problem, newton_cfg, float(eta), _sweep_seed(cfg.seed, i, r))
         for i, eta in enumerate(sweep["etas"])
         for r in range(int(sweep["n_seeds"]))
     ]
-    workers = int(sweep["workers"])
+    workers = min(int(sweep["workers"]), len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_sweep_one, jobs))
@@ -436,7 +455,16 @@ def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
             agg[f"mean_{name}"] = float(np.mean(vals)) if vals.size else None
             agg[f"worst_{name}"] = float(np.max(vals)) if vals.size else None
         aggregates.append(agg)
-    return EtaSweepResult(runs=runs, aggregates=aggregates)
+    resolved = {
+        "etas": [a["eta"] for a in aggregates],
+        "n_seeds": int(sweep["n_seeds"]),
+        "k_max": newton_cfg.max_iters,
+        "n_steps": problem.grid.n_steps,
+        "delta": problem.params.delta,
+        "envelope_skew": problem.params.envelope_skew,
+        "newton": asdict(newton_cfg),
+    }
+    return EtaSweepResult(runs=runs, aggregates=aggregates, resolved=resolved)
 
 
 SWEEP_AGG_HEADER = [
@@ -521,18 +549,7 @@ def _run_continuation(family: _Family, cfg: ExperimentConfig, out: Path):
 
 def _run_eta_sweep(cfg: ExperimentConfig, out: Path):
     result = run_eta_sweep(cfg)
-    sweep, newton_cfg = _sweep_settings(cfg)
-    params, n_steps = _two_level_params(cfg)
     summary = {"labels": {format_float(a["eta"]): a["label"] for a in result.aggregates}}
-    resolved = {
-        "etas": [a["eta"] for a in result.aggregates],
-        "n_seeds": int(sweep["n_seeds"]),
-        "k_max": newton_cfg.max_iters,
-        "n_steps": n_steps,
-        "delta": params.delta,
-        "envelope_skew": params.envelope_skew,
-        "newton": asdict(newton_cfg),
-    }
     files = [
         write_table(
             out / "fig2.csv",
@@ -545,7 +562,7 @@ def _run_eta_sweep(cfg: ExperimentConfig, out: Path):
             [astuple(r) for r in result.runs],
         ),
     ]
-    return files, resolved, summary
+    return files, result.resolved, summary
 
 
 _SINGULARITY_MODEL = {"t_f": 9000.0, "rank_tolerance": 1e-9}
@@ -668,22 +685,21 @@ class _Kind:
     run: Callable  # (config, output directory) -> (files, resolved, summary)
     model_types: dict
     blocks: tuple = ()  # the optional blocks of _BLOCK_TYPES it reads
+    params: Optional[type] = None  # the dataclass its model block sets, if any
+
+
+def _family_kind(run: Callable, family: _Family, blocks: tuple) -> _Kind:
+    return _Kind(partial(run, family), family.model_types, blocks, family.params)
 
 
 _NEWTON_BLOCKS = ("perturbation", "newton")
 _CONTINUATION_BLOCKS = ("newton", "continuation")
 _KINDS = {
-    "newton-two-level": _Kind(partial(_run_newton, _TWO_LEVEL), _TWO_LEVEL.model_types, _NEWTON_BLOCKS),
-    "newton-double-well": _Kind(
-        partial(_run_newton, _DOUBLE_WELL), _DOUBLE_WELL.model_types, _NEWTON_BLOCKS
-    ),
-    "continuation-two-level": _Kind(
-        partial(_run_continuation, _TWO_LEVEL), _TWO_LEVEL.model_types, _CONTINUATION_BLOCKS
-    ),
-    "continuation-double-well": _Kind(
-        partial(_run_continuation, _DOUBLE_WELL), _DOUBLE_WELL.model_types, _CONTINUATION_BLOCKS
-    ),
-    "eta-sweep": _Kind(_run_eta_sweep, _TWO_LEVEL.model_types, ("newton", "sweep")),
+    "newton-two-level": _family_kind(_run_newton, _TWO_LEVEL, _NEWTON_BLOCKS),
+    "newton-double-well": _family_kind(_run_newton, _DOUBLE_WELL, _NEWTON_BLOCKS),
+    "continuation-two-level": _family_kind(_run_continuation, _TWO_LEVEL, _CONTINUATION_BLOCKS),
+    "continuation-double-well": _family_kind(_run_continuation, _DOUBLE_WELL, _CONTINUATION_BLOCKS),
+    "eta-sweep": _Kind(_run_eta_sweep, _TWO_LEVEL.model_types, ("newton", "sweep"), TwoLevelParams),
     "singularity-demo": _Kind(_run_singularity_demo, _types_of(_SINGULARITY_MODEL), ("newton",)),
     "cn-order-check": _Kind(_run_cn_order_check, _types_of(_ORDER_CHECK_MODEL)),
     "cpu-scaling": _Kind(_run_cpu_scaling, _types_of(_CPU_SCALING_MODEL)),

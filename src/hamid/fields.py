@@ -53,9 +53,7 @@ class SinSqEnvelope:
 
     def values(self, t: np.ndarray, t_f: float) -> np.ndarray:
         env = 0.5 * self.e0 * np.sin(np.pi * t / t_f) ** 2
-        if self.skew != 0.0:
-            env = env * (1.0 + self.skew * np.sin(2.0 * np.pi * t / t_f))
-        return env
+        return env * (1.0 + self.skew * np.sin(2.0 * np.pi * t / t_f))
 
 
 @dataclass(frozen=True)

@@ -54,16 +54,13 @@ def symmetry_defect(m: np.ndarray) -> float:
 
 
 def require_real_symmetric(
-    m: np.ndarray,
-    name: str = "matrix",
-    zero_diag: bool = False,
-    tol: float = SYMMETRY_TOL,
+    m: np.ndarray, name: str = "matrix", zero_diag: bool = False
 ) -> np.ndarray:
     """Validate a real symmetric matrix (optionally with zero diagonal)."""
     m = require_finite(require_square(np.asarray(m, dtype=float), name), name)
-    if symmetry_defect(m) > tol:
+    if symmetry_defect(m) > SYMMETRY_TOL:
         raise ValueError(f"{name} is not symmetric (defect {symmetry_defect(m):.3e})")
-    if zero_diag and m.size and np.max(np.abs(np.diag(m))) > tol:
+    if zero_diag and m.size and np.max(np.abs(np.diag(m))) > SYMMETRY_TOL:
         raise ValueError(f"{name} must have a zero diagonal")
     return m
 
@@ -117,7 +114,7 @@ class TargetDecomposition:
         return 1j * self.s + fraction * self.a
 
 
-def unitary_log(u: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
+def unitary_log(u: np.ndarray) -> np.ndarray:
     """Principal anti-Hermitian logarithm of a unitary matrix.
 
     Uses a complex Schur decomposition so the similarity transform stays
@@ -129,7 +126,7 @@ def unitary_log(u: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray
     """
     import scipy.linalg  # deferred: ~27 MB resident, needed only for the log
 
-    u = require_unitary(u, "unitary_log input", tol)
+    u = require_unitary(u, "unitary_log input")
     t, q = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diag(t))
     phases = np.where(phases <= -np.pi + _BRANCH_SNAP, np.pi, phases)
@@ -144,7 +141,7 @@ def unitary_log(u: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray
     return m
 
 
-def unitary_exp(m: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def unitary_exp(m: np.ndarray) -> np.ndarray:
     """exp of an anti-Hermitian matrix via the Hermitian eigensolver.
 
     The result is unitary to round-off because -i*m is diagonalized by a
@@ -152,36 +149,33 @@ def unitary_exp(m: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     """
     m = require_square(np.asarray(m, dtype=complex), "generator")
     defect = anti_hermitian_defect(m)
-    if defect > tol:
+    if defect > SYMMETRY_TOL:
         raise ValueError(f"generator is not anti-Hermitian (defect {defect:.3e})")
     k = -1j * m  # Hermitian
     w, v = np.linalg.eigh(k)
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def split_log(m: np.ndarray, tol: float = SYMMETRY_TOL) -> TargetDecomposition:
+def split_log(m: np.ndarray) -> TargetDecomposition:
     """Split an anti-Hermitian log into i*S + A with S symmetric, A antisymmetric.
 
     For anti-Hermitian m the imaginary part is the symmetric S and the real
-    part the antisymmetric A; defects above ``tol`` violate the contract.
+    part the antisymmetric A.  One check of m against ``SYMMETRY_TOL`` covers
+    both parts: entrywise, neither part's defect exceeds that of m.
     """
     m = require_square(np.asarray(m, dtype=complex), "log matrix")
-    if anti_hermitian_defect(m) > tol:
+    if anti_hermitian_defect(m) > SYMMETRY_TOL:
         raise ValueError("input to split_log must be anti-Hermitian")
     s = np.imag(m)
     a = np.real(m)
-    if symmetry_defect(s) > tol:
-        raise ValueError(f"symmetric part defect {symmetry_defect(s):.3e} above {tol:.1e}")
-    if a.size and np.max(np.abs(a + a.T)) > tol:
-        raise ValueError("antisymmetric part defect above tolerance")
     s = 0.5 * (s + s.T)
     a = 0.5 * (a - a.T)
     return TargetDecomposition(s=s, a=a)
 
 
-def decompose_target(u_tar: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> TargetDecomposition:
+def decompose_target(u_tar: np.ndarray) -> TargetDecomposition:
     """unitary_log followed by split_log."""
-    return split_log(unitary_log(u_tar, tol))
+    return split_log(unitary_log(u_tar))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -88,7 +88,7 @@ class DoubleWellParams:
         if self.n_levels < 2:
             raise ValueError("n_levels must be at least 2")
         if self.grid.n_points < 4 * self.n_levels:
-            raise ValueError("n_points must be at least 4 * n_levels")
+            raise ValueError("grid.n_points must be at least 4 * n_levels")
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,6 @@ def pi_pulse_field(model: DoubleWellModel, t_f: Optional[float] = None) -> PiPul
 class PerturbationSpec:
     eta: float
     seed: int
-    n_seeds: int = 15
 
     def __post_init__(self):
         if self.eta < 0:

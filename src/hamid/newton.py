@@ -64,8 +64,10 @@ class NewtonConfig:
     singular_cond_threshold: float = 1e12
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.max_iters > 0 and self.singular_cond_threshold > 0):
-            raise ValueError("NewtonConfig fields must be positive")
+        for name in ("tol", "max_iters", "singular_cond_threshold"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ControlField, TimeGrid, sample_field
+from .fields import TimeGrid
 from .linalg import (
     require_finite,
     require_real_symmetric,
@@ -215,24 +215,14 @@ def propagate_with_gram(
 
 
 def cn_error_order(
-    pair: HamiltonianPair,
-    field_desc: "ControlField | float",
-    t_f: float,
-    n_steps: int = 100,
+    pair: HamiltonianPair, e_value: float, t_f: float, n_steps: int = 100
 ) -> float:
     """Ratio err(dt) / err(dt/2) against the exact constant-generator solution.
 
-    The field must be constant in time (pass a plain number, or a descriptor
-    that samples to a constant); a second-order scheme gives a ratio near 4.
-    Degenerate cases with zero error return NaN.
+    The field is the constant ``e_value`` over [0, t_f]; a second-order
+    scheme gives a ratio near 4.  Degenerate cases with zero error return
+    NaN.
     """
-    if isinstance(field_desc, (int, float)):
-        e_value = float(field_desc)
-    else:
-        probe = sample_field(field_desc, TimeGrid(t_f=t_f, n_steps=n_steps))
-        if np.ptp(probe) != 0.0:
-            raise ValueError("cn_error_order needs a field that is constant in time")
-        e_value = float(probe[0])
     h = pair.h0 + e_value * pair.h1
     exact = unitary_exp(-1j * t_f * h)
     eye = np.eye(pair.dim)

@@ -157,6 +157,16 @@ BAD_CONFIGS = [
     ({"kind": "eta-sweep", "sweep": {"k_max": 0}}, [], "sweep.k_max"),
     ({"kind": "eta-sweep", "sweep": {"workers": -1}}, [], "sweep.workers"),
     ({"kind": "eta-sweep", "sweep": {"etas": []}}, [], "sweep.etas"),
+    # values out of the range of the dataclass the block sets
+    ({"kind": "newton-two-level", "newton": {"max_iters": 0}}, [], "newton.max_iters"),
+    ({"kind": "eta-sweep", "newton": {"tol": 0.0}}, [], "newton.tol"),
+    ({"kind": "newton-two-level", "perturbation": {"eta": -1.0}}, [], "perturbation.eta"),
+    (
+        {"kind": "continuation-two-level", "continuation": {"n_intermediate": 0}},
+        [],
+        "continuation.n_intermediate",
+    ),
+    ({"kind": "newton-two-level", "model": {"t_f": -5.0}}, [], "model.t_f"),
 ]
 
 
@@ -237,6 +247,38 @@ def test_sweep_worker_pool_matches_serial():
     for a, b in zip(serial.runs, parallel.runs):
         assert (a.eta, a.seed, a.regime) == (b.eta, b.seed, b.regime)
         assert a.dev_u == b.dev_u
+
+
+def test_sweep_pool_capped_by_jobs_and_cpus(monkeypatch):
+    # a recording stand-in for the pool: it maps serially, so no process starts
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("hamid.experiments.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    base = {"kind": "eta-sweep", "seed": 5, "n_steps": 400}
+    sweeps = {
+        w: run_eta_sweep(
+            ExperimentConfig.from_dict(
+                dict(base, sweep={"etas": [1e-5], "n_seeds": 2, "k_max": 3, "workers": w})
+            )
+        )
+        for w in (64, 1)
+    }
+    assert pools == [2]
+    assert sweeps[64].runs == sweeps[1].runs
 
 
 def test_newton_double_well_kind_small(tmp_path):

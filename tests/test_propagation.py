@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hamid import (
     HamiltonianPair,
-    SinSqEnvelope,
     TimeGrid,
     TwoLevelParams,
     cn_error_order,
@@ -270,14 +269,6 @@ def test_cn_error_order_second_order(rng):
     pair = random_pair(2, rng)
     assert 3.5 <= cn_error_order(pair, 0.0, 1.0, n_steps=100) <= 4.5
     assert 3.8 <= cn_error_order(pair, 0.0, 1.0, n_steps=400) <= 4.2
-
-
-def test_cn_error_order_with_field_descriptor(rng):
-    pair = random_pair(2, rng)
-    # zero-amplitude envelope is a constant field
-    assert 3.5 <= cn_error_order(pair, SinSqEnvelope(e0=0.0), 1.0, 100) <= 4.5
-    with pytest.raises(ValueError):
-        cn_error_order(pair, SinSqEnvelope(e0=1.0), 1.0, 100)
 
 
 def test_exact_vs_cn_tiny_step(rng):
