@@ -208,8 +208,8 @@ def _check_blocks(cfg: ExperimentConfig) -> None:
     for name, types in _BLOCK_TYPES.items():
         _check_block(cfg.kind, name, getattr(cfg, name), types if name in entry.blocks else {})
     _check_ranges(cfg)
-    model = {k: v for k, v in cfg.model.items() if k != "n_steps"}
     if entry.params is not None:
+        model = {k: v for k, v in cfg.model.items() if k != "n_steps"}
         _build(cfg.kind, "model", entry.params, model)
     _build(cfg.kind, "newton", NewtonConfig, cfg.newton)
     _build(cfg.kind, "continuation", ContinuationConfig, cfg.continuation)
@@ -343,7 +343,7 @@ class _Family:
     """What the Newton and continuation kinds of one model family differ in."""
 
     setup: Callable  # config -> _Problem
-    params: type  # the parameter dataclass the model block sets, with n_steps
+    params: type  # the parameter dataclass whose fields (and n_steps) the model block sets
     newton: dict  # NewtonConfig fields the family sets
     eta: Callable  # model parameters -> default perturbation magnitude
     n_intermediate: int
