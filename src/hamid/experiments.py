@@ -11,8 +11,9 @@ identical configs produce byte-identical CSVs.
 The table ``_KINDS`` maps every kind to its runner, the keys its ``model``
 block accepts (with their types) and the other config blocks it reads.
 ``ExperimentConfig`` checks each block against that entry when built, so an
-unknown key or a value of the wrong type raises ``ValueError`` before any
-work starts; ``run_experiment`` calls the runner and writes the manifest.
+unknown key, a value of the wrong type or one out of range raises
+``ValueError`` before any work starts; ``run_experiment`` calls the runner
+and writes the manifest.
 The Newton and continuation runners serve both model families through a
 ``_Family`` entry (set-up, Newton settings, default perturbation,
 continuation length, figure name).
@@ -104,10 +105,6 @@ SWEEP_DEFAULTS = {"etas": np.logspace(-5, -2, 13).tolist(), "n_seeds": 15, "k_ma
 def _field_types(cls, exclude=()) -> dict:
     """Field name -> type of a dataclass, as the config checks read it."""
     return {k: v for k, v in typing.get_type_hints(cls).items() if k not in exclude}
-
-
-def _types_of(defaults: dict) -> dict:
-    return {k: type(v) for k, v in defaults.items()}
 
 
 # keys and value types of the optional config blocks, for the kinds that read them
@@ -208,9 +205,9 @@ def _check_blocks(cfg: ExperimentConfig) -> None:
     for name, types in _BLOCK_TYPES.items():
         _check_block(cfg.kind, name, getattr(cfg, name), types if name in entry.blocks else {})
     _check_ranges(cfg)
-    if entry.params is not None:
-        model = {k: v for k, v in cfg.model.items() if k != "n_steps"}
-        _build(cfg.kind, "model", entry.params, model)
+    # a family's model block also takes n_steps, which its params lack
+    params = _field_types(entry.params)
+    _build(cfg.kind, "model", entry.params, {k: v for k, v in cfg.model.items() if k in params})
     _build(cfg.kind, "newton", NewtonConfig, cfg.newton)
     _build(cfg.kind, "continuation", ContinuationConfig, cfg.continuation)
     # the eta stands in for the family default, which is in range
@@ -565,13 +562,24 @@ def _run_eta_sweep(cfg: ExperimentConfig, out: Path):
     return files, result.resolved, summary
 
 
-_SINGULARITY_MODEL = {"t_f": 9000.0, "rank_tolerance": 1e-9}
+@dataclass(frozen=True)
+class _SingularityModel:
+    """The singularity demo's model block."""
+
+    t_f: float = 9000.0
+    rank_tolerance: float = 1e-9  # singular values below this times the largest count as zero
+
+    def __post_init__(self):
+        if not self.t_f > 0:
+            raise ValueError(f"t_f must be positive, got {self.t_f!r}")
+        if not 0 <= self.rank_tolerance < 1:
+            raise ValueError(f"rank_tolerance must be in [0, 1), got {self.rank_tolerance!r}")
 
 
 def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
-    model = {**_SINGULARITY_MODEL, **cfg.model}
-    t_f = float(model["t_f"])
-    rank_tol = float(model["rank_tolerance"])
+    model = _SingularityModel(**cfg.model)
+    t_f = float(model.t_f)
+    rank_tol = float(model.rank_tolerance)
     n_steps = int(cfg.n_steps or TWO_LEVEL_DEFAULT_STEPS)
     grid = TimeGrid(t_f=t_f, n_steps=n_steps)
     u_tar = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -608,14 +616,24 @@ def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
     return [write_json(out / "diagnostic.json", payload)], resolved, summary
 
 
-_ORDER_CHECK_MODEL = {"t_f": 1.0, "field_value": 0.7, "n_steps": 100}
+@dataclass(frozen=True)
+class _OrderCheckModel:
+    """The time-step order check's model block."""
+
+    t_f: float = 1.0
+    field_value: float = 0.7
+    n_steps: int = 100
+
+    def __post_init__(self):
+        if not self.t_f > 0:
+            raise ValueError(f"t_f must be positive, got {self.t_f!r}")
 
 
 def _run_cn_order_check(cfg: ExperimentConfig, out: Path):
-    model = {**_ORDER_CHECK_MODEL, **cfg.model}
-    t_f = float(model["t_f"])
-    e_value = float(model["field_value"])
-    base_steps = int(cfg.n_steps or model["n_steps"])
+    model = _OrderCheckModel(**cfg.model)
+    t_f = float(model.t_f)
+    e_value = float(model.field_value)
+    base_steps = int(cfg.n_steps or model.n_steps)
     rng = np.random.default_rng(cfg.seed)
     h0 = rng.normal(size=(2, 2))
     h0 = 0.5 * (h0 + h0.T)
@@ -635,7 +653,20 @@ def _run_cn_order_check(cfg: ExperimentConfig, out: Path):
     return [path], resolved, summary
 
 
-_CPU_SCALING_MODEL = {"n_steps": 2**15, "iterations": 3, "eta": 1e-6}
+@dataclass(frozen=True)
+class _CpuScalingModel:
+    """The scaling run's model block: step count, Newton iterations per
+    system size and perturbation magnitude."""
+
+    n_steps: int = 2**15
+    iterations: int = 3
+    eta: float = 1e-6
+
+    def __post_init__(self):
+        if not self.iterations > 0:
+            raise ValueError(f"iterations must be positive, got {self.iterations!r}")
+        if not self.eta >= 0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
 
 
 def _run_cpu_scaling(cfg: ExperimentConfig, out: Path):
@@ -645,10 +676,10 @@ def _run_cpu_scaling(cfg: ExperimentConfig, out: Path):
     tolerance is set far below reach so the budget is always spent), so the
     recorded wall-clock isolates the cost growth with dimension.
     """
-    model = {**_CPU_SCALING_MODEL, **cfg.model}
-    n_steps = int(cfg.n_steps or model["n_steps"])
-    iters = int(model["iterations"])
-    eta = float(model["eta"])
+    model = _CpuScalingModel(**cfg.model)
+    n_steps = int(cfg.n_steps or model.n_steps)
+    iters = int(model.iterations)
+    eta = float(model.eta)
     budget = NewtonConfig(tol=1e-300, max_iters=iters, singular_cond_threshold=1e30)
     entries = []
 
@@ -684,12 +715,17 @@ class _Kind:
 
     run: Callable  # (config, output directory) -> (files, resolved, summary)
     model_types: dict
-    blocks: tuple = ()  # the optional blocks of _BLOCK_TYPES it reads
-    params: Optional[type] = None  # the dataclass its model block sets, if any
+    blocks: tuple  # the optional blocks of _BLOCK_TYPES it reads
+    params: type  # the dataclass its model block sets
 
 
 def _family_kind(run: Callable, family: _Family, blocks: tuple) -> _Kind:
     return _Kind(partial(run, family), family.model_types, blocks, family.params)
+
+
+def _model_kind(run: Callable, params: type, blocks: tuple = ()) -> _Kind:
+    """A kind whose model block holds exactly the fields of ``params``."""
+    return _Kind(run, _field_types(params), blocks, params)
 
 
 _NEWTON_BLOCKS = ("perturbation", "newton")
@@ -700,9 +736,9 @@ _KINDS = {
     "continuation-two-level": _family_kind(_run_continuation, _TWO_LEVEL, _CONTINUATION_BLOCKS),
     "continuation-double-well": _family_kind(_run_continuation, _DOUBLE_WELL, _CONTINUATION_BLOCKS),
     "eta-sweep": _Kind(_run_eta_sweep, _TWO_LEVEL.model_types, ("newton", "sweep"), TwoLevelParams),
-    "singularity-demo": _Kind(_run_singularity_demo, _types_of(_SINGULARITY_MODEL), ("newton",)),
-    "cn-order-check": _Kind(_run_cn_order_check, _types_of(_ORDER_CHECK_MODEL)),
-    "cpu-scaling": _Kind(_run_cpu_scaling, _types_of(_CPU_SCALING_MODEL)),
+    "singularity-demo": _model_kind(_run_singularity_demo, _SingularityModel, ("newton",)),
+    "cn-order-check": _model_kind(_run_cn_order_check, _OrderCheckModel),
+    "cpu-scaling": _model_kind(_run_cpu_scaling, _CpuScalingModel),
 }
 KINDS = tuple(_KINDS)
 

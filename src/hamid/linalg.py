@@ -117,21 +117,27 @@ class TargetDecomposition:
 def unitary_log(u: np.ndarray) -> np.ndarray:
     """Principal anti-Hermitian logarithm of a unitary matrix.
 
-    Uses a complex Schur decomposition so the similarity transform stays
-    unitary even for (near-)degenerate eigenvalues; eigenvalue phases are
-    taken in (-pi, pi]; a phase within 1e-12 of -pi is snapped to exactly
-    +pi, which moves the log by at most that width.  ``scipy.linalg`` is
-    imported here, on the first call, because this is its only user: the
-    Newton solve and the sweep never take a log and skip its ~27 MB import.
+    A unitary is normal, so its log needs only a unitary diagonalization
+    (N. J. Higham, *Functions of Matrices*, SIAM 2008, ch. 11), which numpy's
+    Hermitian eigensolver gives.  U is turned by the scalar e^{i phi} that
+    puts the widest gap between its eigenphases at -1.  The Cayley transform
+    K = i (I - W)(I + W)^{-1} of the turned W is then Hermitian, has U's
+    eigenvectors and sends distinct phases to distinct eigenvalues, so its
+    ``eigh`` basis Q is orthonormal even for repeated phases.  The phases are
+    read off diag(Q^H U Q) and taken in (-pi, pi]; a phase within 1e-12 of
+    -pi is snapped to exactly +pi, which moves the log by at most that width.
     """
-    import scipy.linalg  # deferred: ~27 MB resident, needed only for the log
-
     u = require_unitary(u, "unitary_log input")
-    t, q = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diag(t))
+    theta = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    w = np.exp(1j * (np.pi - theta[widest] - 0.5 * gaps[widest])) * u
+    eye = np.eye(u.shape[0])
+    _, q = np.linalg.eigh(1j * np.linalg.solve(eye + w, eye - w))
+    phases = np.angle(np.sum(q.conj() * (u @ q), axis=0))
     phases = np.where(phases <= -np.pi + _BRANCH_SNAP, np.pi, phases)
     m = (q * (1j * phases)) @ q.conj().T
-    # anti-Hermitize away the Schur round-off
+    # anti-Hermitize away the round-off of the eigenbasis
     m = 0.5 * (m - m.conj().T)
     roundtrip = spec_norm(unitary_exp(m) - u)
     if roundtrip > DEFAULT_DECOMP_TOL:

@@ -1,6 +1,7 @@
 """Shared test utilities, the stored-trajectory reference for the
-streaming Jacobian path, the LU reference for the SVD step, and the
-standalone-stage reference for the continuation walk."""
+streaming Jacobian path, the LU reference for the SVD step, the Schur
+reference for the unitary log, and the standalone-stage reference for the
+continuation walk."""
 import numpy as np
 import scipy.linalg
 
@@ -19,6 +20,7 @@ from hamid import (
     spec_norm,
 )
 from hamid.continuation import ContinuationStage
+from hamid.linalg import _BRANCH_SNAP
 from hamid.newton import expand_update
 
 
@@ -107,6 +109,17 @@ def solve_update_lu(system):
     the SVD step must match."""
     x = scipy.linalg.solve(system.matrix, system.rhs)
     return expand_update(x, system.unknown_index_map, int(round(system.size**0.5)))
+
+
+def unitary_log_schur(u):
+    """Principal log of a unitary from a complex Schur decomposition, with
+    the same branch snap as ``unitary_log``: the reference the numpy-only
+    log must match."""
+    t, q = scipy.linalg.schur(np.asarray(u, dtype=complex), output="complex")
+    phases = np.angle(np.diag(t))
+    phases = np.where(phases <= -np.pi + _BRANCH_SNAP, np.pi, phases)
+    m = (q * (1j * phases)) @ q.conj().T
+    return 0.5 * (m - m.conj().T)
 
 
 def continuation_walk_reference(u_0, u_tar, samples, grid, cfg, truth=None):

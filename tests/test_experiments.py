@@ -167,6 +167,11 @@ BAD_CONFIGS = [
         "continuation.n_intermediate",
     ),
     ({"kind": "newton-two-level", "model": {"t_f": -5.0}}, [], "model.t_f"),
+    ({"kind": "singularity-demo", "model": {"t_f": -5.0}}, [], "model.t_f"),
+    ({"kind": "singularity-demo", "model": {"rank_tolerance": -1.0}}, [], "model.rank_tolerance"),
+    ({"kind": "cn-order-check", "model": {"t_f": -1.0}}, [], "model.t_f"),
+    ({"kind": "cpu-scaling", "model": {"iterations": 0}}, [], "model.iterations"),
+    ({"kind": "cpu-scaling", "model": {"eta": -1.0}}, [], "model.eta"),
 ]
 
 

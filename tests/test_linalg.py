@@ -17,7 +17,7 @@ from hamid import (
 )
 from hamid.linalg import TargetDecomposition, decompose_target, require_unitary
 
-from helpers import SIGMA_X, haar_unitary
+from helpers import SIGMA_X, haar_unitary, unitary_log_schur
 
 
 def test_spec_norm_diagonal():
@@ -142,6 +142,54 @@ def test_log_exp_round_trip_at_branch_cut_property(cut, others, rotate, seed):
     assert spec_norm(unitary_exp(m) - u) <= 1e-10
 
 
+# Phases within 1e-12 of +-pi for the oracle property.  The -pi side stops
+# at half the snap width: a phase on the snap boundary itself may be read as
+# just inside by one eigensolver and just outside by another, and the two
+# logs, both valid, then differ by 2*pi along that eigenvector.
+_CUT_SIDES = st.one_of(
+    st.just(np.pi),
+    st.floats(min_value=np.pi - 1e-12, max_value=np.pi),
+    st.floats(min_value=-np.pi, max_value=-np.pi + 0.5e-12),
+)
+
+
+@st.composite
+def _spectra(draw):
+    """1 to 12 eigenphases: fresh ones in [-3, 3], ones within 1e-12 of
+    +-pi, exact repeats of earlier ones, and clusters within 1e-9 of earlier
+    ones away from the cut (a cluster straddling the cut has no well-
+    conditioned log)."""
+    phases = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        kinds = ("fresh", "cut", "repeat", "cluster") if phases else ("fresh", "cut")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            phase = draw(st.floats(min_value=-3.0, max_value=3.0))
+        elif kind == "cut":
+            phase = draw(_CUT_SIDES)
+        else:
+            phase = draw(st.sampled_from(phases))
+            if kind == "cluster" and abs(phase) <= 3.0:
+                phase += draw(st.floats(min_value=-1e-9, max_value=1e-9))
+        phases.append(phase)
+    return np.array(phases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phases=_spectra(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_log_matches_schur_oracle_property(phases, seed):
+    # the numpy-only log is exactly anti-Hermitian, has its phases in
+    # (-pi, pi] (read back by an eigensolver, which adds 1e-13 of its own),
+    # and agrees with the Schur log to 1e-12 in the spectral norm
+    q = haar_unitary(phases.size, np.random.default_rng(seed))
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    m = unitary_log(u)
+    assert np.array_equal(m, -m.conj().T)
+    k = np.linalg.eigvalsh(-1j * m)
+    assert np.all(k > -np.pi) and np.all(k <= np.pi + 1e-13)
+    assert spec_norm(m - unitary_log_schur(u)) <= 1e-12
+
+
 def test_split_log_zero():
     dec = split_log(np.zeros((2, 2), dtype=complex))
     assert np.all(dec.s == 0) and np.all(dec.a == 0)
@@ -210,8 +258,8 @@ def test_matrix_json_roundtrip(rng):
     np.testing.assert_allclose(matrix_from_json(payload), r)
 
 
-# a Newton solve and a sweep take no log, so they must not pay scipy.linalg's
-# import (about 27 MB resident); the first log then loads it on demand
+# nothing in hamid imports scipy: a Newton solve, a sweep, a target log and
+# a continuation all run without scipy.linalg (about 26 MB resident)
 IMPORT_FOOTPRINT_SCRIPT = """
 import sys
 import numpy as np
@@ -236,17 +284,47 @@ assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded without a log"
 rng = np.random.default_rng(0)
 q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
 dec = hamid.decompose_target(q * (np.diag(r) / np.abs(np.diag(r))))  # Haar
-assert dec.dim == 3 and "scipy.linalg" in sys.modules
+assert dec.dim == 3
+assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by decompose_target"
+cfg = hamid.ContinuationConfig(n_intermediate=2)
+_, walk = hamid.continuation_identify(u0, u_tar, samples, grid, cfg, truth=truth)
+assert len(walk.stages) == 3
+assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by a continuation"
 print("ok")
 """
 
+# scipy made unimportable: a continuation run and the singularity demo, the
+# two kinds that take a log, still write their outputs
+NUMPY_ONLY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from hamid.experiments import ExperimentConfig, run_experiment
 
-def test_newton_and_sweep_leave_scipy_linalg_unloaded():
+for kind in ("continuation-two-level", "singularity-demo"):
+    cfg = ExperimentConfig(kind=kind, n_steps=200, out_dir=f"{sys.argv[1]}/{kind}")
+    result = run_experiment(cfg)
+    assert all(f.is_file() for f in result.files), kind
+    print(kind, result.summary)
+"""
+
+
+def _run_script(script, *args):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_FOOTPRINT_SCRIPT],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    return proc.stdout
+
+
+def test_newton_and_sweep_leave_scipy_linalg_unloaded():
+    assert _run_script(IMPORT_FOOTPRINT_SCRIPT).strip() == "ok"
+
+
+def test_log_kinds_run_without_scipy(tmp_path):
+    out = _run_script(NUMPY_ONLY_SCRIPT, str(tmp_path)).splitlines()
+    assert [line.split()[0] for line in out] == ["continuation-two-level", "singularity-demo"]
+    assert "'flag': 'converged'" in out[0] and "'stages': 21" in out[0]
+    assert "'numerical_rank': 3" in out[1]
