@@ -20,14 +20,12 @@ continuation length, figure name).
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import numbers
 import os
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
@@ -373,6 +371,8 @@ _DOUBLE_WELL = _Family(
 
 
 def _manifest(out: Path, cfg: ExperimentConfig, resolved: dict, wall: float, files: list) -> Path:
+    import hashlib  # OpenSSL, about 3.4 MB resident: loaded by the first manifest
+
     config = cfg.to_dict()
     digest = hashlib.sha256(json.dumps(config, sort_keys=True, default=json_default).encode())
     payload = {
@@ -407,6 +407,21 @@ def _sweep_one(job) -> EtaSweepRun:
     )
 
 
+def _median(vals: np.ndarray) -> float:
+    """``float(np.median(vals))`` of a non-empty 1-d array, NaN and inf
+    included: the mean of the middle value or two of one sort, NaN when any
+    value is.  np.median's NaN check imports numpy.ma (0.6 to 1.5 MB
+    resident)."""
+    s = np.sort(vals)
+    if np.isnan(s[-1]):  # the sort puts NaN last
+        return float(s[-1])
+    mid = s.size // 2
+    # np.mean's sum starts from +0.0, which turns a -0.0 median into +0.0
+    if s.size % 2:
+        return 0.0 + float(s[mid])
+    return (0.0 + float(s[mid - 1]) + float(s[mid])) / 2
+
+
 def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
     """Identify the two-level benchmark from ``n_seeds`` perturbations at each
     eta and label each eta with its majority regime.  Every setting is resolved
@@ -422,6 +437,9 @@ def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
     ]
     workers = min(int(sweep["workers"]), len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # multiprocessing is about 1.3 MB resident; a serial sweep never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_sweep_one, jobs))
     else:
@@ -448,7 +466,7 @@ def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
         agg.update({f"n_{k.lower()}": v for k, v in counts.items()})
         agg["frac_recovers"] = counts[REGIME_RECOVERS] / len(group)
         for name, vals in devs.items():
-            agg[f"median_{name}"] = float(np.median(vals)) if vals.size else None
+            agg[f"median_{name}"] = _median(vals) if vals.size else None
             agg[f"mean_{name}"] = float(np.mean(vals)) if vals.size else None
             agg[f"worst_{name}"] = float(np.max(vals)) if vals.size else None
         aggregates.append(agg)

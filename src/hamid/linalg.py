@@ -46,7 +46,8 @@ def spec_norm(m: np.ndarray) -> float:
     m = require_square(m)
     if m.size == 1:
         return float(abs(m[0, 0]))
-    return float(np.linalg.norm(m, ord=2))
+    # np.linalg.norm(m, 2) makes this LAPACK call too, behind a moveaxis and an amax
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def symmetry_defect(m: np.ndarray) -> float:

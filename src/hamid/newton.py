@@ -394,12 +394,13 @@ def newton_identify(
     report = NewtonReport(iterations=[], flag=FLAG_MAX_ITERS)
     for k in range(1, cfg.max_iters + 1):
         system = lin.system(u_tar)
-        cond = reduced_condition(system)
         try:
+            cond = reduced_condition(system)
             update = solve_update(system, cfg)
-        except SingularJacobianError as err:
+        except np.linalg.LinAlgError as err:
+            # a refusal, or an SVD that did not converge and made no estimate
             report.flag = FLAG_SINGULAR
-            report.failure_condition = err.condition
+            report.failure_condition = err.condition if isinstance(err, SingularJacobianError) else None
             report.failed_iteration = k
             break
         pair = pair.shifted(update.dh0, update.dh1)

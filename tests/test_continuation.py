@@ -32,6 +32,8 @@ from hamid.experiments import (
     BENCH_DOUBLE_WELL_TOL,
     BENCH_TWO_LEVEL_DELTA,
     BENCH_TWO_LEVEL_SKEW,
+    ExperimentConfig,
+    run_eta_sweep,
 )
 from hamid.models import TwoLevelParams, two_level_model
 
@@ -388,3 +390,38 @@ def test_refusal_after_a_finished_row(monkeypatch):
         "hamid.newton.propagate_with_gram": 2,
         "hamid.newton.propagate_final": 0,
     }
+
+
+def test_failed_svd_after_a_finished_row(monkeypatch):
+    # the second full SVD does not converge: iteration 2 is flagged like a
+    # refusal, with no condition estimate, and a sweep holding the run
+    # returns every run
+    truth, samples, grid = _benchmark_setup()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, truth, samples, grid)
+    svd = np.linalg.svd
+    full_calls = []
+
+    def fail_second(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            full_calls.append(a)
+            if len(full_calls) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    sweep_cfg = ExperimentConfig.from_dict(
+        {"kind": "eta-sweep", "seed": 5, "n_steps": 400, "sweep": {"etas": [1e-5], "n_seeds": 2}}
+    )
+    clean = run_eta_sweep(sweep_cfg)
+    guess = m0_seed(decompose_target(u_tar), grid.t_f)
+    monkeypatch.setattr(np.linalg, "svd", fail_second)
+    _, report = hamid.newton.newton_identify(u0, u_tar, guess, samples, grid, NewtonConfig(max_iters=50))
+    assert report.flag == hamid.newton.FLAG_SINGULAR and report.failed_iteration == 2
+    assert report.failure_condition is None
+    assert report.n_iterations == 1 and np.isfinite(report.iterations[0].dev_u)
+
+    full_calls.clear()
+    failed = run_eta_sweep(sweep_cfg)
+    assert [r.converged for r in clean.runs] == [True, True]
+    assert [r.converged for r in failed.runs] == [False, True]
+    assert failed.runs[1] == clean.runs[1]

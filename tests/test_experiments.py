@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamid.cli import main
 from hamid.experiments import (
@@ -9,6 +10,7 @@ from hamid.experiments import (
     REGIME_DIVERGES,
     REGIME_RECOVERS,
     ExperimentConfig,
+    _median,
     classify_devs,
     run_experiment,
     run_eta_sweep,
@@ -271,7 +273,7 @@ def test_sweep_pool_capped_by_jobs_and_cpus(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr("hamid.experiments.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     base = {"kind": "eta-sweep", "seed": 5, "n_steps": 400}
     sweeps = {
@@ -301,3 +303,30 @@ def test_newton_double_well_kind_small(tmp_path):
     assert manifest["resolved"]["model"]["n_levels"] == 6
     assert manifest["resolved"]["model"]["omega_03"] == pytest.approx(0.1202146794, abs=1e-8)
     assert result.summary["final_dev_u"] is not None
+
+
+_MEDIAN_VALUES = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e-300),
+    st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]),
+)
+_MEDIAN_INPUTS = st.one_of(
+    st.lists(_MEDIAN_VALUES, min_size=1, max_size=40),
+    # a few distinct values, each repeated: exact ties
+    st.lists(_MEDIAN_VALUES, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_MEDIAN_INPUTS)
+def test_sweep_median_is_numpy_median_property(values):
+    vals = np.array(values)
+    with np.errstate(invalid="ignore"):  # the mean of -inf and inf
+        expected = float(np.median(vals))
+    got = _median(vals)
+    if np.isnan(expected):
+        assert np.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()

@@ -39,6 +39,20 @@ def test_spec_norm_rejects_nonsquare():
         spec_norm(np.ones((2, 3)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=12),
+    is_complex=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_spec_norm_matches_numpy_norm_property(d, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-8, 8)
+    if is_complex:
+        m = m + 1j * rng.normal(size=(d, d))
+    assert spec_norm(m) == float(np.linalg.norm(m, 2))
+
+
 def test_spec_norm_is_a_norm_on_hermitian(rng):
     for _ in range(20):
         d = int(rng.integers(2, 7))
@@ -258,9 +272,8 @@ def test_matrix_json_roundtrip(rng):
     np.testing.assert_allclose(matrix_from_json(payload), r)
 
 
-# nothing in hamid imports scipy: a Newton solve, a sweep, a target log and
-# a continuation all run without scipy.linalg (about 26 MB resident)
-IMPORT_FOOTPRINT_SCRIPT = """
+# the two-level benchmark problem at 200 steps, for the scripts below
+TWO_LEVEL_SETUP = """
 import sys
 import numpy as np
 import hamid
@@ -272,6 +285,11 @@ grid = hamid.TimeGrid(params.t_f, 200)
 samples = hamid.sample_field(fld, grid)
 u0 = np.eye(2, dtype=complex)
 u_tar = hamid.propagate_final(u0, truth, samples, grid)
+"""
+
+# nothing in hamid imports scipy: a Newton solve, a sweep, a target log and
+# a continuation all run without scipy.linalg (about 26 MB resident)
+IMPORT_FOOTPRINT_SCRIPT = TWO_LEVEL_SETUP + """
 guess = hamid.perturb_pair(truth, hamid.PerturbationSpec(eta=1e-4, seed=3))
 _, report = hamid.newton_identify(u0, u_tar, guess, samples, grid, truth=truth)
 assert report.n_iterations > 0
@@ -321,6 +339,31 @@ def _run_script(script, *args):
 
 def test_newton_and_sweep_leave_scipy_linalg_unloaded():
     assert _run_script(IMPORT_FOOTPRINT_SCRIPT).strip() == "ok"
+
+
+# what only some runs use is imported on use: OpenSSL by the manifest digest,
+# the process pool by a sweep with workers > 1, numpy.ma by np.median
+LAZY_IMPORTS_SCRIPT = TWO_LEVEL_SETUP + """
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
+cfg = hamid.ContinuationConfig(n_intermediate=2)
+_, walk = hamid.continuation_identify(u0, u_tar, samples, grid, cfg, truth=truth)
+assert len(walk.stages) == 3
+pool = ("multiprocessing", "concurrent.futures.process")
+assert not loaded("_hashlib", *pool), loaded("_hashlib", *pool)
+sweep = run_eta_sweep(ExperimentConfig.from_dict({
+    "kind": "eta-sweep", "n_steps": 200,
+    "sweep": {"etas": [1e-4, 1e-3], "n_seeds": 2, "k_max": 3, "workers": 1},
+}))
+assert len(sweep.runs) == 4
+assert not loaded(*pool, "numpy.ma"), loaded(*pool, "numpy.ma")
+print("ok")
+"""
+
+
+def test_continuation_and_serial_sweep_load_no_digest_pool_or_masked_arrays():
+    assert _run_script(LAZY_IMPORTS_SCRIPT).strip() == "ok"
 
 
 def test_log_kinds_run_without_scipy(tmp_path):
