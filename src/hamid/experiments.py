@@ -98,6 +98,9 @@ BENCH_DOUBLE_WELL_TOL = 1e-8
 BENCH_DOUBLE_WELL_STEPS = 2**16
 
 SWEEP_DEFAULTS = {"etas": np.logspace(-5, -2, 13).tolist(), "n_seeds": 15, "k_max": 9, "workers": 1}
+# run r at the i-th eta draws seed base + stride * i + r, so n_seeds may not
+# exceed the stride
+_SWEEP_SEED_STRIDE = 1000
 
 
 def _field_types(cls, exclude=()) -> dict:
@@ -229,7 +232,9 @@ def _build(kind: str, path: str, cls, block: dict):
 
 def _check_ranges(cfg: ExperimentConfig) -> None:
     """Step and run counts must be positive and the eta list non-empty; a
-    zero would otherwise fall through to a default or to an empty sweep."""
+    zero would otherwise fall through to a default or to an empty sweep.  A
+    sweep draws at most one stride of seeds per eta, so that no two runs share
+    a seed, and the base seed must be nonnegative."""
     counts = {"n_steps": cfg.n_steps, "model.n_steps": cfg.model.get("n_steps")}
     counts.update({f"sweep.{k}": cfg.sweep.get(k) for k in ("n_seeds", "k_max", "workers")})
     for key, value in counts.items():
@@ -237,6 +242,14 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
             raise ValueError(f"{cfg.kind}: {key} must be positive, got {value!r}")
     if cfg.sweep.get("etas") == []:
         raise ValueError(f"{cfg.kind}: sweep.etas must not be empty")
+    if (cfg.sweep.get("n_seeds") or 0) > _SWEEP_SEED_STRIDE:
+        raise ValueError(
+            f"{cfg.kind}: sweep.n_seeds must be at most {_SWEEP_SEED_STRIDE}, "
+            f"got {cfg.sweep['n_seeds']!r}; more would repeat a seed at the next eta"
+        )
+    # named here: the perturbation block's check would name perturbation.seed
+    if cfg.seed < 0:
+        raise ValueError(f"{cfg.kind}: seed must be nonnegative, got {cfg.seed!r}")
 
 
 @dataclass
@@ -387,7 +400,7 @@ def _manifest(out: Path, cfg: ExperimentConfig, resolved: dict, wall: float, fil
 
 
 def _sweep_seed(base_seed: int, eta_index: int, rep: int) -> int:
-    return base_seed + 1000 * eta_index + rep
+    return base_seed + _SWEEP_SEED_STRIDE * eta_index + rep
 
 
 def _sweep_one(job) -> EtaSweepRun:

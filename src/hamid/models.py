@@ -2,10 +2,16 @@
 double-well molecule in its truncated eigenbasis, plus seeded random
 Hamiltonian perturbations for basin-of-convergence experiments.
 
+The perturbations are numpy's ``default_rng(seed).uniform(-1, 1)`` stream,
+reproduced with Python integers (``_uniform_draws``): the same numbers,
+without loading numpy's random module and, through ``secrets``, OpenSSL
+(about 5 MB resident) for a few draws per run.
+
 Everything is in atomic units (hbar = 1).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -193,20 +199,95 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+
+
+# numpy's SeedSequence (NEP 19): hash and mix multipliers of its entropy pool
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64 (O'Neill, HMC-CS-2014-0905): the 128-bit LCG multiplier of XSL-RR 128/64
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_state(seed: int) -> tuple[int, int]:
+    """(initstate, initseq) that ``PCG64(SeedSequence(seed))`` seeds from:
+    the seed's 32-bit words mixed into a pool of four, then
+    ``generate_state(4, uint64)`` read as two 128-bit integers."""
+    seed = operator.index(seed)
+    if seed < 0:  # numpy refuses it too; its words would never shift to zero
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _HASH_INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    # little-endian pairs of 32-bit words make the four 64-bit words
+    w = [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _uniform_draws(seed: int, n: int) -> np.ndarray:
+    """numpy's ``default_rng(seed).uniform(-1.0, 1.0, n)``, bit for bit:
+    PCG64 seeded as numpy seeds it, one XSL-RR output per draw, whose top 53
+    bits make a double in [0, 1)."""
+    initstate, initseq = _seed_state(seed)
+    inc = (initseq << 1 | 1) & _MASK128
+    # seeding: a step from state 0, plus initstate, then a second step
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    draws = []
+    for _ in range(n):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        x = (x >> rot | x << (-rot & 63)) & _MASK64
+        draws.append(-1.0 + 2.0 * ((x >> 11) * 2.0**-53))
+    return np.array(draws, dtype=float)
 
 
 def perturb_pair(pair: HamiltonianPair, spec: PerturbationSpec) -> HamiltonianPair:
     """(H0 + eta dH0, H1 + eta dH1) with i.i.d. uniform [-1, 1] upper-triangle
-    draws mirrored to preserve each operator's symmetry class.  Deterministic
-    for a fixed seed."""
+    draws mirrored to preserve each operator's symmetry class: dH0's upper
+    triangle with its diagonal first, then dH1's strict upper triangle, from
+    one seeded stream.  Deterministic for a fixed seed."""
     d = pair.dim
-    rng = np.random.default_rng(spec.seed)
+    iu0, iu1 = np.triu_indices(d), np.triu_indices(d, 1)
+    n0 = len(iu0[0])
+    draws = _uniform_draws(spec.seed, n0 + len(iu1[0]))
     dh0 = np.zeros((d, d))
-    iu0 = np.triu_indices(d)
-    dh0[iu0] = rng.uniform(-1.0, 1.0, size=len(iu0[0]))
+    dh0[iu0] = draws[:n0]
     dh0 = dh0 + np.triu(dh0, 1).T
     dh1 = np.zeros((d, d))
-    iu1 = np.triu_indices(d, 1)
-    dh1[iu1] = rng.uniform(-1.0, 1.0, size=len(iu1[0]))
+    dh1[iu1] = draws[n0:]
     dh1 = dh1 + dh1.T
     return pair.shifted(spec.eta * dh0, spec.eta * dh1)

@@ -1,7 +1,8 @@
 """Shared test utilities, the stored-trajectory reference for the
 streaming Jacobian path, the LU reference for the SVD step, the Schur
-reference for the unitary log, and the standalone-stage reference for the
-continuation walk."""
+reference for the unitary log, the numpy.random reference for the seeded
+perturbations, and the standalone-stage reference for the continuation
+walk."""
 import numpy as np
 import scipy.linalg
 
@@ -120,6 +121,22 @@ def unitary_log_schur(u):
     phases = np.where(phases <= -np.pi + _BRANCH_SNAP, np.pi, phases)
     m = (q * (1j * phases)) @ q.conj().T
     return 0.5 * (m - m.conj().T)
+
+
+def perturb_pair_numpy(pair, spec):
+    """``perturb_pair`` with its draws from ``np.random.default_rng``: the
+    reference the integer PCG64 stream must match bit for bit."""
+    d = pair.dim
+    rng = np.random.default_rng(spec.seed)
+    dh0 = np.zeros((d, d))
+    iu0 = np.triu_indices(d)
+    dh0[iu0] = rng.uniform(-1.0, 1.0, size=len(iu0[0]))
+    dh0 = dh0 + np.triu(dh0, 1).T
+    dh1 = np.zeros((d, d))
+    iu1 = np.triu_indices(d, 1)
+    dh1[iu1] = rng.uniform(-1.0, 1.0, size=len(iu1[0]))
+    dh1 = dh1 + dh1.T
+    return pair.shifted(spec.eta * dh0, spec.eta * dh1)
 
 
 def continuation_walk_reference(u_0, u_tar, samples, grid, cfg, truth=None):

@@ -159,6 +159,14 @@ BAD_CONFIGS = [
     ({"kind": "eta-sweep", "sweep": {"k_max": 0}}, [], "sweep.k_max"),
     ({"kind": "eta-sweep", "sweep": {"workers": -1}}, [], "sweep.workers"),
     ({"kind": "eta-sweep", "sweep": {"etas": []}}, [], "sweep.etas"),
+    # more seeds per eta than the stride between etas would repeat a seed
+    ({"kind": "eta-sweep", "sweep": {"n_seeds": 1001}}, [], "sweep.n_seeds"),
+    # negative seeds, which numpy's seeding would refuse only inside the run
+    ({"kind": "newton-two-level", "perturbation": {"seed": -3}}, [], "perturbation.seed"),
+    ({"kind": "newton-two-level", "seed": -1}, [], ": seed"),
+    ({"kind": "eta-sweep", "seed": -1}, [], ": seed"),
+    ({"kind": "cn-order-check", "seed": -1}, [], ": seed"),
+    ({"kind": "eta-sweep"}, ["--seed", "-1"], ": seed"),
     # values out of the range of the dataclass the block sets
     ({"kind": "newton-two-level", "newton": {"max_iters": 0}}, [], "newton.max_iters"),
     ({"kind": "eta-sweep", "newton": {"tol": 0.0}}, [], "newton.tol"),

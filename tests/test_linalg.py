@@ -342,8 +342,14 @@ def test_newton_and_sweep_leave_scipy_linalg_unloaded():
 
 
 # what only some runs use is imported on use: OpenSSL by the manifest digest,
-# the process pool by a sweep with workers > 1, numpy.ma by np.median
-LAZY_IMPORTS_SCRIPT = TWO_LEVEL_SETUP + """
+# the process pool by a sweep with workers > 1, numpy.ma by np.median, and
+# numpy.random (with secrets and OpenSSL) by the order check's normal draws;
+# older numpy releases load numpy.random with numpy itself
+LAZY_IMPORTS_SCRIPT = """
+import sys
+import numpy
+BARE_NUMPY_LOADS_RANDOM = "numpy.random" in sys.modules
+""" + TWO_LEVEL_SETUP + """
 def loaded(*names):
     return [name for name in names if name in sys.modules]
 
@@ -358,6 +364,8 @@ sweep = run_eta_sweep(ExperimentConfig.from_dict({
 }))
 assert len(sweep.runs) == 4
 assert not loaded(*pool, "numpy.ma"), loaded(*pool, "numpy.ma")
+drawn = ("secrets", "_hashlib") + (() if BARE_NUMPY_LOADS_RANDOM else ("numpy.random",))
+assert not loaded(*drawn), loaded(*drawn)
 print("ok")
 """
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamid import (
     DoubleWellParams,
@@ -16,9 +17,9 @@ from hamid import (
     spec_norm,
     two_level_model,
 )
-from hamid.models import PICOSECOND_AU
+from hamid.models import PICOSECOND_AU, _uniform_draws
 
-from helpers import random_pair
+from helpers import perturb_pair_numpy, random_pair
 
 # frozen from an independent finite-difference eigensolver (tridiagonal
 # discretization at 8191/16383 interior points, Richardson extrapolated)
@@ -237,6 +238,48 @@ def test_perturb_pair_structure(rng):
 def test_perturbation_negative_eta_rejected():
     with pytest.raises(ValueError):
         PerturbationSpec(eta=-1.0, seed=0)
+
+
+def test_perturbation_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed"):
+        PerturbationSpec(eta=1e-3, seed=-1)
+    with pytest.raises(ValueError):
+        _uniform_draws(-1, 3)
+
+
+# seeds spread over 0..2**130 and packed around the 32-bit word boundaries
+# that change how many words SeedSequence mixes into its pool
+_WORD_EDGES = st.builds(
+    lambda bits, offset: max(0, (1 << bits) + offset),
+    st.sampled_from([32, 64, 96, 128]),
+    st.integers(min_value=-3, max_value=3),
+)
+_SEEDS = st.one_of(
+    st.integers(min_value=0, max_value=2**130),
+    st.integers(min_value=0, max_value=5000),
+    _WORD_EDGES,
+    st.integers(min_value=0, max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=_SEEDS, n=st.integers(min_value=0, max_value=64))
+def test_uniform_draws_are_numpy_stream_property(seed, n):
+    expected = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    got = _uniform_draws(seed, n)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_perturb_pair_matches_numpy_oracle(d, rng):
+    pair = random_pair(d, rng)
+    for seed in (0, 1, 7, 2**32, 12345678901234567890):
+        spec = PerturbationSpec(eta=3e-3, seed=seed)
+        got, expected = perturb_pair(pair, spec), perturb_pair_numpy(pair, spec)
+        assert got.h0.tobytes() == expected.h0.tobytes()
+        assert got.h1.tobytes() == expected.h1.tobytes()
 
 
 def test_double_well_model_json_export():
