@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from .experiments import SWEEP_DEFAULTS, ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, SweepSpec, run_experiment
 from .reporting import format_float
 
 
@@ -60,9 +60,9 @@ def main(argv=None) -> int:
 
     sweep_p = sub.add_parser("sweep", help="perturbation-magnitude sweep on the two-level benchmark")
     sweep_p.add_argument("--etas", help="comma-separated perturbation magnitudes")
-    sweep_p.add_argument("--n-seeds", type=int, default=SWEEP_DEFAULTS["n_seeds"])
-    sweep_p.add_argument("--k-max", type=int, default=SWEEP_DEFAULTS["k_max"])
-    sweep_p.add_argument("--workers", type=int, default=SWEEP_DEFAULTS["workers"])
+    sweep_p.add_argument("--n-seeds", type=int, default=SweepSpec.n_seeds)
+    sweep_p.add_argument("--k-max", type=int, default=SweepSpec.k_max)
+    sweep_p.add_argument("--workers", type=int, default=SweepSpec.workers)
     _add_common(sweep_p)
 
     demo_p = sub.add_parser("demo", help="built-in demonstrations")

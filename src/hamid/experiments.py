@@ -3,20 +3,20 @@ the identification studies (convergence tables, perturbation-magnitude
 sweeps, continuation traces, the singular-configuration demo, a time-step
 order check, and wall-clock scaling across system sizes).
 
-Every run writes CSV/JSON artifacts plus a manifest.json holding all
-resolved parameters, so a run is reproducible from its manifest alone.
-CSV floats are formatted at 12 significant digits and runs are seeded, so
-identical configs produce byte-identical CSVs.
+A run goes config -> plan -> runner.  ``ExperimentConfig`` holds the blocks
+as written.  Building it calls ``resolve``, which checks every block against
+the kind's ``_KINDS`` entry (its runner, its model block and the other blocks
+it reads) and builds each block the kind reads once, into its dataclass,
+over the kind's defaults.  An unknown key, a value of the wrong type or one
+out of range raises ``ValueError`` naming the key before any work starts.
+The result, a frozen ``Plan``, is kept as ``cfg.plan``; the runner reads it
+and nothing else.  ``run_experiment`` calls the runner and writes the
+manifest.
 
-The table ``_KINDS`` maps every kind to its runner, the keys its ``model``
-block accepts (with their types) and the other config blocks it reads.
-``ExperimentConfig`` checks each block against that entry when built, so an
-unknown key, a value of the wrong type or one out of range raises
-``ValueError`` before any work starts; ``run_experiment`` calls the runner
-and writes the manifest.
-The Newton and continuation runners serve both model families through a
-``_Family`` entry (set-up, Newton settings, default perturbation,
-continuation length, figure name).
+Every run writes CSV/JSON artifacts plus a manifest.json holding the config
+and every resolved setting, so a run is reproducible from its manifest
+alone.  CSV floats are formatted at 12 significant digits and runs are
+seeded, so identical configs produce byte-identical CSVs.
 """
 from __future__ import annotations
 
@@ -80,7 +80,6 @@ RECOVERY_DEV_TOL = 1e-9
 # remain plain config fields.
 BENCH_TWO_LEVEL_DELTA = 1e-4
 BENCH_TWO_LEVEL_SKEW = 0.1
-_BENCH_TWO_LEVEL = {"delta": BENCH_TWO_LEVEL_DELTA, "envelope_skew": BENCH_TWO_LEVEL_SKEW}
 
 # The truncated-eigenbasis problem driven by a resonant pulse has weakly
 # visible coupling directions (condition numbers a few 1e12); the refusal
@@ -97,10 +96,35 @@ BENCH_DOUBLE_WELL_TOL = 1e-8
 # direction above the noise floor.
 BENCH_DOUBLE_WELL_STEPS = 2**16
 
-SWEEP_DEFAULTS = {"etas": np.logspace(-5, -2, 13).tolist(), "n_seeds": 15, "k_max": 9, "workers": 1}
 # run r at the i-th eta draws seed base + stride * i + r, so n_seeds may not
 # exceed the stride
 _SWEEP_SEED_STRIDE = 1000
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """The eta-sweep block: ``n_seeds`` perturbations at each of ``etas``,
+    each identified in at most ``k_max`` Newton iterations, on at most
+    ``workers`` processes."""
+
+    etas: list[float] = field(default_factory=lambda: np.logspace(-5, -2, 13).tolist())
+    n_seeds: int = 15
+    k_max: int = 9
+    workers: int = 1
+
+    def __post_init__(self):
+        for name in ("n_seeds", "k_max", "workers"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not self.etas:
+            raise ValueError("etas must not be empty")
+        if min(self.etas) < 0:
+            raise ValueError(f"etas must be nonnegative, got {min(self.etas)!r}")
+        if self.n_seeds > _SWEEP_SEED_STRIDE:
+            raise ValueError(
+                f"n_seeds must be at most {_SWEEP_SEED_STRIDE}, got {self.n_seeds!r}; "
+                "more would repeat a seed at the next eta"
+            )
 
 
 def _field_types(cls, exclude=()) -> dict:
@@ -115,12 +139,16 @@ _BLOCK_TYPES = {
     # the newton block configures the continuation's Newton solves
     "continuation": _field_types(ContinuationConfig, exclude=("newton",)),
     # a null sweep value takes its default
-    "sweep": {k: Optional[list[float] if k == "etas" else int] for k in SWEEP_DEFAULTS},
+    "sweep": {k: Optional[v] for k, v in _field_types(SweepSpec).items()},
 }
 
 
 @dataclass
 class ExperimentConfig:
+    """An experiment config as written.  Its resolved form is the attribute
+    ``plan`` (see ``resolve``), which is not a field: ``to_dict`` and the
+    manifest record the config as written."""
+
     kind: str
     seed: int = 1
     out_dir: str = ""
@@ -141,7 +169,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if not self.out_dir:
             self.out_dir = f"runs/{self.kind}"
-        _check_blocks(self)
+        self.plan = resolve(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -154,6 +182,58 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A config resolved: every setting a runner reads, each block built
+    once.  A block the kind does not read is None."""
+
+    seed: int
+    n_steps: int
+    model: object  # the dataclass of the kind's model block
+    newton: Optional[NewtonConfig]
+    continuation: Optional[ContinuationConfig]
+    perturbation: Optional[PerturbationSpec]
+    sweep: Optional[SweepSpec]
+
+
+def resolve(cfg: ExperimentConfig) -> Plan:
+    """The plan of ``cfg``: every key of every block checked against the kind,
+    then each block the kind reads built into its dataclass over the kind's
+    defaults, whose own checks are the range rules.  Newton settings merge
+    the kind's, then ``sweep.k_max``, then the newton block."""
+    kind = _KINDS[cfg.kind]
+    types = _field_types(kind.params)
+    if kind.steps_type is not None:
+        types["n_steps"] = kind.steps_type
+    _check_block(cfg.kind, "model", cfg.model, types)
+    for name, block_types in _BLOCK_TYPES.items():
+        _check_block(cfg.kind, name, getattr(cfg, name), block_types if name in kind.blocks else {})
+    block = dict(cfg.model)
+    # no dataclass holds a step count, so its range is checked here
+    steps = {"n_steps": cfg.n_steps, "model.n_steps": block.pop("n_steps", None)}
+    for key, value in steps.items():
+        if value is not None and value <= 0:
+            raise ValueError(f"{cfg.kind}: {key} must be positive, got {value!r}")
+    # named here: the perturbation block's check would name perturbation.seed
+    if cfg.seed < 0:
+        raise ValueError(f"{cfg.kind}: seed must be nonnegative, got {cfg.seed!r}")
+    params = _build(cfg.kind, "model", kind.params, {**kind.defaults, **block})
+    sweep = newton = continuation = perturbation = None
+    if "sweep" in kind.blocks:
+        sweep = _build(cfg.kind, "sweep", SweepSpec, {k: v for k, v in cfg.sweep.items() if v is not None})
+    if "newton" in kind.blocks:
+        k_max = {"max_iters": sweep.k_max} if sweep else {}
+        newton = _build(cfg.kind, "newton", NewtonConfig, {**kind.newton, **k_max, **cfg.newton})
+    if "continuation" in kind.blocks:
+        settings = {**kind.continuation, **cfg.continuation}
+        continuation = _build(cfg.kind, "continuation", ContinuationConfig, settings, newton=newton)
+    if "perturbation" in kind.blocks:
+        spec = {"eta": kind.eta(params), "seed": cfg.seed, **cfg.perturbation}
+        perturbation = _build(cfg.kind, "perturbation", PerturbationSpec, spec)
+    n_steps = next((n for n in steps.values() if n is not None), kind.n_steps)
+    return Plan(cfg.seed, n_steps, params, newton, continuation, perturbation, sweep)
 
 
 # the abstract number types a config value may come as (numpy scalars included)
@@ -197,59 +277,19 @@ def _check_block(kind: str, block_name: str, block, types: dict) -> None:
             _check_value(kind, f"{block_name}.{key}", value, types[key])
 
 
-def _check_blocks(cfg: ExperimentConfig) -> None:
-    """Every key of every block must be one the kind's table entry reads,
-    with a value of the type of the field it sets and in range: a block that
-    sets a dataclass is built into it, whose own checks are the range rules."""
-    entry = _KINDS[cfg.kind]
-    _check_block(cfg.kind, "model", cfg.model, entry.model_types)
-    for name, types in _BLOCK_TYPES.items():
-        _check_block(cfg.kind, name, getattr(cfg, name), types if name in entry.blocks else {})
-    _check_ranges(cfg)
-    # a family's model block also takes n_steps, which its params lack
-    params = _field_types(entry.params)
-    _build(cfg.kind, "model", entry.params, {k: v for k, v in cfg.model.items() if k in params})
-    _build(cfg.kind, "newton", NewtonConfig, cfg.newton)
-    _build(cfg.kind, "continuation", ContinuationConfig, cfg.continuation)
-    # the eta stands in for the family default, which is in range
-    perturbation = {"eta": 0.0, "seed": cfg.seed, **cfg.perturbation}
-    _build(cfg.kind, "perturbation", PerturbationSpec, perturbation)
-
-
-def _build(kind: str, path: str, cls, block: dict):
+def _build(kind: str, path: str, cls, block: dict, **built):
     """``cls`` built from the checked config block at ``path``, its nested
-    blocks first; an error of a dataclass's own checks names the key."""
+    blocks first, and the fields in ``built`` as they are; an error of a
+    dataclass's own checks names the key."""
     hints = typing.get_type_hints(cls)
     values = dict(block)
     for key, value in block.items():
         if is_dataclass(hints[key]):
             values[key] = _build(kind, f"{path}.{key}", hints[key], value)
     try:
-        return cls(**values)
+        return cls(**values, **built)
     except ValueError as err:
         raise ValueError(f"{kind}: {path}.{err}") from None
-
-
-def _check_ranges(cfg: ExperimentConfig) -> None:
-    """Step and run counts must be positive and the eta list non-empty; a
-    zero would otherwise fall through to a default or to an empty sweep.  A
-    sweep draws at most one stride of seeds per eta, so that no two runs share
-    a seed, and the base seed must be nonnegative."""
-    counts = {"n_steps": cfg.n_steps, "model.n_steps": cfg.model.get("n_steps")}
-    counts.update({f"sweep.{k}": cfg.sweep.get(k) for k in ("n_seeds", "k_max", "workers")})
-    for key, value in counts.items():
-        if value is not None and value <= 0:
-            raise ValueError(f"{cfg.kind}: {key} must be positive, got {value!r}")
-    if cfg.sweep.get("etas") == []:
-        raise ValueError(f"{cfg.kind}: sweep.etas must not be empty")
-    if (cfg.sweep.get("n_seeds") or 0) > _SWEEP_SEED_STRIDE:
-        raise ValueError(
-            f"{cfg.kind}: sweep.n_seeds must be at most {_SWEEP_SEED_STRIDE}, "
-            f"got {cfg.sweep['n_seeds']!r}; more would repeat a seed at the next eta"
-        )
-    # named here: the perturbation block's check would name perturbation.seed
-    if cfg.seed < 0:
-        raise ValueError(f"{cfg.kind}: seed must be nonnegative, got {cfg.seed!r}")
 
 
 @dataclass
@@ -298,17 +338,10 @@ def classify_run(report: NewtonReport) -> str:
     return classify_devs(fin.dev_h0, fin.dev_h1, fin.dev_u)
 
 
-def _newton_config(cfg: ExperimentConfig, **family) -> NewtonConfig:
-    """NewtonConfig's defaults, overridden by the family's settings and then
-    by the config's newton block."""
-    return NewtonConfig(**{**family, **cfg.newton})
-
-
 @dataclass(frozen=True)
 class _Problem:
     """A model, its sampled field and the reference target U_tar = U_N(truth)."""
 
-    params: object
     pair: HamiltonianPair
     field_desc: object
     grid: TimeGrid
@@ -318,69 +351,58 @@ class _Problem:
     resolved_model: dict
 
 
-def _problem(params, pair, field_desc, n_steps, resolved_model=None) -> _Problem:
+def _problem(setup: Callable, params, n_steps: int) -> _Problem:
+    pair, field_desc, resolved_model = setup(params)
     grid = TimeGrid(t_f=params.t_f, n_steps=int(n_steps))
     samples = sample_field(field_desc, grid)
     u_0 = np.eye(pair.dim, dtype=complex)
     u_tar = propagate_final(u_0, pair, samples, grid)
-    return _Problem(params, pair, field_desc, grid, samples, u_0, u_tar, resolved_model)
+    return _Problem(pair, field_desc, grid, samples, u_0, u_tar, resolved_model)
 
 
-def _two_level_setup(cfg: ExperimentConfig) -> _Problem:
-    model = dict(cfg.model)
-    n_steps = model.pop("n_steps", None)
-    params = TwoLevelParams(**{**_BENCH_TWO_LEVEL, **model})
+def _two_level(params: TwoLevelParams):
+    """The two-level family's pair, field and resolved model block."""
     pair, field_desc = two_level_model(params)
-    resolved = dict(asdict(params), e0=params.resolved_e0)
-    n_steps = cfg.n_steps or n_steps or TWO_LEVEL_DEFAULT_STEPS
-    return _problem(params, pair, field_desc, n_steps, resolved)
+    return pair, field_desc, dict(asdict(params), e0=params.resolved_e0)
 
 
-def _double_well_setup(cfg: ExperimentConfig) -> _Problem:
-    model = dict(cfg.model)
-    n_steps = model.pop("n_steps", None)
-    params = _build(cfg.kind, "model", DoubleWellParams, model)
+def _double_well(params: DoubleWellParams):
+    """The double-well family's pair, field and resolved model block."""
     dw = build_double_well(params)
-    resolved = dict(asdict(params), omega_03=dw.omega_03, mu_03=dw.mu_03)
-    n_steps = cfg.n_steps or n_steps or BENCH_DOUBLE_WELL_STEPS
-    return _problem(params, dw.pair, pi_pulse_field(dw), n_steps, resolved)
+    return dw.pair, pi_pulse_field(dw), dict(asdict(params), omega_03=dw.omega_03, mu_03=dw.mu_03)
 
 
 @dataclass(frozen=True)
-class _Family:
-    """What the Newton and continuation kinds of one model family differ in."""
+class _Kind:
+    """One experiment kind: its runner, the blocks it reads and the defaults ``resolve`` fills in."""
 
-    setup: Callable  # config -> _Problem
-    params: type  # the parameter dataclass whose fields (and n_steps) the model block sets
-    newton: dict  # NewtonConfig fields the family sets
-    eta: Callable  # model parameters -> default perturbation magnitude
-    n_intermediate: int
-    figure: str
+    run: Callable  # (plan, output directory) -> (files, resolved, summary)
+    blocks: tuple  # the optional blocks of _BLOCK_TYPES it reads
+    params: type  # the dataclass that the model block's keys, n_steps aside, set
+    n_steps: int  # the default step count
+    steps_type: object = None  # the type of model.n_steps; None: the block has no such key
+    defaults: dict = field(default_factory=dict)  # params fields the kind sets
+    newton: dict = field(default_factory=dict)  # NewtonConfig fields the kind sets
+    continuation: dict = field(default_factory=dict)  # ContinuationConfig fields the kind sets
+    eta: Callable = None  # params -> default perturbation magnitude
 
-    @property
-    def model_types(self) -> dict:
-        return {**_field_types(self.params), "n_steps": Optional[int]}
 
-
-_TWO_LEVEL = _Family(
-    setup=_two_level_setup,
-    params=TwoLevelParams,
-    newton={},
-    eta=lambda params: 1e-4,
-    n_intermediate=20,
-    figure="fig3.csv",
-)
-_DOUBLE_WELL = _Family(
-    setup=_double_well_setup,
-    params=DoubleWellParams,
-    newton={
-        "tol": BENCH_DOUBLE_WELL_TOL,
-        "singular_cond_threshold": BENCH_DOUBLE_WELL_COND_THRESHOLD,
-    },
-    eta=lambda params: 1e-5 if params.n_levels <= 6 else 1e-6,
-    n_intermediate=30,
-    figure="fig6.csv",
-)
+# what the kinds of one model family share
+_TWO_LEVEL = {
+    "params": TwoLevelParams,
+    "n_steps": TWO_LEVEL_DEFAULT_STEPS,
+    "steps_type": Optional[int],
+    "defaults": {"delta": BENCH_TWO_LEVEL_DELTA, "envelope_skew": BENCH_TWO_LEVEL_SKEW},
+    "eta": lambda params: 1e-4,
+}
+_DOUBLE_WELL = {
+    "params": DoubleWellParams,
+    "n_steps": BENCH_DOUBLE_WELL_STEPS,
+    "steps_type": Optional[int],
+    "newton": {"tol": BENCH_DOUBLE_WELL_TOL, "singular_cond_threshold": BENCH_DOUBLE_WELL_COND_THRESHOLD},
+    "continuation": {"n_intermediate": 30},
+    "eta": lambda params: 1e-5 if params.n_levels <= 6 else 1e-6,
+}
 
 
 def _manifest(out: Path, cfg: ExperimentConfig, resolved: dict, wall: float, files: list) -> Path:
@@ -397,10 +419,6 @@ def _manifest(out: Path, cfg: ExperimentConfig, resolved: dict, wall: float, fil
         "outputs": [f.name for f in files],
     }
     return write_json(out / "manifest.json", payload)
-
-
-def _sweep_seed(base_seed: int, eta_index: int, rep: int) -> int:
-    return base_seed + _SWEEP_SEED_STRIDE * eta_index + rep
 
 
 def _sweep_one(job) -> EtaSweepRun:
@@ -437,18 +455,24 @@ def _median(vals: np.ndarray) -> float:
 
 def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
     """Identify the two-level benchmark from ``n_seeds`` perturbations at each
-    eta and label each eta with its majority regime.  Every setting is resolved
-    here once and returned in ``resolved``.  The pool of ``workers`` processes
-    is capped by the job count and the CPU count; at 1 the runs stay here."""
-    sweep = {**SWEEP_DEFAULTS, **{k: v for k, v in cfg.sweep.items() if v is not None}}
-    newton_cfg = _newton_config(cfg, max_iters=int(sweep["k_max"]))
-    problem = _two_level_setup(cfg)
+    eta of an eta-sweep config and label each eta with its majority regime;
+    ``resolved`` records the plan's settings.  The pool of ``workers``
+    processes is capped by the job count and the CPU count; at 1 the runs
+    stay here."""
+    if cfg.plan.sweep is None:
+        raise ValueError(f"run_eta_sweep needs an eta-sweep config, got kind {cfg.kind!r}")
+    return _eta_sweep(cfg.plan)
+
+
+def _eta_sweep(plan: Plan) -> EtaSweepResult:
+    sweep = plan.sweep
+    problem = _problem(_two_level, plan.model, plan.n_steps)
     jobs = [
-        (problem, newton_cfg, float(eta), _sweep_seed(cfg.seed, i, r))
-        for i, eta in enumerate(sweep["etas"])
-        for r in range(int(sweep["n_seeds"]))
+        (problem, plan.newton, float(eta), plan.seed + _SWEEP_SEED_STRIDE * i + r)
+        for i, eta in enumerate(sweep.etas)
+        for r in range(int(sweep.n_seeds))
     ]
-    workers = min(int(sweep["workers"]), len(jobs), os.cpu_count() or 1)
+    workers = min(int(sweep.workers), len(jobs), os.cpu_count() or 1)
     if workers > 1:
         # multiprocessing is about 1.3 MB resident; a serial sweep never loads it
         from concurrent.futures import ProcessPoolExecutor
@@ -484,13 +508,13 @@ def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
             agg[f"worst_{name}"] = float(np.max(vals)) if vals.size else None
         aggregates.append(agg)
     resolved = {
-        "etas": [a["eta"] for a in aggregates],
-        "n_seeds": int(sweep["n_seeds"]),
-        "k_max": newton_cfg.max_iters,
-        "n_steps": problem.grid.n_steps,
-        "delta": problem.params.delta,
-        "envelope_skew": problem.params.envelope_skew,
-        "newton": asdict(newton_cfg),
+        "etas": sorted({float(eta) for eta in sweep.etas}),
+        "n_seeds": int(sweep.n_seeds),
+        "k_max": plan.newton.max_iters,
+        "n_steps": int(plan.n_steps),
+        "delta": plan.model.delta,
+        "envelope_skew": plan.model.envelope_skew,
+        "newton": asdict(plan.newton),
     }
     return EtaSweepResult(runs=runs, aggregates=aggregates, resolved=resolved)
 
@@ -508,14 +532,11 @@ SWEEP_AGG_HEADER = [
 CPU_HEADER = ["label", "n_d", "n_steps", "newton_iterations", "wall_seconds"]
 
 
-def _run_newton(family: _Family, cfg: ExperimentConfig, out: Path):
-    p = family.setup(cfg)
-    newton_cfg = _newton_config(cfg, **family.newton)
-    eta = float(cfg.perturbation.get("eta", family.eta(p.params)))
-    pert_seed = int(cfg.perturbation.get("seed", cfg.seed))
-    guess = perturb_pair(p.pair, PerturbationSpec(eta=eta, seed=pert_seed))
+def _run_newton(setup: Callable, plan: Plan, out: Path):
+    p = _problem(setup, plan.model, plan.n_steps)
+    guess = perturb_pair(p.pair, plan.perturbation)
     recovered, report = newton_identify(
-        p.u_0, p.u_tar, guess, p.samples, p.grid, newton_cfg, truth=p.pair
+        p.u_0, p.u_tar, guess, p.samples, p.grid, plan.newton, truth=p.pair
     )
     files = [
         report.write_csv(out / "report.csv"),
@@ -537,23 +558,20 @@ def _run_newton(family: _Family, cfg: ExperimentConfig, out: Path):
     resolved = {
         "model": p.resolved_model,
         "field": field_to_config(p.field_desc),
-        "n_steps": p.grid.n_steps,
-        "eta": eta,
-        "perturbation_seed": pert_seed,
-        "newton": asdict(newton_cfg),
+        "n_steps": int(plan.n_steps),
+        "eta": float(plan.perturbation.eta),
+        "perturbation_seed": int(plan.perturbation.seed),
+        "newton": asdict(plan.newton),
     }
     return files, resolved, summary
 
 
-def _run_continuation(family: _Family, cfg: ExperimentConfig, out: Path):
-    p = family.setup(cfg)
-    n_c = int(cfg.continuation.get("n_intermediate", family.n_intermediate))
-    newton_cfg = _newton_config(cfg, **family.newton)
-    cont_cfg = ContinuationConfig(**{**cfg.continuation, "n_intermediate": n_c, "newton": newton_cfg})
-    _, report = continuation_identify(p.u_0, p.u_tar, p.samples, p.grid, cont_cfg, truth=p.pair)
+def _run_continuation(setup: Callable, figure: str, plan: Plan, out: Path):
+    p = _problem(setup, plan.model, plan.n_steps)
+    _, report = continuation_identify(p.u_0, p.u_tar, p.samples, p.grid, plan.continuation, truth=p.pair)
     files = [
         report.write_csv(out / "stages.csv"),
-        report.write_csv(out / family.figure),
+        report.write_csv(out / figure),
         report.write_json(out / "stages.json"),
     ]
     last = report.stages[-1] if report.stages else None
@@ -567,16 +585,16 @@ def _run_continuation(family: _Family, cfg: ExperimentConfig, out: Path):
     }
     resolved = {
         "field": field_to_config(p.field_desc),
-        "n_steps": p.grid.n_steps,
-        "n_intermediate": n_c,
-        "refine_m0": cont_cfg.refine_m0,
-        "newton": asdict(newton_cfg),
+        "n_steps": int(plan.n_steps),
+        "n_intermediate": int(plan.continuation.n_intermediate),
+        "refine_m0": plan.continuation.refine_m0,
+        "newton": asdict(plan.newton),
     }
     return files, resolved, summary
 
 
-def _run_eta_sweep(cfg: ExperimentConfig, out: Path):
-    result = run_eta_sweep(cfg)
+def _run_eta_sweep(plan: Plan, out: Path):
+    result = _eta_sweep(plan)
     summary = {"labels": {format_float(a["eta"]): a["label"] for a in result.aggregates}}
     files = [
         write_table(
@@ -607,11 +625,10 @@ class _SingularityModel:
             raise ValueError(f"rank_tolerance must be in [0, 1), got {self.rank_tolerance!r}")
 
 
-def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
-    model = _SingularityModel(**cfg.model)
-    t_f = float(model.t_f)
-    rank_tol = float(model.rank_tolerance)
-    n_steps = int(cfg.n_steps or TWO_LEVEL_DEFAULT_STEPS)
+def _run_singularity_demo(plan: Plan, out: Path):
+    t_f = float(plan.model.t_f)
+    rank_tol = float(plan.model.rank_tolerance)
+    n_steps = int(plan.n_steps)
     grid = TimeGrid(t_f=t_f, n_steps=n_steps)
     u_tar = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     pair = m0_seed(decompose_target(u_tar), t_f)
@@ -619,11 +636,10 @@ def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
     samples = sample_field(field_desc, grid)
     system = linearize(np.eye(2, dtype=complex), pair, samples, grid).system(u_tar)
     diag = system_diagnostic(system, rank_tol)
-    newton_cfg = _newton_config(cfg)
     refused = False
     error_text = None
     try:
-        solve_update(system, newton_cfg)
+        solve_update(system, plan.newton)
     except SingularJacobianError as err:
         refused = True
         error_text = str(err)
@@ -642,30 +658,28 @@ def _run_singularity_demo(cfg: ExperimentConfig, out: Path):
         "n_steps": n_steps,
         "rank_tolerance": rank_tol,
         "field": field_to_config(field_desc),
-        "singular_cond_threshold": newton_cfg.singular_cond_threshold,
+        "singular_cond_threshold": plan.newton.singular_cond_threshold,
     }
     return [write_json(out / "diagnostic.json", payload)], resolved, summary
 
 
 @dataclass(frozen=True)
 class _OrderCheckModel:
-    """The time-step order check's model block."""
+    """The time-step order check's model block, n_steps aside."""
 
     t_f: float = 1.0
     field_value: float = 0.7
-    n_steps: int = 100
 
     def __post_init__(self):
         if not self.t_f > 0:
             raise ValueError(f"t_f must be positive, got {self.t_f!r}")
 
 
-def _run_cn_order_check(cfg: ExperimentConfig, out: Path):
-    model = _OrderCheckModel(**cfg.model)
-    t_f = float(model.t_f)
-    e_value = float(model.field_value)
-    base_steps = int(cfg.n_steps or model.n_steps)
-    rng = np.random.default_rng(cfg.seed)
+def _run_cn_order_check(plan: Plan, out: Path):
+    t_f = float(plan.model.t_f)
+    e_value = float(plan.model.field_value)
+    base_steps = int(plan.n_steps)
+    rng = np.random.default_rng(plan.seed)
     h0 = rng.normal(size=(2, 2))
     h0 = 0.5 * (h0 + h0.T)
     h1 = np.zeros((2, 2))
@@ -686,10 +700,9 @@ def _run_cn_order_check(cfg: ExperimentConfig, out: Path):
 
 @dataclass(frozen=True)
 class _CpuScalingModel:
-    """The scaling run's model block: step count, Newton iterations per
+    """The scaling run's model block, n_steps aside: Newton iterations per
     system size and perturbation magnitude."""
 
-    n_steps: int = 2**15
     iterations: int = 3
     eta: float = 1e-6
 
@@ -700,22 +713,22 @@ class _CpuScalingModel:
             raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
 
 
-def _run_cpu_scaling(cfg: ExperimentConfig, out: Path):
+def _run_cpu_scaling(plan: Plan, out: Path):
     """Matched fixed-iteration identification workloads across system sizes.
 
     Every run uses the same step count and the same iteration budget (the
     tolerance is set far below reach so the budget is always spent), so the
     recorded wall-clock isolates the cost growth with dimension.
     """
-    model = _CpuScalingModel(**cfg.model)
-    n_steps = int(cfg.n_steps or model.n_steps)
-    iters = int(model.iterations)
-    eta = float(model.eta)
+    n_steps = int(plan.n_steps)
+    iters = int(plan.model.iterations)
+    eta = float(plan.model.eta)
     budget = NewtonConfig(tol=1e-300, max_iters=iters, singular_cond_threshold=1e30)
+    spec = PerturbationSpec(eta=eta, seed=plan.seed)
     entries = []
 
     def timed(label, p: _Problem):
-        guess = perturb_pair(p.pair, PerturbationSpec(eta=eta, seed=cfg.seed))
+        guess = perturb_pair(p.pair, spec)
         t0 = time.perf_counter()
         _, report = newton_identify(p.u_0, p.u_tar, guess, p.samples, p.grid, budget, truth=p.pair)
         wall = time.perf_counter() - t0
@@ -729,47 +742,30 @@ def _run_cpu_scaling(cfg: ExperimentConfig, out: Path):
             }
         )
 
-    params = TwoLevelParams(**_BENCH_TWO_LEVEL)
-    timed("two-level", _problem(params, *two_level_model(params), n_steps))
+    timed("two-level", _problem(_two_level, TwoLevelParams(**_TWO_LEVEL["defaults"]), n_steps))
     for n_levels in (6, 12):
-        dw = build_double_well(DoubleWellParams(n_levels=n_levels))
-        timed(f"double-well-{n_levels}", _problem(dw.params, dw.pair, pi_pulse_field(dw), n_steps))
+        timed(f"double-well-{n_levels}", _problem(_double_well, DoubleWellParams(n_levels=n_levels), n_steps))
     path = write_table(out / "cpu.csv", CPU_HEADER, [[e[col] for col in CPU_HEADER] for e in entries])
     summary = {"entries": entries}
     resolved = {"n_steps": n_steps, "iterations": iters, "eta": eta}
     return [path], resolved, summary
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """One experiment kind: its runner and the config it reads."""
-
-    run: Callable  # (config, output directory) -> (files, resolved, summary)
-    model_types: dict
-    blocks: tuple  # the optional blocks of _BLOCK_TYPES it reads
-    params: type  # the dataclass its model block sets
-
-
-def _family_kind(run: Callable, family: _Family, blocks: tuple) -> _Kind:
-    return _Kind(partial(run, family), family.model_types, blocks, family.params)
-
-
-def _model_kind(run: Callable, params: type, blocks: tuple = ()) -> _Kind:
-    """A kind whose model block holds exactly the fields of ``params``."""
-    return _Kind(run, _field_types(params), blocks, params)
-
-
 _NEWTON_BLOCKS = ("perturbation", "newton")
 _CONTINUATION_BLOCKS = ("newton", "continuation")
 _KINDS = {
-    "newton-two-level": _family_kind(_run_newton, _TWO_LEVEL, _NEWTON_BLOCKS),
-    "newton-double-well": _family_kind(_run_newton, _DOUBLE_WELL, _NEWTON_BLOCKS),
-    "continuation-two-level": _family_kind(_run_continuation, _TWO_LEVEL, _CONTINUATION_BLOCKS),
-    "continuation-double-well": _family_kind(_run_continuation, _DOUBLE_WELL, _CONTINUATION_BLOCKS),
-    "eta-sweep": _Kind(_run_eta_sweep, _TWO_LEVEL.model_types, ("newton", "sweep"), TwoLevelParams),
-    "singularity-demo": _model_kind(_run_singularity_demo, _SingularityModel, ("newton",)),
-    "cn-order-check": _model_kind(_run_cn_order_check, _OrderCheckModel),
-    "cpu-scaling": _model_kind(_run_cpu_scaling, _CpuScalingModel),
+    "newton-two-level": _Kind(partial(_run_newton, _two_level), _NEWTON_BLOCKS, **_TWO_LEVEL),
+    "newton-double-well": _Kind(partial(_run_newton, _double_well), _NEWTON_BLOCKS, **_DOUBLE_WELL),
+    "continuation-two-level": _Kind(
+        partial(_run_continuation, _two_level, "fig3.csv"), _CONTINUATION_BLOCKS, **_TWO_LEVEL
+    ),
+    "continuation-double-well": _Kind(
+        partial(_run_continuation, _double_well, "fig6.csv"), _CONTINUATION_BLOCKS, **_DOUBLE_WELL
+    ),
+    "eta-sweep": _Kind(_run_eta_sweep, ("newton", "sweep"), **_TWO_LEVEL),
+    "singularity-demo": _Kind(_run_singularity_demo, ("newton",), _SingularityModel, TWO_LEVEL_DEFAULT_STEPS),
+    "cn-order-check": _Kind(_run_cn_order_check, (), _OrderCheckModel, 100, int),
+    "cpu-scaling": _Kind(_run_cpu_scaling, (), _CpuScalingModel, 2**15, int),
 }
 KINDS = tuple(_KINDS)
 
@@ -778,7 +774,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    files, resolved, summary = _KINDS[cfg.kind].run(cfg, out)
+    files, resolved, summary = _KINDS[cfg.kind].run(cfg.plan, out)
     wall = time.perf_counter() - t0
     files.append(_manifest(out, cfg, resolved, wall, files))
     return RunResult(out_dir=out, files=files, wall_seconds=wall, summary=summary)

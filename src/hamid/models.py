@@ -91,6 +91,10 @@ class DoubleWellParams:
     grid: SpatialGrid = field(default_factory=SpatialGrid)
 
     def __post_init__(self):
+        if not self.mass > 0:
+            raise ValueError(f"mass must be positive, got {self.mass!r}")
+        if not self.t_f > 0:
+            raise ValueError(f"t_f must be positive, got {self.t_f!r}")
         if self.n_levels < 2:
             raise ValueError("n_levels must be at least 2")
         if self.grid.n_points < 4 * self.n_levels:

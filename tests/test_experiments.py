@@ -15,6 +15,8 @@ from hamid.experiments import (
     run_experiment,
     run_eta_sweep,
 )
+from hamid.models import PerturbationSpec, TwoLevelParams
+from hamid.newton import NewtonConfig
 
 
 def test_classify_devs_examples():
@@ -33,6 +35,8 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict({})
     cfg = ExperimentConfig.from_dict({"kind": "cn-order-check"})
     assert cfg.out_dir == "runs/cn-order-check"
+    with pytest.raises(ValueError, match="eta-sweep"):
+        run_eta_sweep(cfg)
 
 
 def test_cn_order_check_kind(tmp_path):
@@ -182,6 +186,10 @@ BAD_CONFIGS = [
     ({"kind": "cn-order-check", "model": {"t_f": -1.0}}, [], "model.t_f"),
     ({"kind": "cpu-scaling", "model": {"iterations": 0}}, [], "model.iterations"),
     ({"kind": "cpu-scaling", "model": {"eta": -1.0}}, [], "model.eta"),
+    ({"kind": "eta-sweep", "sweep": {"etas": [-1e-3]}}, [], "sweep.etas"),
+    ({"kind": "newton-double-well", "model": {"t_f": 0.0}}, [], "model.t_f"),
+    ({"kind": "continuation-double-well", "model": {"t_f": -5.0}}, [], "model.t_f"),
+    ({"kind": "newton-double-well", "model": {"mass": 0.0}}, [], "model.mass"),
 ]
 
 
@@ -194,7 +202,32 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, config
         assert "error:" in err and key in err, (config, err)
+    assert main(["sweep", "--etas=-1e-3", "--out", str(tmp_path / "never")]) == 2
+    assert "sweep.etas" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "config, builds",
+    [
+        ({"kind": "newton-two-level"}, [1, 1, 1]),
+        # one perturbation per run
+        ({"kind": "eta-sweep", "sweep": {"etas": [1e-4], "n_seeds": 2}}, [1, 1, 2]),
+    ],
+)
+def test_each_block_built_once(tmp_path, monkeypatch, config, builds):
+    # reading the config resolves every block; the run builds none again
+    counts = {}
+    for cls in (TwoLevelParams, NewtonConfig, PerturbationSpec):
+        counts[cls] = 0
+
+        def counting(self, cls=cls, post_init=cls.__post_init__):
+            counts[cls] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    run_experiment(ExperimentConfig.from_dict({**config, "out_dir": str(tmp_path / "o")}))
+    assert list(counts.values()) == builds
 
 
 def test_config_accepts_numpy_and_integer_numbers(tmp_path):
