@@ -77,7 +77,10 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             sweep = {"n_seeds": args.n_seeds, "k_max": args.k_max, "workers": args.workers}
             if args.etas:
-                sweep["etas"] = [float(x) for x in args.etas.split(",")]
+                try:
+                    sweep["etas"] = [float(x) for x in args.etas.split(",")]
+                except ValueError as err:  # float's message quotes the entry
+                    raise ValueError(f"--etas: {err}") from None
             cfg = ExperimentConfig(kind="eta-sweep", sweep=sweep)
         else:
             cfg = ExperimentConfig(kind="singularity-demo")

@@ -50,7 +50,6 @@ class ContinuationConfig:
     n_intermediate: int = 20
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     refine_m0: bool = True
-    retry_doubled: bool = False
 
     def __post_init__(self):
         if self.n_intermediate < 1:
@@ -132,15 +131,7 @@ def continuation_identify(
         raise ValueError("continuation requires the identity as initial operator")
     u_tar = require_unitary(u_tar, "target operator")
 
-    pair, report = _run_path(u_0, u_tar, samples, grid, cfg, truth, cfg.n_intermediate)
-    if report.flag != CONTINUATION_OK and cfg.retry_doubled:
-        pair, report = _run_path(
-            u_0, u_tar, samples, grid, cfg, truth, 2 * cfg.n_intermediate
-        )
-    return pair, report
-
-
-def _run_path(u_0, u_tar, samples, grid, cfg, truth, n_c):
+    n_c = cfg.n_intermediate
     dec = decompose_target(u_tar)
     pair = m0_seed(dec, grid.t_f)
     # where the next stage starts: the pair, or the linearization at it that

@@ -4,11 +4,11 @@ sweeps, continuation traces, the singular-configuration demo, a time-step
 order check, and wall-clock scaling across system sizes).
 
 A run goes config -> plan -> runner.  ``ExperimentConfig`` holds the blocks
-as written.  Building it calls ``resolve``, which checks every block against
-the kind's ``_KINDS`` entry (its runner, its model block and the other blocks
-it reads) and builds each block the kind reads once, into its dataclass,
-over the kind's defaults.  An unknown key, a value of the wrong type or one
-out of range raises ``ValueError`` naming the key before any work starts.
+as written.  Building it calls ``resolve``, which builds each block the kind
+reads (see its ``_KINDS`` entry) once, into its dataclass, over the kind's
+defaults, checking each key and value against that dataclass's fields as it
+goes.  An unknown key, a value of the wrong type or one out of range raises
+``ValueError`` naming the key before any work starts.
 The result, a frozen ``Plan``, is kept as ``cfg.plan``; the runner reads it
 and nothing else.  ``run_experiment`` calls the runner and writes the
 manifest.
@@ -26,7 +26,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -105,14 +105,17 @@ _SWEEP_SEED_STRIDE = 1000
 class SweepSpec:
     """The eta-sweep block: ``n_seeds`` perturbations at each of ``etas``,
     each identified in at most ``k_max`` Newton iterations, on at most
-    ``workers`` processes."""
+    ``workers`` processes.  A field given as None takes its default."""
 
-    etas: list[float] = field(default_factory=lambda: np.logspace(-5, -2, 13).tolist())
-    n_seeds: int = 15
-    k_max: int = 9
-    workers: int = 1
+    etas: Optional[list[float]] = field(default_factory=lambda: np.logspace(-5, -2, 13).tolist())
+    n_seeds: Optional[int] = 15
+    k_max: Optional[int] = 9
+    workers: Optional[int] = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, f.default_factory() if f.default is MISSING else f.default)
         for name in ("n_seeds", "k_max", "workers"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -125,22 +128,6 @@ class SweepSpec:
                 f"n_seeds must be at most {_SWEEP_SEED_STRIDE}, got {self.n_seeds!r}; "
                 "more would repeat a seed at the next eta"
             )
-
-
-def _field_types(cls, exclude=()) -> dict:
-    """Field name -> type of a dataclass, as the config checks read it."""
-    return {k: v for k, v in typing.get_type_hints(cls).items() if k not in exclude}
-
-
-# keys and value types of the optional config blocks, for the kinds that read them
-_BLOCK_TYPES = {
-    "perturbation": _field_types(PerturbationSpec),
-    "newton": _field_types(NewtonConfig),
-    # the newton block configures the continuation's Newton solves
-    "continuation": _field_types(ContinuationConfig, exclude=("newton",)),
-    # a null sweep value takes its default
-    "sweep": {k: Optional[v] for k, v in _field_types(SweepSpec).items()},
-}
 
 
 @dataclass
@@ -160,7 +147,7 @@ class ExperimentConfig:
     n_steps: Optional[int] = None
 
     def __post_init__(self):
-        for name, hint in _field_types(ExperimentConfig).items():
+        for name, hint in typing.get_type_hints(ExperimentConfig).items():
             if hint is not dict:
                 _check_value("config", name, getattr(self, name), hint)
             elif getattr(self, name) is None:
@@ -199,40 +186,36 @@ class Plan:
 
 
 def resolve(cfg: ExperimentConfig) -> Plan:
-    """The plan of ``cfg``: every key of every block checked against the kind,
-    then each block the kind reads built into its dataclass over the kind's
-    defaults, whose own checks are the range rules.  Newton settings merge
-    the kind's, then ``sweep.k_max``, then the newton block."""
+    """The plan of ``cfg``: each block the kind reads built into its dataclass
+    over the kind's defaults, whose own checks are the range rules, and every
+    other block checked empty.  Newton settings merge the kind's, then
+    ``sweep.k_max``, then the newton block."""
     kind = _KINDS[cfg.kind]
-    types = _field_types(kind.params)
-    if kind.steps_type is not None:
-        types["n_steps"] = kind.steps_type
-    _check_block(cfg.kind, "model", cfg.model, types)
-    for name, block_types in _BLOCK_TYPES.items():
-        _check_block(cfg.kind, name, getattr(cfg, name), block_types if name in kind.blocks else {})
-    block = dict(cfg.model)
-    # no dataclass holds a step count, so its range is checked here
-    steps = {"n_steps": cfg.n_steps, "model.n_steps": block.pop("n_steps", None)}
-    for key, value in steps.items():
-        if value is not None and value <= 0:
-            raise ValueError(f"{cfg.kind}: {key} must be positive, got {value!r}")
-    # named here: the perturbation block's check would name perturbation.seed
+    # no dataclass holds the step count or the top-level seed, so their ranges
+    # are checked here (the perturbation block's check would name perturbation.seed)
+    if cfg.n_steps is not None and cfg.n_steps <= 0:
+        raise ValueError(f"{cfg.kind}: n_steps must be positive, got {cfg.n_steps!r}")
     if cfg.seed < 0:
         raise ValueError(f"{cfg.kind}: seed must be nonnegative, got {cfg.seed!r}")
-    params = _build(cfg.kind, "model", kind.params, {**kind.defaults, **block})
+    params = _build(cfg.kind, "model", kind.params, cfg.model, kind.defaults)
+    for name in ("perturbation", "newton", "continuation", "sweep"):
+        if name not in kind.blocks:
+            # object has no fields, so the block must be empty
+            _build(cfg.kind, name, object, getattr(cfg, name))
     sweep = newton = continuation = perturbation = None
     if "sweep" in kind.blocks:
-        sweep = _build(cfg.kind, "sweep", SweepSpec, {k: v for k, v in cfg.sweep.items() if v is not None})
+        sweep = _build(cfg.kind, "sweep", SweepSpec, cfg.sweep)
     if "newton" in kind.blocks:
         k_max = {"max_iters": sweep.k_max} if sweep else {}
-        newton = _build(cfg.kind, "newton", NewtonConfig, {**kind.newton, **k_max, **cfg.newton})
+        newton = _build(cfg.kind, "newton", NewtonConfig, cfg.newton, {**kind.newton, **k_max})
     if "continuation" in kind.blocks:
-        settings = {**kind.continuation, **cfg.continuation}
-        continuation = _build(cfg.kind, "continuation", ContinuationConfig, settings, newton=newton)
+        continuation = _build(
+            cfg.kind, "continuation", ContinuationConfig, cfg.continuation, kind.continuation, newton=newton
+        )
     if "perturbation" in kind.blocks:
-        spec = {"eta": kind.eta(params), "seed": cfg.seed, **cfg.perturbation}
-        perturbation = _build(cfg.kind, "perturbation", PerturbationSpec, spec)
-    n_steps = next((n for n in steps.values() if n is not None), kind.n_steps)
+        spec = {"eta": kind.eta(params), "seed": cfg.seed}
+        perturbation = _build(cfg.kind, "perturbation", PerturbationSpec, cfg.perturbation, spec)
+    n_steps = kind.n_steps if cfg.n_steps is None else cfg.n_steps
     return Plan(cfg.seed, n_steps, params, newton, continuation, perturbation, sweep)
 
 
@@ -264,28 +247,24 @@ def _check_value(kind: str, key: str, value, hint) -> None:
         raise ValueError(f"{kind}: {key} must be of type {name}, got {value!r}")
 
 
-def _check_block(kind: str, block_name: str, block, types: dict) -> None:
+def _build(kind: str, path: str, cls, block, defaults: dict = {}, **built):
+    """``cls`` built over ``defaults`` from the config block at ``path``, with
+    the fields in ``built`` as given.  Each key of the block must name another
+    field of ``cls`` and its value have that field's type; a nested block is
+    built the same way first.  An error names the key."""
     if not isinstance(block, dict):
-        raise ValueError(f"{kind}: the {block_name} block must be an object, got {block!r}")
-    unknown = sorted(set(block) - set(types))
+        raise ValueError(f"{kind}: the {path} block must be an object, got {block!r}")
+    hints = {k: v for k, v in typing.get_type_hints(cls).items() if k not in built}
+    unknown = sorted(set(block) - set(hints))
     if unknown:
-        raise ValueError(f"{kind}: unknown {block_name} keys {unknown}; accepted: {sorted(types)}")
-    for key, value in block.items():
-        if is_dataclass(types[key]):
-            _check_block(kind, f"{block_name}.{key}", value, _field_types(types[key]))
-        else:
-            _check_value(kind, f"{block_name}.{key}", value, types[key])
-
-
-def _build(kind: str, path: str, cls, block: dict, **built):
-    """``cls`` built from the checked config block at ``path``, its nested
-    blocks first, and the fields in ``built`` as they are; an error of a
-    dataclass's own checks names the key."""
-    hints = typing.get_type_hints(cls)
-    values = dict(block)
+        raise ValueError(f"{kind}: unknown {path} keys {unknown}; accepted: {sorted(hints)}")
+    values = dict(defaults)
     for key, value in block.items():
         if is_dataclass(hints[key]):
-            values[key] = _build(kind, f"{path}.{key}", hints[key], value)
+            value = _build(kind, f"{path}.{key}", hints[key], value)
+        else:
+            _check_value(kind, f"{path}.{key}", value, hints[key])
+        values[key] = value
     try:
         return cls(**values, **built)
     except ValueError as err:
@@ -377,10 +356,9 @@ class _Kind:
     """One experiment kind: its runner, the blocks it reads and the defaults ``resolve`` fills in."""
 
     run: Callable  # (plan, output directory) -> (files, resolved, summary)
-    blocks: tuple  # the optional blocks of _BLOCK_TYPES it reads
-    params: type  # the dataclass that the model block's keys, n_steps aside, set
+    blocks: tuple  # the optional blocks it reads: perturbation, newton, continuation, sweep
+    params: type  # the dataclass that the model block's keys set
     n_steps: int  # the default step count
-    steps_type: object = None  # the type of model.n_steps; None: the block has no such key
     defaults: dict = field(default_factory=dict)  # params fields the kind sets
     newton: dict = field(default_factory=dict)  # NewtonConfig fields the kind sets
     continuation: dict = field(default_factory=dict)  # ContinuationConfig fields the kind sets
@@ -391,14 +369,12 @@ class _Kind:
 _TWO_LEVEL = {
     "params": TwoLevelParams,
     "n_steps": TWO_LEVEL_DEFAULT_STEPS,
-    "steps_type": Optional[int],
     "defaults": {"delta": BENCH_TWO_LEVEL_DELTA, "envelope_skew": BENCH_TWO_LEVEL_SKEW},
     "eta": lambda params: 1e-4,
 }
 _DOUBLE_WELL = {
     "params": DoubleWellParams,
     "n_steps": BENCH_DOUBLE_WELL_STEPS,
-    "steps_type": Optional[int],
     "newton": {"tol": BENCH_DOUBLE_WELL_TOL, "singular_cond_threshold": BENCH_DOUBLE_WELL_COND_THRESHOLD},
     "continuation": {"n_intermediate": 30},
     "eta": lambda params: 1e-5 if params.n_levels <= 6 else 1e-6,
@@ -665,7 +641,7 @@ def _run_singularity_demo(plan: Plan, out: Path):
 
 @dataclass(frozen=True)
 class _OrderCheckModel:
-    """The time-step order check's model block, n_steps aside."""
+    """The time-step order check's model block."""
 
     t_f: float = 1.0
     field_value: float = 0.7
@@ -700,8 +676,8 @@ def _run_cn_order_check(plan: Plan, out: Path):
 
 @dataclass(frozen=True)
 class _CpuScalingModel:
-    """The scaling run's model block, n_steps aside: Newton iterations per
-    system size and perturbation magnitude."""
+    """The scaling run's model block: Newton iterations per system size and
+    perturbation magnitude."""
 
     iterations: int = 3
     eta: float = 1e-6
@@ -764,8 +740,8 @@ _KINDS = {
     ),
     "eta-sweep": _Kind(_run_eta_sweep, ("newton", "sweep"), **_TWO_LEVEL),
     "singularity-demo": _Kind(_run_singularity_demo, ("newton",), _SingularityModel, TWO_LEVEL_DEFAULT_STEPS),
-    "cn-order-check": _Kind(_run_cn_order_check, (), _OrderCheckModel, 100, int),
-    "cpu-scaling": _Kind(_run_cpu_scaling, (), _CpuScalingModel, 2**15, int),
+    "cn-order-check": _Kind(_run_cn_order_check, (), _OrderCheckModel, 100),
+    "cpu-scaling": _Kind(_run_cpu_scaling, (), _CpuScalingModel, 2**15),
 }
 KINDS = tuple(_KINDS)
 

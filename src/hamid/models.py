@@ -95,8 +95,9 @@ class DoubleWellParams:
             raise ValueError(f"mass must be positive, got {self.mass!r}")
         if not self.t_f > 0:
             raise ValueError(f"t_f must be positive, got {self.t_f!r}")
-        if self.n_levels < 2:
-            raise ValueError("n_levels must be at least 2")
+        if self.n_levels < 4:
+            # the pi pulse drives the 0 -> 3 transition
+            raise ValueError(f"n_levels must be at least 4, got {self.n_levels!r}")
         if self.grid.n_points < 4 * self.n_levels:
             raise ValueError("grid.n_points must be at least 4 * n_levels")
 
@@ -171,12 +172,11 @@ def build_double_well(p: DoubleWellParams = DoubleWellParams()) -> DoubleWellMod
         )
     dipole = (vectors.T * (0.5 * x)) @ vectors
     dipole = 0.5 * (dipole + dipole.T)
-    mu_03 = float(dipole[0, 3]) if p.n_levels > 3 else 0.0
     h1 = dipole - np.diag(np.diag(dipole))
     model = DoubleWellModel(
         pair=HamiltonianPair(h0=np.diag(energies), h1=h1),
-        omega_03=float(energies[3] - energies[0]) if p.n_levels > 3 else float("nan"),
-        mu_03=mu_03,
+        omega_03=float(energies[3] - energies[0]),
+        mu_03=float(dipole[0, 3]),
         eigenenergies=energies.copy(),
         params=p,
     )

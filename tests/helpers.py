@@ -145,30 +145,27 @@ def continuation_walk_reference(u_0, u_tar, samples, grid, cfg, truth=None):
     previous stage's pair, and its dev_U_stage comes from one more
     ``propagate_final`` at the stage's final pair.  The reference the
     hand-off walk must match bit for bit."""
-    n_paths = (cfg.n_intermediate, 2 * cfg.n_intermediate) if cfg.retry_doubled else (cfg.n_intermediate,)
-    for n_c in n_paths:
-        dec = decompose_target(u_tar)
-        pair = m0_seed(dec, grid.t_f)
-        report = ContinuationReport(stages=[], flag=CONTINUATION_OK)
-        for m in range(n_c + 1):
-            target_m = intermediate_target(dec, m, n_c)
-            newton_report = None
-            if m > 0 or cfg.refine_m0:
-                pair, newton_report = newton_identify(u_0, target_m, pair, samples, grid, cfg.newton)
-            report.stages.append(
-                ContinuationStage(
-                    m=m,
-                    newton_report=newton_report,
-                    dev_u_stage=spec_norm(target_m - propagate_final(u_0, pair, samples, grid)),
-                    dev_h0=spec_norm(truth.h0 - pair.h0) if truth is not None else None,
-                    dev_h1=spec_norm(truth.h1 - pair.h1) if truth is not None else None,
-                )
+    n_c = cfg.n_intermediate
+    dec = decompose_target(u_tar)
+    pair = m0_seed(dec, grid.t_f)
+    report = ContinuationReport(stages=[], flag=CONTINUATION_OK)
+    for m in range(n_c + 1):
+        target_m = intermediate_target(dec, m, n_c)
+        newton_report = None
+        if m > 0 or cfg.refine_m0:
+            pair, newton_report = newton_identify(u_0, target_m, pair, samples, grid, cfg.newton)
+        report.stages.append(
+            ContinuationStage(
+                m=m,
+                newton_report=newton_report,
+                dev_u_stage=spec_norm(target_m - propagate_final(u_0, pair, samples, grid)),
+                dev_h0=spec_norm(truth.h0 - pair.h0) if truth is not None else None,
+                dev_h1=spec_norm(truth.h1 - pair.h1) if truth is not None else None,
             )
-            if newton_report is not None and newton_report.flag != FLAG_CONVERGED:
-                report.flag = CONTINUATION_FAILED
-                report.failed_stage = m
-                break
-        if report.flag == CONTINUATION_OK:
+        )
+        if newton_report is not None and newton_report.flag != FLAG_CONVERGED:
+            report.flag = CONTINUATION_FAILED
+            report.failed_stage = m
             break
     return pair, report
 

@@ -155,7 +155,7 @@ def test_continuation_report_csv(tmp_path):
     assert len(lines) == 4  # header + stages 0..2
 
 
-def test_continuation_failure_reported_and_retry_doubles():
+def test_continuation_failure_reported():
     pair, samples, grid = _benchmark_setup()
     u0 = np.eye(2, dtype=complex)
     u_tar = propagate_final(u0, pair, samples, grid)
@@ -165,10 +165,6 @@ def test_continuation_failure_reported_and_retry_doubles():
     _, report = continuation_identify(u0, u_tar, samples, grid, cfg)
     assert report.flag == "failed"
     assert report.failed_stage == 0
-    cfg_retry = ContinuationConfig(n_intermediate=2, newton=strangled, retry_doubled=True)
-    _, report2 = continuation_identify(u0, u_tar, samples, grid, cfg_retry)
-    # the retry reruns the path with twice the stages before giving up
-    assert report2.flag == "failed"
 
 
 def test_singularity_probe_appendix_case():

@@ -142,7 +142,6 @@ BAD_CONFIGS = [
     ({"kind": "eta-sweep", "sweep": {"etas": [1e-5, "x"]}}, [], "sweep.etas"),
     ({"kind": "newton-two-level", "newton": {"max_iters": "5"}}, [], "newton.max_iters"),
     ({"kind": "newton-two-level", "n_steps": 2.5}, [], "n_steps"),
-    ({"kind": "newton-two-level", "model": {"n_steps": 2.5}}, [], "model.n_steps"),
     ({"kind": "newton-two-level", "model": {"delta": "x"}}, [], "model.delta"),
     ({"kind": "newton-two-level", "seed": True}, [], "seed"),
     ({"kind": "newton-double-well", "model": {"grid": {"n_points": 64.5}}}, [], "n_points"),
@@ -156,9 +155,6 @@ BAD_CONFIGS = [
     # counts out of range, which would otherwise become the default or an empty sweep
     ({"kind": "cn-order-check", "n_steps": 0}, [], "n_steps"),
     ({"kind": "cpu-scaling"}, ["--steps", "0"], "n_steps"),
-    ({"kind": "newton-two-level", "model": {"n_steps": 0}}, [], "model.n_steps"),
-    ({"kind": "newton-double-well", "model": {"n_steps": -4}}, [], "model.n_steps"),
-    ({"kind": "cn-order-check", "model": {"n_steps": 0}}, [], "model.n_steps"),
     ({"kind": "eta-sweep", "sweep": {"n_seeds": 0}}, [], "sweep.n_seeds"),
     ({"kind": "eta-sweep", "sweep": {"k_max": 0}}, [], "sweep.k_max"),
     ({"kind": "eta-sweep", "sweep": {"workers": -1}}, [], "sweep.workers"),
@@ -190,6 +186,20 @@ BAD_CONFIGS = [
     ({"kind": "newton-double-well", "model": {"t_f": 0.0}}, [], "model.t_f"),
     ({"kind": "continuation-double-well", "model": {"t_f": -5.0}}, [], "model.t_f"),
     ({"kind": "newton-double-well", "model": {"mass": 0.0}}, [], "model.mass"),
+    # the pi pulse drives the 0 -> 3 transition, so a double well needs 4 levels
+    ({"kind": "newton-double-well", "n_steps": 256}, ["--nd", "3"], "model.n_levels"),
+    ({"kind": "continuation-double-well", "model": {"n_levels": 2}}, [], "model.n_levels"),
+    # retired keys: the step count is the top-level n_steps only, and the
+    # continuation walks its path once
+    ({"kind": "newton-two-level", "model": {"n_steps": 200}}, [], "unknown model keys ['n_steps']"),
+    ({"kind": "newton-double-well", "model": {"n_steps": 256}}, [], "unknown model keys ['n_steps']"),
+    ({"kind": "cn-order-check", "model": {"n_steps": 100}}, [], "unknown model keys ['n_steps']"),
+    ({"kind": "cpu-scaling", "model": {"n_steps": 256}}, [], "unknown model keys ['n_steps']"),
+    (
+        {"kind": "continuation-two-level", "continuation": {"retry_doubled": True}},
+        [],
+        "unknown continuation keys ['retry_doubled']",
+    ),
 ]
 
 
@@ -204,6 +214,8 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
         assert "error:" in err and key in err, (config, err)
     assert main(["sweep", "--etas=-1e-3", "--out", str(tmp_path / "never")]) == 2
     assert "sweep.etas" in capsys.readouterr().err
+    assert main(["sweep", "--etas", "1e-5,,1e-4", "--out", str(tmp_path / "never")]) == 2
+    assert "--etas: could not convert string to float: ''" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
 
 
@@ -237,7 +249,8 @@ def test_config_accepts_numpy_and_integer_numbers(tmp_path):
         kind="cn-order-check",
         out_dir=str(tmp_path / "o"),
         seed=np.int64(3),
-        model={"t_f": 1, "field_value": np.float64(0.7), "n_steps": np.int64(100)},
+        model={"t_f": 1, "field_value": np.float64(0.7)},
+        n_steps=np.int64(100),
     )
     run_experiment(cfg)
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
@@ -249,7 +262,7 @@ def test_eta_sweep_resolves_like_two_level_kinds(tmp_path):
     cfg = ExperimentConfig(
         kind="eta-sweep",
         out_dir=str(tmp_path / "sw"),
-        model={"n_steps": 600},
+        n_steps=600,
         sweep={"etas": [1e-5], "n_seeds": 1, "k_max": 9},
         newton={"max_iters": 2},
     )

@@ -7,7 +7,10 @@
 ``DIR/<name>``, with the working directory set to DIR so every manifest
 records the same relative ``out_dir`` (and so the same config hash) wherever
 DIR is.  It uses whichever ``hamid`` is importable, so pointing PYTHONPATH at
-another checkout's ``src`` runs that checkout.
+another checkout's ``src`` runs that checkout.  Every config sets its step
+count with the top-level ``n_steps``, the one spelling that older checkouts
+(which also took ``model.n_steps``) and this one share, so a run of an older
+commit's ``src`` compares with a run of this one.
 
 ``compare`` diffs every file of two such directories.  It ignores only
 ``wall_seconds``: the JSON key of that name at any depth, and the CSV column
@@ -38,14 +41,16 @@ CONFIGS = {
     },
     "newton-double-well": {
         "kind": "newton-double-well",
-        "model": {"n_levels": 4, "n_steps": 4096},
+        "n_steps": 4096,
+        "model": {"n_levels": 4},
         "perturbation": {"eta": 1e-6, "seed": 4},
         "newton": {"max_iters": 6},
     },
     "continuation-two-level": {"kind": "continuation-two-level"},
     "continuation-double-well": {
         "kind": "continuation-double-well",
-        "model": {"n_levels": 4, "n_steps": 2048},
+        "n_steps": 2048,
+        "model": {"n_levels": 4},
         "continuation": {"n_intermediate": 4},
         "newton": {"max_iters": 8},
     },
@@ -55,7 +60,7 @@ CONFIGS = {
     "eta-sweep-1000-steps": {"kind": "eta-sweep", "seed": 4, "n_steps": 1000, "sweep": SWEEP},
     "singularity-demo": {"kind": "singularity-demo"},
     "cn-order-check": {"kind": "cn-order-check", "seed": 3},
-    "cpu-scaling": {"kind": "cpu-scaling", "model": {"n_steps": 512, "iterations": 1}},
+    "cpu-scaling": {"kind": "cpu-scaling", "n_steps": 512, "model": {"iterations": 1}},
 }
 
 IGNORED = "wall_seconds"
