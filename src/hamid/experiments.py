@@ -27,7 +27,7 @@ import sys
 import time
 import typing
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -147,11 +147,9 @@ class ExperimentConfig:
     n_steps: Optional[int] = None
 
     def __post_init__(self):
-        for name, hint in typing.get_type_hints(ExperimentConfig).items():
-            if hint is not dict:
+        for name, hint in _hints(ExperimentConfig).items():
+            if hint is not dict:  # resolve builds and checks the blocks
                 _check_value("config", name, getattr(self, name), hint)
-            elif getattr(self, name) is None:
-                setattr(self, name, {})
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if not self.out_dir:
@@ -188,11 +186,11 @@ class Plan:
 def resolve(cfg: ExperimentConfig) -> Plan:
     """The plan of ``cfg``: each block the kind reads built into its dataclass
     over the kind's defaults, whose own checks are the range rules, and every
-    other block checked empty.  Newton settings merge the kind's, then
-    ``sweep.k_max``, then the newton block."""
+    other block checked empty.  Each setting has one key: the perturbation
+    seed is built from ``seed`` and the sweep's Newton cap from ``k_max``."""
     kind = _KINDS[cfg.kind]
     # no dataclass holds the step count or the top-level seed, so their ranges
-    # are checked here (the perturbation block's check would name perturbation.seed)
+    # are checked here (PerturbationSpec's check would name perturbation.seed)
     if cfg.n_steps is not None and cfg.n_steps <= 0:
         raise ValueError(f"{cfg.kind}: n_steps must be positive, got {cfg.n_steps!r}")
     if cfg.seed < 0:
@@ -207,20 +205,22 @@ def resolve(cfg: ExperimentConfig) -> Plan:
         sweep = _build(cfg.kind, "sweep", SweepSpec, cfg.sweep)
     if "newton" in kind.blocks:
         k_max = {"max_iters": sweep.k_max} if sweep else {}
-        newton = _build(cfg.kind, "newton", NewtonConfig, cfg.newton, {**kind.newton, **k_max})
+        newton = _build(cfg.kind, "newton", NewtonConfig, cfg.newton, kind.newton, **k_max)
     if "continuation" in kind.blocks:
         continuation = _build(
             cfg.kind, "continuation", ContinuationConfig, cfg.continuation, kind.continuation, newton=newton
         )
     if "perturbation" in kind.blocks:
-        spec = {"eta": kind.eta(params), "seed": cfg.seed}
-        perturbation = _build(cfg.kind, "perturbation", PerturbationSpec, cfg.perturbation, spec)
+        eta = {"eta": kind.eta(params)}
+        perturbation = _build(cfg.kind, "perturbation", PerturbationSpec, cfg.perturbation, eta, seed=cfg.seed)
     n_steps = kind.n_steps if cfg.n_steps is None else cfg.n_steps
     return Plan(cfg.seed, n_steps, params, newton, continuation, perturbation, sweep)
 
 
 # the abstract number types a config value may come as (numpy scalars included)
 _NUMBER_TYPES = {int: numbers.Integral, float: numbers.Real}
+# each dataclass's field types, read once: a read evaluates every annotation string
+_hints = cache(typing.get_type_hints)
 
 
 def _accepts(hint, value) -> bool:
@@ -254,7 +254,7 @@ def _build(kind: str, path: str, cls, block, defaults: dict = {}, **built):
     built the same way first.  An error names the key."""
     if not isinstance(block, dict):
         raise ValueError(f"{kind}: the {path} block must be an object, got {block!r}")
-    hints = {k: v for k, v in typing.get_type_hints(cls).items() if k not in built}
+    hints = {k: v for k, v in _hints(cls).items() if k not in built}
     unknown = sorted(set(block) - set(hints))
     if unknown:
         raise ValueError(f"{kind}: unknown {path} keys {unknown}; accepted: {sorted(hints)}")
@@ -486,7 +486,7 @@ def _eta_sweep(plan: Plan) -> EtaSweepResult:
     resolved = {
         "etas": sorted({float(eta) for eta in sweep.etas}),
         "n_seeds": int(sweep.n_seeds),
-        "k_max": plan.newton.max_iters,
+        "k_max": sweep.k_max,
         "n_steps": int(plan.n_steps),
         "delta": plan.model.delta,
         "envelope_skew": plan.model.envelope_skew,

@@ -1,11 +1,15 @@
 import json
+import typing
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hamid.experiments as experiments
 from hamid.cli import main
 from hamid.experiments import (
+    KINDS,
     REGIME_ALTERNATE,
     REGIME_DIVERGES,
     REGIME_RECOVERS,
@@ -63,7 +67,8 @@ def test_newton_two_level_kind(tmp_path):
     cfg = ExperimentConfig(
         kind="newton-two-level",
         out_dir=str(tmp_path / "n"),
-        perturbation={"eta": 1e-5, "seed": 9},
+        seed=9,
+        perturbation={"eta": 1e-5},
     )
     result = run_experiment(cfg)
     assert result.summary["regime"] == REGIME_RECOVERS
@@ -118,6 +123,15 @@ def test_cli_run_with_config_and_overrides(tmp_path, capsys):
     assert "ratios" in out
 
 
+def test_cli_seed_sets_the_perturbation_seed(tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config = {"kind": "newton-two-level", "n_steps": 400, "newton": {"max_iters": 2}}
+    config_path.write_text(json.dumps(config))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "n"), "--seed", "5"]) == 0
+    manifest = json.loads((tmp_path / "n" / "manifest.json").read_text())
+    assert manifest["resolved"]["perturbation_seed"] == 5
+
+
 def test_cli_demo_singularity(tmp_path, capsys):
     rc = main(["demo", "singularity", "--out", str(tmp_path / "d")])
     assert rc == 0
@@ -162,7 +176,6 @@ BAD_CONFIGS = [
     # more seeds per eta than the stride between etas would repeat a seed
     ({"kind": "eta-sweep", "sweep": {"n_seeds": 1001}}, [], "sweep.n_seeds"),
     # negative seeds, which numpy's seeding would refuse only inside the run
-    ({"kind": "newton-two-level", "perturbation": {"seed": -3}}, [], "perturbation.seed"),
     ({"kind": "newton-two-level", "seed": -1}, [], ": seed"),
     ({"kind": "eta-sweep", "seed": -1}, [], ": seed"),
     ({"kind": "cn-order-check", "seed": -1}, [], ": seed"),
@@ -200,6 +213,15 @@ BAD_CONFIGS = [
         [],
         "unknown continuation keys ['retry_doubled']",
     ),
+    # keys of values another key sets: the perturbation seed is the top-level
+    # seed, and the sweep's Newton iteration cap is sweep.k_max
+    ({"kind": "newton-two-level", "perturbation": {"seed": 5}}, [], "unknown perturbation keys ['seed']"),
+    ({"kind": "newton-double-well", "perturbation": {"seed": 5}}, [], "unknown perturbation keys ['seed']"),
+    ({"kind": "eta-sweep", "newton": {"max_iters": 2}}, [], "unknown newton keys ['max_iters']"),
+    # a block is an object, never null
+    ({"kind": "newton-two-level", "model": None}, [], "the model block must be an object"),
+    ({"kind": "eta-sweep", "sweep": None}, [], "the sweep block must be an object"),
+    ({"kind": "cn-order-check", "continuation": None}, [], "the continuation block must be an object"),
 ]
 
 
@@ -242,6 +264,69 @@ def test_each_block_built_once(tmp_path, monkeypatch, config, builds):
     assert list(counts.values()) == builds
 
 
+def _settings(value, path=()) -> dict:
+    """The leaves of a plan by path: each field of a dataclass, recursively."""
+    if not is_dataclass(value):
+        return {path: value}
+    leaves = {}
+    for f in fields(value):
+        leaves.update(_settings(getattr(value, f.name), (*path, f.name)))
+    return leaves
+
+
+def _another(value):
+    """A valid value other than ``value`` for the field it sets."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return 1.5 * value if value else 0.5
+    if isinstance(value, list):
+        return [2 * x for x in value]
+    return 0.5  # the two-level e0, None until set
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_plan_field_has_one_key(kind):
+    # set each key the kind accepts (of those a plan field names) to another
+    # value, one at a time, and note which plan fields take that value; a field
+    # that follows another key by a rule of its own (the double-well eta follows
+    # n_levels) takes a different one
+    default = _settings(ExperimentConfig.from_dict({"kind": kind}).plan)
+    set_by = {}
+    for path, value in default.items():
+        if value is None and len(path) == 1:
+            continue  # a block the kind does not read
+        new = _another(value)
+        block = new
+        for key in reversed(path):
+            block = {key: block}
+        try:
+            plan = ExperimentConfig.from_dict({"kind": kind, **block}).plan
+        except ValueError as err:
+            assert "unknown" in str(err), (path, err)
+            continue
+        changed = [p for p, v in _settings(plan).items() if v == new and default[p] != new]
+        assert path in changed, (path, changed)
+        for p in changed:
+            set_by.setdefault(p, []).append(".".join(path))
+    assert {p: keys for p, keys in set_by.items() if len(keys) > 1} == {}
+
+
+def test_type_hints_read_once_per_class(monkeypatch):
+    # a second config of a kind reads no dataclass's type hints again
+    config = {"kind": "eta-sweep", "sweep": {"etas": [1e-5, 1e-4]}}
+    ExperimentConfig.from_dict(config)
+    calls = []
+    read = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda *args: calls.append(args) or read(*args))
+    misses = experiments._hints.cache_info().misses
+    ExperimentConfig.from_dict(dict(config, seed=2))
+    assert calls == []
+    assert experiments._hints.cache_info().misses == misses
+
+
 def test_config_accepts_numpy_and_integer_numbers(tmp_path):
     # numpy integers set int fields and plain integers set float fields; the
     # manifest keeps them as numbers a later config check accepts again
@@ -263,8 +348,7 @@ def test_eta_sweep_resolves_like_two_level_kinds(tmp_path):
         kind="eta-sweep",
         out_dir=str(tmp_path / "sw"),
         n_steps=600,
-        sweep={"etas": [1e-5], "n_seeds": 1, "k_max": 9},
-        newton={"max_iters": 2},
+        sweep={"etas": [1e-5], "n_seeds": 1, "k_max": 2},
     )
     run_experiment(cfg)
     resolved = json.loads((tmp_path / "sw" / "manifest.json").read_text())["resolved"]
@@ -349,7 +433,8 @@ def test_newton_double_well_kind_small(tmp_path):
         out_dir=str(tmp_path / "dw"),
         model={"n_levels": 6},
         n_steps=2**14,
-        perturbation={"eta": 1e-6, "seed": 4},
+        seed=4,
+        perturbation={"eta": 1e-6},
         newton={"max_iters": 12},
     )
     result = run_experiment(cfg)

@@ -8,9 +8,11 @@
 records the same relative ``out_dir`` (and so the same config hash) wherever
 DIR is.  It uses whichever ``hamid`` is importable, so pointing PYTHONPATH at
 another checkout's ``src`` runs that checkout.  Every config sets its step
-count with the top-level ``n_steps``, the one spelling that older checkouts
-(which also took ``model.n_steps``) and this one share, so a run of an older
-commit's ``src`` compares with a run of this one.
+count with the top-level ``n_steps``, its perturbation seed with the
+top-level ``seed`` and a sweep's iteration cap with ``sweep.k_max``: the one
+spelling of each that older checkouts (which also took ``model.n_steps``,
+``perturbation.seed`` and ``newton.max_iters``) and this one share, so a run
+of an older commit's ``src`` compares with a run of this one.
 
 ``compare`` diffs every file of two such directories.  It ignores only
 ``wall_seconds``: the JSON key of that name at any depth, and the CSV column
@@ -35,15 +37,16 @@ CONFIGS = {
     "newton-two-level-seed1": {"kind": "newton-two-level", "seed": 1},
     "newton-two-level-seed2": {
         "kind": "newton-two-level",
-        "seed": 2,
-        "perturbation": {"eta": 1e-3, "seed": 5},
+        "seed": 5,
+        "perturbation": {"eta": 1e-3},
         "newton": {"max_iters": 7},
     },
     "newton-double-well": {
         "kind": "newton-double-well",
         "n_steps": 4096,
+        "seed": 4,
         "model": {"n_levels": 4},
-        "perturbation": {"eta": 1e-6, "seed": 4},
+        "perturbation": {"eta": 1e-6},
         "newton": {"max_iters": 6},
     },
     "continuation-two-level": {"kind": "continuation-two-level"},
@@ -56,7 +59,7 @@ CONFIGS = {
     },
     "eta-sweep-workers1": {"kind": "eta-sweep", "seed": 7, "sweep": {**SWEEP, "workers": 1}},
     "eta-sweep-workers2": {"kind": "eta-sweep", "seed": 7, "sweep": {**SWEEP, "workers": 2}},
-    "eta-sweep-max-iters2": {"kind": "eta-sweep", "seed": 7, "sweep": SWEEP, "newton": {"max_iters": 2}},
+    "eta-sweep-max-iters2": {"kind": "eta-sweep", "seed": 7, "sweep": {**SWEEP, "k_max": 2}},
     "eta-sweep-1000-steps": {"kind": "eta-sweep", "seed": 4, "n_steps": 1000, "sweep": SWEEP},
     "singularity-demo": {"kind": "singularity-demo"},
     "cn-order-check": {"kind": "cn-order-check", "seed": 3},
