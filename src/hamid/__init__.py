@@ -22,16 +22,13 @@ from .fields import (
     ControlField,
     PiPulse,
     SinSqEnvelope,
-    Tabulated,
     TimeGrid,
-    field_from_config,
     field_to_config,
     sample_field,
 )
 from .linalg import (
     TargetDecomposition,
     decompose_target,
-    matrix_from_json,
     matrix_to_json,
     spec_norm,
     split_log,
@@ -72,8 +69,8 @@ from .newton import (
     newton_identify,
     reduce_system,
     reduced_condition,
-    singularity_probe,
     solve_update,
+    system_diagnostic,
     unknown_index_map,
 )
 from .propagation import (

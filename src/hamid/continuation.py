@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import TimeGrid
+from .fields import TimeGrid, require_count
 from .linalg import (
     TargetDecomposition,
     decompose_target,
@@ -52,8 +52,7 @@ class ContinuationConfig:
     refine_m0: bool = True
 
     def __post_init__(self):
-        if self.n_intermediate < 1:
-            raise ValueError("n_intermediate must be >= 1")
+        require_count("n_intermediate", self.n_intermediate)
 
 
 @dataclass

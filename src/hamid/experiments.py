@@ -21,6 +21,7 @@ seeded, so identical configs produce byte-identical CSVs.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import sys
@@ -38,7 +39,7 @@ from .continuation import (
     continuation_identify,
     m0_seed,
 )
-from .fields import SinSqEnvelope, TimeGrid, field_to_config, sample_field
+from .fields import SinSqEnvelope, TimeGrid, field_to_config, require_count, sample_field
 from .linalg import decompose_target, matrix_to_json
 from .models import (
     TWO_LEVEL_DEFAULT_STEPS,
@@ -117,12 +118,11 @@ class SweepSpec:
             if getattr(self, f.name) is None:
                 object.__setattr__(self, f.name, f.default_factory() if f.default is MISSING else f.default)
         for name in ("n_seeds", "k_max", "workers"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            require_count(name, getattr(self, name))
         if not self.etas:
             raise ValueError("etas must not be empty")
-        if min(self.etas) < 0:
-            raise ValueError(f"etas must be nonnegative, got {min(self.etas)!r}")
+        if not all(0 <= eta < math.inf for eta in self.etas):
+            raise ValueError(f"etas must be nonnegative and finite, got {self.etas!r}")
         if self.n_seeds > _SWEEP_SEED_STRIDE:
             raise ValueError(
                 f"n_seeds must be at most {_SWEEP_SEED_STRIDE}, got {self.n_seeds!r}; "

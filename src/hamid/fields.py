@@ -7,10 +7,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
+
+
+def require_count(name: str, n) -> None:
+    """Refuse anything but a positive integer (a numpy one included) for the
+    count ``name``; a bool is not a count."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not n >= 1:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -23,9 +30,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.t_f < math.inf:
             raise ValueError(f"t_f must be positive and finite, got {self.t_f!r}")
-        n = self.n_steps
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not n >= 1:
-            raise ValueError(f"n_steps must be a positive integer, got {n!r}")
+        require_count("n_steps", self.n_steps)
 
     @property
     def dt(self) -> float:
@@ -69,58 +74,19 @@ class PiPulse:
         return self.amplitude * env * np.cos(self.carrier_freq * t)
 
 
-@dataclass(frozen=True)
-class Tabulated:
-    """Pre-sampled midpoint values; length must match the grid it is used on."""
-
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-
-
-ControlField = Union[SinSqEnvelope, PiPulse, Tabulated]
+ControlField = Union[SinSqEnvelope, PiPulse]
+# the "type" each descriptor is recorded under, followed by its fields
+_FIELD_TYPES = {SinSqEnvelope: "sin_sq", PiPulse: "pi_pulse"}
 
 
 def sample_field(field_desc: ControlField, grid: TimeGrid) -> np.ndarray:
     """Midpoint samples of a control field on a grid."""
-    if isinstance(field_desc, Tabulated):
-        if field_desc.samples.shape != (grid.n_steps,):
-            raise ValueError(
-                f"tabulated field has {field_desc.samples.shape[0]} samples, "
-                f"grid has {grid.n_steps} steps"
-            )
-        return field_desc.samples.copy()
-    if isinstance(field_desc, (SinSqEnvelope, PiPulse)):
-        return field_desc.values(grid.midpoints(), grid.t_f)
-    raise TypeError(f"unknown field descriptor {type(field_desc).__name__}")
+    if type(field_desc) not in _FIELD_TYPES:
+        raise TypeError(f"unknown field descriptor {type(field_desc).__name__}")
+    return field_desc.values(grid.midpoints(), grid.t_f)
 
 
 def field_to_config(field_desc: ControlField) -> dict:
-    if isinstance(field_desc, SinSqEnvelope):
-        return {"type": "sin_sq", "e0": field_desc.e0, "skew": field_desc.skew}
-    if isinstance(field_desc, PiPulse):
-        return {
-            "type": "pi_pulse",
-            "amplitude": field_desc.amplitude,
-            "envelope_freq_mult": field_desc.envelope_freq_mult,
-            "carrier_freq": field_desc.carrier_freq,
-        }
-    if isinstance(field_desc, Tabulated):
-        return {"type": "tabulated", "samples": field_desc.samples.tolist()}
-    raise TypeError(f"unknown field descriptor {type(field_desc).__name__}")
-
-
-def field_from_config(cfg: dict) -> ControlField:
-    kind = cfg.get("type")
-    if kind == "sin_sq":
-        return SinSqEnvelope(e0=float(cfg["e0"]), skew=float(cfg.get("skew", 0.0)))
-    if kind == "pi_pulse":
-        return PiPulse(
-            amplitude=float(cfg["amplitude"]),
-            envelope_freq_mult=float(cfg["envelope_freq_mult"]),
-            carrier_freq=float(cfg["carrier_freq"]),
-        )
-    if kind == "tabulated":
-        return Tabulated(samples=np.asarray(cfg["samples"], dtype=float))
-    raise ValueError(f"unknown field type {kind!r}")
+    if type(field_desc) not in _FIELD_TYPES:
+        raise TypeError(f"unknown field descriptor {type(field_desc).__name__}")
+    return {"type": _FIELD_TYPES[type(field_desc)], **asdict(field_desc)}

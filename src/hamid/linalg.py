@@ -192,16 +192,3 @@ def matrix_to_json(m: np.ndarray) -> dict:
     if np.iscomplexobj(m) and np.any(np.imag(m) != 0.0):
         payload["im"] = np.imag(m).tolist()
     return payload
-
-
-def matrix_from_json(payload: dict) -> np.ndarray:
-    dim = int(payload["dim"])
-    re = np.asarray(payload["re"], dtype=float)
-    if re.shape != (dim, dim):
-        raise ValueError(f"re block has shape {re.shape}, expected ({dim}, {dim})")
-    if "im" in payload:
-        im = np.asarray(payload["im"], dtype=float)
-        if im.shape != (dim, dim):
-            raise ValueError(f"im block has shape {im.shape}, expected ({dim}, {dim})")
-        return re + 1j * im
-    return re

@@ -11,6 +11,7 @@ Everything is in atomic units (hbar = 1).
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional
@@ -110,17 +111,6 @@ class DoubleWellModel:
     eigenenergies: np.ndarray
     params: DoubleWellParams
 
-    def to_json_dict(self) -> dict:
-        from .linalg import matrix_to_json
-
-        return {
-            "omega_03": self.omega_03,
-            "mu_03": self.mu_03,
-            "eigenenergies": self.eigenenergies.tolist(),
-            "h0": matrix_to_json(self.pair.h0),
-            "h1": matrix_to_json(self.pair.h1),
-        }
-
 
 def double_well_potential(r: np.ndarray) -> np.ndarray:
     return r**4 - r**2 - r / 20.0
@@ -201,8 +191,8 @@ class PerturbationSpec:
     seed: int
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 

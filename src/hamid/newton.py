@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import TimeGrid
+from .fields import TimeGrid, require_count
 from .linalg import require_square, require_unitary, spec_norm
 from .propagation import HamiltonianPair, propagate_final, propagate_with_gram
 from . import reporting
@@ -64,10 +64,11 @@ class NewtonConfig:
     singular_cond_threshold: float = 1e12
 
     def __post_init__(self):
-        for name in ("tol", "max_iters", "singular_cond_threshold"):
+        for name in ("tol", "singular_cond_threshold"):
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        require_count("max_iters", self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -339,19 +340,6 @@ def linearize(
     the Jacobian Gram sums."""
     u_n, g0, g1 = propagate_with_gram(u_0, pair, samples, grid)
     return Linearization(pair, u_n, *grams_to_jacobians(g0, g1, grid.dt))
-
-
-def singularity_probe(
-    pair: HamiltonianPair,
-    samples: np.ndarray,
-    grid: TimeGrid,
-    u_tar: np.ndarray,
-    rank_tolerance: float = 1e-9,
-) -> SingularityDiagnostic:
-    """``system_diagnostic`` of the Newton system at ``pair``, propagated
-    from the identity."""
-    system = linearize(np.eye(pair.dim, dtype=complex), pair, samples, grid).system(u_tar)
-    return system_diagnostic(system, rank_tolerance)
 
 
 def newton_identify(

@@ -26,7 +26,6 @@ from hamid import (
     propagate,
     propagate_final,
     sample_field,
-    singularity_probe,
     spec_norm,
     two_level_model,
     unitary_exp,
@@ -51,12 +50,13 @@ from hamid.models import (
 )
 from hamid.newton import (
     SingularJacobianError,
-    grams_to_jacobians,
     hermitian_residual,
+    linearize,
     reduce_system,
     solve_update,
+    system_diagnostic,
 )
-from hamid.propagation import HamiltonianPair, propagate_with_gram
+from hamid.propagation import HamiltonianPair
 
 from helpers import SIGMA_X, assemble_jacobian, haar_unitary, random_direction, random_pair
 
@@ -272,15 +272,8 @@ def test_criterion_7_singularity_demo():
     pair = m0_seed(dec, t_f)
     grid = TimeGrid(t_f, 2000)
     samples = sample_field(SinSqEnvelope(e0=2.0), grid)
-    ranks = []
-    for tol in (1e-10, 1e-8, 1e-6):
-        diag = singularity_probe(pair, samples, grid, SIGMA_X.astype(complex), rank_tolerance=tol)
-        ranks.append(diag.numerical_rank)
-    u_n, g0, g1 = propagate_with_gram(np.eye(2, dtype=complex), pair, samples, grid)
-    system = reduce_system(
-        *grams_to_jacobians(g0, g1, grid.dt),
-        hermitian_residual(u_n, SIGMA_X.astype(complex)),
-    )
+    system = linearize(np.eye(2, dtype=complex), pair, samples, grid).system(SIGMA_X.astype(complex))
+    ranks = [system_diagnostic(system, rank_tolerance=tol).numerical_rank for tol in (1e-10, 1e-8, 1e-6)]
     refused = False
     try:
         solve_update(system, NewtonConfig())  # default threshold

@@ -19,12 +19,13 @@ from hamid import (
     continuation_identify,
     decompose_target,
     intermediate_target,
+    linearize,
     m0_seed,
     pi_pulse_field,
     propagate_final,
     sample_field,
-    singularity_probe,
     spec_norm,
+    system_diagnostic,
     unitary_exp,
 )
 from hamid.experiments import (
@@ -175,8 +176,9 @@ def test_singularity_probe_appendix_case():
     pair = m0_seed(dec, t_f)
     grid = TimeGrid(t_f=t_f, n_steps=2000)
     samples = sample_field(SinSqEnvelope(e0=2.0), grid)
+    system = linearize(np.eye(2, dtype=complex), pair, samples, grid).system(SIGMA_X.astype(complex))
     for tol in (1e-10, 1e-8, 1e-6):
-        diag = singularity_probe(pair, samples, grid, SIGMA_X.astype(complex), rank_tolerance=tol)
+        diag = system_diagnostic(system, rank_tolerance=tol)
         assert diag.numerical_rank == 3
         assert diag.condition_estimate > 1e12
         assert len(diag.singular_values) == 4
@@ -189,7 +191,7 @@ def test_singularity_probe_no_coupling_no_field():
     grid = TimeGrid(t_f=5.0, n_steps=64)
     samples = np.zeros(64)
     u_tar = propagate_final(np.eye(2, dtype=complex), pair, samples, grid)
-    diag = singularity_probe(pair, samples, grid, u_tar)
+    diag = system_diagnostic(linearize(np.eye(2, dtype=complex), pair, samples, grid).system(u_tar))
     assert diag.numerical_rank < 4
 
 
@@ -198,7 +200,7 @@ def test_singularity_probe_generic_full_rank(rng):
     grid = TimeGrid(t_f=1.0, n_steps=64)
     samples = rng.normal(size=64)
     u_tar = propagate_final(np.eye(2, dtype=complex), pair, samples, grid)
-    diag = singularity_probe(pair, samples, grid, u_tar)
+    diag = system_diagnostic(linearize(np.eye(2, dtype=complex), pair, samples, grid).system(u_tar))
     assert diag.numerical_rank == 4
     assert diag.condition_estimate < 1e6
 

@@ -1,6 +1,9 @@
+import ast
+import importlib
 import json
 import typing
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +17,13 @@ from hamid.experiments import (
     REGIME_DIVERGES,
     REGIME_RECOVERS,
     ExperimentConfig,
+    SweepSpec,
     _median,
     classify_devs,
     run_experiment,
     run_eta_sweep,
 )
+from hamid.continuation import ContinuationConfig
 from hamid.models import PerturbationSpec, TwoLevelParams
 from hamid.newton import NewtonConfig
 
@@ -239,6 +244,49 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
     assert main(["sweep", "--etas", "1e-5,,1e-4", "--out", str(tmp_path / "never")]) == 2
     assert "--etas: could not convert string to float: ''" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, key",
+    [
+        # NaN compares false against any bound, so a range check must say
+        # what is allowed: 0 <= eta < inf
+        (PerturbationSpec, {"eta": float("nan"), "seed": 0}, "eta"),
+        (PerturbationSpec, {"eta": float("inf"), "seed": 0}, "eta"),
+        (SweepSpec, {"etas": [float("nan"), 1e-3]}, "etas"),
+        # counts that range() would refuse only inside the run
+        (NewtonConfig, {"max_iters": 2.5}, "max_iters"),
+        (NewtonConfig, {"max_iters": True}, "max_iters"),
+        (ContinuationConfig, {"n_intermediate": 2.5}, "n_intermediate"),
+        (ContinuationConfig, {"n_intermediate": True}, "n_intermediate"),
+        (SweepSpec, {"n_seeds": 2.5}, "n_seeds"),
+    ],
+)
+def test_library_specs_refuse_bad_values(cls, kwargs, key):
+    # the dataclasses a library caller builds directly refuse what the
+    # config path refuses, before any run starts
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        cls(**kwargs)
+
+
+def test_specs_accept_numpy_counts():
+    assert NewtonConfig(max_iters=np.int64(3)).max_iters == 3
+    assert ContinuationConfig(n_intermediate=np.int64(2)).n_intermediate == 2
+    assert SweepSpec(n_seeds=np.int32(2)).n_seeds == 2
+
+
+def test_perfbench_sites_resolve():
+    # every call the benchmark wraps must still exist under the name it is
+    # wrapped by; SITES is read from the source, without importing perfbench
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text())
+    sites = next(
+        node.value for node in tree.body if isinstance(node, ast.Assign) and node.targets[0].id == "SITES"
+    )
+    pairs = [(ast.literal_eval(site.elts[0]), ast.literal_eval(site.elts[1])) for site in sites.elts]
+    assert len(pairs) > 10
+    missing = [f"{mod}.{attr}" for mod, attr in pairs if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing
 
 
 @pytest.mark.parametrize(

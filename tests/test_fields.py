@@ -4,9 +4,7 @@ import pytest
 from hamid import (
     PiPulse,
     SinSqEnvelope,
-    Tabulated,
     TimeGrid,
-    field_from_config,
     field_to_config,
     sample_field,
 )
@@ -63,25 +61,20 @@ def test_pi_pulse_values():
     assert vals[1] == pytest.approx(2.0 * np.cos(0.5))
 
 
-def test_tabulated_roundtrip_and_mismatch():
-    grid = TimeGrid(t_f=1.0, n_steps=4)
-    fld = Tabulated(samples=np.array([1.0, 2.0, 3.0, 4.0]))
-    np.testing.assert_array_equal(sample_field(fld, grid), [1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        sample_field(fld, TimeGrid(t_f=1.0, n_steps=5))
-
-
 def test_field_config_roundtrip():
-    for fld in (
-        SinSqEnvelope(e0=0.3, skew=0.05),
-        PiPulse(amplitude=1.5, envelope_freq_mult=4.0, carrier_freq=0.12),
-        Tabulated(samples=np.array([0.0, 1.0])),
+    # the manifest records a descriptor as its type and then its fields, so
+    # the descriptor is rebuilt from the fields alone
+    for fld, kind in (
+        (SinSqEnvelope(e0=0.3, skew=0.05), "sin_sq"),
+        (PiPulse(amplitude=1.5, envelope_freq_mult=4.0, carrier_freq=0.12), "pi_pulse"),
     ):
-        back = field_from_config(field_to_config(fld))
-        grid = TimeGrid(t_f=3.0, n_steps=2)
-        np.testing.assert_allclose(sample_field(back, grid), sample_field(fld, grid))
+        payload = field_to_config(fld)
+        assert payload.pop("type") == kind
+        assert type(fld)(**payload) == fld
 
 
 def test_field_config_unknown_type():
-    with pytest.raises(ValueError):
-        field_from_config({"type": "nope"})
+    with pytest.raises(TypeError, match="unknown field descriptor"):
+        field_to_config(np.ones(4))
+    with pytest.raises(TypeError, match="unknown field descriptor"):
+        sample_field(np.ones(4), TimeGrid(t_f=1.0, n_steps=4))

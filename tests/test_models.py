@@ -280,15 +280,3 @@ def test_perturb_pair_matches_numpy_oracle(d, rng):
         got, expected = perturb_pair(pair, spec), perturb_pair_numpy(pair, spec)
         assert got.h0.tobytes() == expected.h0.tobytes()
         assert got.h1.tobytes() == expected.h1.tobytes()
-
-
-def test_double_well_model_json_export():
-    from hamid import matrix_from_json
-
-    model = build_double_well(DoubleWellParams(n_levels=6))
-    payload = model.to_json_dict()
-    assert payload["omega_03"] == pytest.approx(model.omega_03)
-    assert payload["mu_03"] == pytest.approx(model.mu_03)
-    np.testing.assert_allclose(matrix_from_json(payload["h0"]), model.pair.h0)
-    np.testing.assert_allclose(matrix_from_json(payload["h1"]), model.pair.h1)
-    assert len(payload["eigenenergies"]) == 6
