@@ -20,7 +20,12 @@ from .reporting import format_float
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--seed", type=int, help="RNG seed: a newton run's perturbation, a sweep's first run")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        help="RNG seed of the newton kinds, eta-sweep, cn-order-check and cpu-scaling; "
+        "the other kinds refuse it",
+    )
     parser.add_argument("--steps", type=int, help="number of time steps")
     parser.add_argument("--tol", type=float, help="Newton stopping tolerance")
     parser.add_argument("--nd", type=int, help="Hilbert-space size (double-well levels)")

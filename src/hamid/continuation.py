@@ -53,6 +53,8 @@ class ContinuationConfig:
 
     def __post_init__(self):
         require_count("n_intermediate", self.n_intermediate)
+        if not isinstance(self.refine_m0, (bool, np.bool_)):
+            raise ValueError(f"refine_m0 must be a bool, got {self.refine_m0!r}")
 
 
 @dataclass

@@ -6,9 +6,9 @@ order check, and wall-clock scaling across system sizes).
 A run goes config -> plan -> runner.  ``ExperimentConfig`` holds the blocks
 as written.  Building it calls ``resolve``, which builds each block the kind
 reads (see its ``_KINDS`` entry) once, into its dataclass, over the kind's
-defaults, checking each key and value against that dataclass's fields as it
-goes.  An unknown key, a value of the wrong type or one out of range raises
-``ValueError`` naming the key before any work starts.
+defaults, checking each key against that dataclass's fields as it goes.
+An unknown key raises ``ValueError`` naming it, and so does the dataclass
+for a value of the wrong type or out of range, before any work starts.
 The result, a frozen ``Plan``, is kept as ``cfg.plan``; the runner reads it
 and nothing else.  ``run_experiment`` calls the runner and writes the
 manifest.
@@ -21,13 +21,10 @@ seeded, so identical configs produce byte-identical CSVs.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
-import sys
 import time
 import typing
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -39,7 +36,7 @@ from .continuation import (
     continuation_identify,
     m0_seed,
 )
-from .fields import SinSqEnvelope, TimeGrid, field_to_config, require_count, sample_field
+from .fields import SinSqEnvelope, TimeGrid, field_to_config, require_count, require_real, sample_field
 from .linalg import decompose_target, matrix_to_json
 from .models import (
     TWO_LEVEL_DEFAULT_STEPS,
@@ -106,23 +103,22 @@ _SWEEP_SEED_STRIDE = 1000
 class SweepSpec:
     """The eta-sweep block: ``n_seeds`` perturbations at each of ``etas``,
     each identified in at most ``k_max`` Newton iterations, on at most
-    ``workers`` processes.  A field given as None takes its default."""
+    ``workers`` processes."""
 
-    etas: Optional[list[float]] = field(default_factory=lambda: np.logspace(-5, -2, 13).tolist())
-    n_seeds: Optional[int] = 15
-    k_max: Optional[int] = 9
-    workers: Optional[int] = 1
+    etas: list[float] = field(default_factory=lambda: np.logspace(-5, -2, 13).tolist())
+    n_seeds: int = 15
+    k_max: int = 9
+    workers: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) is None:
-                object.__setattr__(self, f.name, f.default_factory() if f.default is MISSING else f.default)
         for name in ("n_seeds", "k_max", "workers"):
             require_count(name, getattr(self, name))
-        if not self.etas:
-            raise ValueError("etas must not be empty")
-        if not all(0 <= eta < math.inf for eta in self.etas):
-            raise ValueError(f"etas must be nonnegative and finite, got {self.etas!r}")
+        if not isinstance(self.etas, list) or not self.etas:
+            raise ValueError(f"etas must be a non-empty list, got {self.etas!r}")
+        for eta in self.etas:
+            require_real("etas", eta)
+        if not all(eta >= 0 for eta in self.etas):
+            raise ValueError(f"etas must be nonnegative, got {self.etas!r}")
         if self.n_seeds > _SWEEP_SEED_STRIDE:
             raise ValueError(
                 f"n_seeds must be at most {_SWEEP_SEED_STRIDE}, got {self.n_seeds!r}; "
@@ -147,11 +143,16 @@ class ExperimentConfig:
     n_steps: Optional[int] = None
 
     def __post_init__(self):
-        for name, hint in _hints(ExperimentConfig).items():
-            if hint is not dict:  # resolve builds and checks the blocks
-                _check_value("config", name, getattr(self, name), hint)
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
+        try:  # resolve builds and checks the blocks
+            if not isinstance(self.out_dir, str):
+                raise ValueError(f"out_dir must be a str, got {self.out_dir!r}")
+            require_count("seed", self.seed, 0)
+            if self.n_steps is not None:
+                require_count("n_steps", self.n_steps)
+        except ValueError as err:
+            raise ValueError(f"{self.kind}: {err}") from None
         if not self.out_dir:
             self.out_dir = f"runs/{self.kind}"
         self.plan = resolve(self)
@@ -172,9 +173,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class Plan:
     """A config resolved: every setting a runner reads, each block built
-    once.  A block the kind does not read is None."""
+    once.  A block or seed the kind does not read is None."""
 
-    seed: int
+    seed: Optional[int]
     n_steps: int
     model: object  # the dataclass of the kind's model block
     newton: Optional[NewtonConfig]
@@ -185,73 +186,47 @@ class Plan:
 
 def resolve(cfg: ExperimentConfig) -> Plan:
     """The plan of ``cfg``: each block the kind reads built into its dataclass
-    over the kind's defaults, whose own checks are the range rules, and every
-    other block checked empty.  Each setting has one key: the perturbation
-    seed is built from ``seed`` and the sweep's Newton cap from ``k_max``."""
+    over the kind's defaults, whose own checks are the type and range rules,
+    and every other block checked empty.  Each setting has one key: the
+    perturbation seed is built from ``seed`` and the sweep's Newton cap from
+    ``k_max``."""
     kind = _KINDS[cfg.kind]
-    # no dataclass holds the step count or the top-level seed, so their ranges
-    # are checked here (PerturbationSpec's check would name perturbation.seed)
-    if cfg.n_steps is not None and cfg.n_steps <= 0:
-        raise ValueError(f"{cfg.kind}: n_steps must be positive, got {cfg.n_steps!r}")
-    if cfg.seed < 0:
-        raise ValueError(f"{cfg.kind}: seed must be nonnegative, got {cfg.seed!r}")
     params = _build(cfg.kind, "model", kind.params, cfg.model, kind.defaults)
     for name in ("perturbation", "newton", "continuation", "sweep"):
-        if name not in kind.blocks:
+        if name not in kind.reads:
             # object has no fields, so the block must be empty
             _build(cfg.kind, name, object, getattr(cfg, name))
+    # an unread seed keeps its default, as an unread block stays empty
+    if "seed" not in kind.reads and cfg.seed != ExperimentConfig.seed:
+        default = ExperimentConfig.seed
+        raise ValueError(f"{cfg.kind}: this kind reads no seed, so seed must stay {default}, got {cfg.seed!r}")
     sweep = newton = continuation = perturbation = None
-    if "sweep" in kind.blocks:
+    if "sweep" in kind.reads:
         sweep = _build(cfg.kind, "sweep", SweepSpec, cfg.sweep)
-    if "newton" in kind.blocks:
+    if "newton" in kind.reads:
         k_max = {"max_iters": sweep.k_max} if sweep else {}
         newton = _build(cfg.kind, "newton", NewtonConfig, cfg.newton, kind.newton, **k_max)
-    if "continuation" in kind.blocks:
+    if "continuation" in kind.reads:
         continuation = _build(
             cfg.kind, "continuation", ContinuationConfig, cfg.continuation, kind.continuation, newton=newton
         )
-    if "perturbation" in kind.blocks:
+    if "perturbation" in kind.reads:
         eta = {"eta": kind.eta(params)}
         perturbation = _build(cfg.kind, "perturbation", PerturbationSpec, cfg.perturbation, eta, seed=cfg.seed)
+    seed = cfg.seed if "seed" in kind.reads else None
     n_steps = kind.n_steps if cfg.n_steps is None else cfg.n_steps
-    return Plan(cfg.seed, n_steps, params, newton, continuation, perturbation, sweep)
+    return Plan(seed, n_steps, params, newton, continuation, perturbation, sweep)
 
 
-# the abstract number types a config value may come as (numpy scalars included)
-_NUMBER_TYPES = {int: numbers.Integral, float: numbers.Real}
 # each dataclass's field types, read once: a read evaluates every annotation string
 _hints = cache(typing.get_type_hints)
-
-
-def _accepts(hint, value) -> bool:
-    """Whether ``value`` may set a field of type ``hint``: int fields take
-    integers, float fields any finite real number, and neither takes a
-    bool."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is typing.Union:
-        return any(_accepts(arg, value) for arg in args)
-    if origin is list:
-        return isinstance(value, list) and all(_accepts(args[0], v) for v in value)
-    if isinstance(value, (bool, np.bool_)):
-        return hint is bool
-    if hint is float and isinstance(value, numbers.Real):
-        # false for NaN and inf, and for an integer too large for a float
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, _NUMBER_TYPES.get(hint, hint))
-
-
-def _check_value(kind: str, key: str, value, hint) -> None:
-    if not _accepts(hint, value):
-        name = hint.__name__ if isinstance(hint, type) else repr(hint).replace("typing.", "")
-        name = name.replace("float", "finite float")
-        raise ValueError(f"{kind}: {key} must be of type {name}, got {value!r}")
 
 
 def _build(kind: str, path: str, cls, block, defaults: dict = {}, **built):
     """``cls`` built over ``defaults`` from the config block at ``path``, with
     the fields in ``built`` as given.  Each key of the block must name another
-    field of ``cls`` and its value have that field's type; a nested block is
-    built the same way first.  An error names the key."""
+    field of ``cls``; a nested block is built the same way first, and ``cls``
+    checks the values.  An error names the key."""
     if not isinstance(block, dict):
         raise ValueError(f"{kind}: the {path} block must be an object, got {block!r}")
     hints = {k: v for k, v in _hints(cls).items() if k not in built}
@@ -260,11 +235,7 @@ def _build(kind: str, path: str, cls, block, defaults: dict = {}, **built):
         raise ValueError(f"{kind}: unknown {path} keys {unknown}; accepted: {sorted(hints)}")
     values = dict(defaults)
     for key, value in block.items():
-        if is_dataclass(hints[key]):
-            value = _build(kind, f"{path}.{key}", hints[key], value)
-        else:
-            _check_value(kind, f"{path}.{key}", value, hints[key])
-        values[key] = value
+        values[key] = _build(kind, f"{path}.{key}", hints[key], value) if is_dataclass(hints[key]) else value
     try:
         return cls(**values, **built)
     except ValueError as err:
@@ -353,10 +324,10 @@ def _double_well(params: DoubleWellParams):
 
 @dataclass(frozen=True)
 class _Kind:
-    """One experiment kind: its runner, the blocks it reads and the defaults ``resolve`` fills in."""
+    """One experiment kind: its runner, the keys it reads and the defaults ``resolve`` fills in."""
 
     run: Callable  # (plan, output directory) -> (files, resolved, summary)
-    blocks: tuple  # the optional blocks it reads: perturbation, newton, continuation, sweep
+    reads: tuple  # the optional keys it reads: seed, perturbation, newton, continuation, sweep
     params: type  # the dataclass that the model block's keys set
     n_steps: int  # the default step count
     defaults: dict = field(default_factory=dict)  # params fields the kind sets
@@ -595,10 +566,14 @@ class _SingularityModel:
     rank_tolerance: float = 1e-9  # singular values below this times the largest count as zero
 
     def __post_init__(self):
-        if not self.t_f > 0:
-            raise ValueError(f"t_f must be positive, got {self.t_f!r}")
+        require_real("t_f", self.t_f, positive=True)
+        require_real("rank_tolerance", self.rank_tolerance)
         if not 0 <= self.rank_tolerance < 1:
             raise ValueError(f"rank_tolerance must be in [0, 1), got {self.rank_tolerance!r}")
+
+
+# the demo refuses the step as a Newton solve with the default settings does
+_SINGULARITY_NEWTON = NewtonConfig()
 
 
 def _run_singularity_demo(plan: Plan, out: Path):
@@ -615,7 +590,7 @@ def _run_singularity_demo(plan: Plan, out: Path):
     refused = False
     error_text = None
     try:
-        solve_update(system, plan.newton)
+        solve_update(system, _SINGULARITY_NEWTON)
     except SingularJacobianError as err:
         refused = True
         error_text = str(err)
@@ -634,7 +609,7 @@ def _run_singularity_demo(plan: Plan, out: Path):
         "n_steps": n_steps,
         "rank_tolerance": rank_tol,
         "field": field_to_config(field_desc),
-        "singular_cond_threshold": plan.newton.singular_cond_threshold,
+        "singular_cond_threshold": _SINGULARITY_NEWTON.singular_cond_threshold,
     }
     return [write_json(out / "diagnostic.json", payload)], resolved, summary
 
@@ -647,8 +622,8 @@ class _OrderCheckModel:
     field_value: float = 0.7
 
     def __post_init__(self):
-        if not self.t_f > 0:
-            raise ValueError(f"t_f must be positive, got {self.t_f!r}")
+        require_real("t_f", self.t_f, positive=True)
+        require_real("field_value", self.field_value)
 
 
 def _run_cn_order_check(plan: Plan, out: Path):
@@ -683,8 +658,8 @@ class _CpuScalingModel:
     eta: float = 1e-6
 
     def __post_init__(self):
-        if not self.iterations > 0:
-            raise ValueError(f"iterations must be positive, got {self.iterations!r}")
+        require_count("iterations", self.iterations)
+        require_real("eta", self.eta)
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
 
@@ -727,21 +702,21 @@ def _run_cpu_scaling(plan: Plan, out: Path):
     return [path], resolved, summary
 
 
-_NEWTON_BLOCKS = ("perturbation", "newton")
-_CONTINUATION_BLOCKS = ("newton", "continuation")
+_NEWTON_READS = ("seed", "perturbation", "newton")
+_CONTINUATION_READS = ("newton", "continuation")
 _KINDS = {
-    "newton-two-level": _Kind(partial(_run_newton, _two_level), _NEWTON_BLOCKS, **_TWO_LEVEL),
-    "newton-double-well": _Kind(partial(_run_newton, _double_well), _NEWTON_BLOCKS, **_DOUBLE_WELL),
+    "newton-two-level": _Kind(partial(_run_newton, _two_level), _NEWTON_READS, **_TWO_LEVEL),
+    "newton-double-well": _Kind(partial(_run_newton, _double_well), _NEWTON_READS, **_DOUBLE_WELL),
     "continuation-two-level": _Kind(
-        partial(_run_continuation, _two_level, "fig3.csv"), _CONTINUATION_BLOCKS, **_TWO_LEVEL
+        partial(_run_continuation, _two_level, "fig3.csv"), _CONTINUATION_READS, **_TWO_LEVEL
     ),
     "continuation-double-well": _Kind(
-        partial(_run_continuation, _double_well, "fig6.csv"), _CONTINUATION_BLOCKS, **_DOUBLE_WELL
+        partial(_run_continuation, _double_well, "fig6.csv"), _CONTINUATION_READS, **_DOUBLE_WELL
     ),
-    "eta-sweep": _Kind(_run_eta_sweep, ("newton", "sweep"), **_TWO_LEVEL),
-    "singularity-demo": _Kind(_run_singularity_demo, ("newton",), _SingularityModel, TWO_LEVEL_DEFAULT_STEPS),
-    "cn-order-check": _Kind(_run_cn_order_check, (), _OrderCheckModel, 100),
-    "cpu-scaling": _Kind(_run_cpu_scaling, (), _CpuScalingModel, 2**15),
+    "eta-sweep": _Kind(_run_eta_sweep, ("seed", "newton", "sweep"), **_TWO_LEVEL),
+    "singularity-demo": _Kind(_run_singularity_demo, (), _SingularityModel, TWO_LEVEL_DEFAULT_STEPS),
+    "cn-order-check": _Kind(_run_cn_order_check, ("seed",), _OrderCheckModel, 100),
+    "cpu-scaling": _Kind(_run_cpu_scaling, ("seed",), _CpuScalingModel, 2**15),
 }
 KINDS = tuple(_KINDS)
 

@@ -7,17 +7,34 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
 
 
-def require_count(name: str, n) -> None:
-    """Refuse anything but a positive integer (a numpy one included) for the
-    count ``name``; a bool is not a count."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not n >= 1:
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+def require_count(name: str, n, least: int = 1) -> None:
+    """Refuse anything but an integer (a numpy one included) of at least
+    ``least`` for the count ``name``; a bool is not a count."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not n >= least:
+        what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}"
+        )
+        raise ValueError(f"{name} must be {what}, got {n!r}")
+
+
+def require_real(name: str, x, positive: bool = False) -> None:
+    """Refuse anything but a finite real number (a numpy one or an integer
+    included), and one above zero if ``positive``, for ``name``; a bool is
+    not a number."""
+    # an integer must fit a float; abs(x) <= max would pass a float32 inf, as
+    # numpy casts max to float32 first
+    real = not isinstance(x, bool) and isinstance(x, numbers.Real)
+    real = real and (abs(x) <= sys.float_info.max if isinstance(x, numbers.Integral) else math.isfinite(x))
+    if not real or positive and not x > 0:
+        what = "a positive finite real number" if positive else "a finite real number"
+        raise ValueError(f"{name} must be {what}, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +45,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not 0 < self.t_f < math.inf:
-            raise ValueError(f"t_f must be positive and finite, got {self.t_f!r}")
+        require_real("t_f", self.t_f, positive=True)
         require_count("n_steps", self.n_steps)
 
     @property

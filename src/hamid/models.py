@@ -11,14 +11,13 @@ Everything is in atomic units (hbar = 1).
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .fields import PiPulse, SinSqEnvelope
+from .fields import PiPulse, SinSqEnvelope, require_count, require_real
 from .propagation import HamiltonianPair
 
 # CODATA atomic unit of time, seconds
@@ -52,8 +51,11 @@ class TwoLevelParams:
     envelope_skew: float = 0.0
 
     def __post_init__(self):
-        if not self.t_f > 0:
-            raise ValueError("t_f must be positive")
+        for name in ("delta", "mu", "envelope_skew"):
+            require_real(name, getattr(self, name))
+        require_real("t_f", self.t_f, positive=True)
+        if self.e0 is not None:
+            require_real("e0", self.e0)
         if self.mu == 0:
             raise ValueError("mu must be nonzero")
 
@@ -76,10 +78,11 @@ class SpatialGrid:
     n_points: int = 513
 
     def __post_init__(self):
+        require_real("r_min", self.r_min)
+        require_real("r_max", self.r_max)
+        require_count("n_points", self.n_points, 8)
         if not self.r_min < self.r_max:
             raise ValueError("r_min must be below r_max")
-        if self.n_points < 8:
-            raise ValueError("n_points too small")
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,10 @@ class DoubleWellParams:
     grid: SpatialGrid = field(default_factory=SpatialGrid)
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass!r}")
-        if not self.t_f > 0:
-            raise ValueError(f"t_f must be positive, got {self.t_f!r}")
-        if self.n_levels < 4:
-            # the pi pulse drives the 0 -> 3 transition
-            raise ValueError(f"n_levels must be at least 4, got {self.n_levels!r}")
+        require_real("mass", self.mass, positive=True)
+        require_real("t_f", self.t_f, positive=True)
+        # the pi pulse drives the 0 -> 3 transition
+        require_count("n_levels", self.n_levels, 4)
         if self.grid.n_points < 4 * self.n_levels:
             raise ValueError("grid.n_points must be at least 4 * n_levels")
 
@@ -191,10 +191,10 @@ class PerturbationSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.eta < math.inf:
-            raise ValueError(f"eta must be nonnegative and finite, got {self.eta!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        require_real("eta", self.eta)
+        require_count("seed", self.seed, 0)
+        if not self.eta >= 0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
 
 
 # numpy's SeedSequence (NEP 19): hash and mix multipliers of its entropy pool

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import TimeGrid, require_count
+from .fields import TimeGrid, require_count, require_real
 from .linalg import require_square, require_unitary, spec_norm
 from .propagation import HamiltonianPair, propagate_final, propagate_with_gram
 from . import reporting
@@ -65,9 +65,7 @@ class NewtonConfig:
 
     def __post_init__(self):
         for name in ("tol", "singular_cond_threshold"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            require_real(name, getattr(self, name), positive=True)
         require_count("max_iters", self.max_iters)
 
 

@@ -128,12 +128,14 @@ def _cayley_blocks(
 def cn_step(
     u_n: np.ndarray, h0: np.ndarray, h1: np.ndarray, e_n: float, dt: float
 ) -> np.ndarray:
-    """One Cayley step (I + L)^{-1} (I - L) U with L = i (dt/2)(h0 + e_n h1)."""
+    """One Cayley step (I + L)^{-1} (I - L) U with L = i (dt/2)(h0 + e_n h1);
+    h0 and h1 are checked as a ``HamiltonianPair``."""
+    pair = HamiltonianPair(h0, h1)
     u_n = np.asarray(u_n, dtype=complex)
-    if h0.shape != u_n.shape or h1.shape != u_n.shape:
+    if u_n.shape != pair.h0.shape:
         raise ValueError("Hamiltonian dimensions do not match the state")
     require_finite(np.array([e_n, dt], dtype=float), "field value and time step")
-    ((_, states),) = _cayley_blocks(u_n, h0, h1, np.array([e_n], dtype=float), dt)
+    ((_, states),) = _cayley_blocks(u_n, pair.h0, pair.h1, np.array([e_n], dtype=float), dt)
     return states[1].copy()
 
 

@@ -1,5 +1,8 @@
 import ast
+import copy
+import csv
 import importlib
+import io
 import json
 import typing
 from dataclasses import fields, is_dataclass
@@ -24,7 +27,8 @@ from hamid.experiments import (
     run_eta_sweep,
 )
 from hamid.continuation import ContinuationConfig
-from hamid.models import PerturbationSpec, TwoLevelParams
+from hamid.experiments import _CpuScalingModel, _OrderCheckModel, _SingularityModel
+from hamid.models import DoubleWellParams, PerturbationSpec, SpatialGrid, TwoLevelParams
 from hamid.newton import NewtonConfig
 
 
@@ -227,6 +231,15 @@ BAD_CONFIGS = [
     ({"kind": "newton-two-level", "model": None}, [], "the model block must be an object"),
     ({"kind": "eta-sweep", "sweep": None}, [], "the sweep block must be an object"),
     ({"kind": "cn-order-check", "continuation": None}, [], "the continuation block must be an object"),
+    # an unread setting keeps its default, as an unread block stays empty:
+    # these kinds read no seed, and the demo reads no newton block
+    ({"kind": "continuation-two-level", "seed": 2}, [], "reads no seed, so seed must stay 1"),
+    ({"kind": "continuation-double-well", "seed": 0}, [], "reads no seed, so seed must stay 1"),
+    ({"kind": "singularity-demo"}, ["--seed", "3"], "reads no seed, so seed must stay 1"),
+    ({"kind": "singularity-demo", "newton": {"tol": 1e-3}}, [], "unknown newton keys ['tol']"),
+    ({"kind": "singularity-demo"}, ["--tol", "1e-3"], "unknown newton keys ['tol']"),
+    # null is no second spelling of a sweep key's default
+    ({"kind": "eta-sweep", "sweep": {"n_seeds": None}}, [], "sweep.n_seeds"),
 ]
 
 
@@ -260,6 +273,27 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
         (ContinuationConfig, {"n_intermediate": 2.5}, "n_intermediate"),
         (ContinuationConfig, {"n_intermediate": True}, "n_intermediate"),
         (SweepSpec, {"n_seeds": 2.5}, "n_seeds"),
+        # non-finite or mistyped values, refused by the dataclass itself
+        (TwoLevelParams, {"delta": float("nan")}, "delta"),
+        (TwoLevelParams, {"e0": float("inf")}, "e0"),
+        (TwoLevelParams, {"envelope_skew": float("nan")}, "envelope_skew"),
+        (TwoLevelParams, {"t_f": float("inf")}, "t_f"),
+        # numpy compares a float32 with the largest double cast to float32, inf
+        (TwoLevelParams, {"mu": np.float32("inf")}, "mu"),
+        (DoubleWellParams, {"mass": float("inf")}, "mass"),
+        (DoubleWellParams, {"t_f": float("inf")}, "t_f"),
+        (DoubleWellParams, {"n_levels": 4.5}, "n_levels"),
+        (SpatialGrid, {"r_max": float("inf")}, "r_max"),
+        (SpatialGrid, {"n_points": 8.5}, "n_points"),
+        (NewtonConfig, {"tol": float("inf")}, "tol"),
+        (ContinuationConfig, {"refine_m0": 1}, "refine_m0"),
+        (PerturbationSpec, {"eta": "x", "seed": 0}, "eta"),
+        (PerturbationSpec, {"eta": 1e-3, "seed": "x"}, "seed"),
+        (_SingularityModel, {"t_f": float("inf")}, "t_f"),
+        (_OrderCheckModel, {"t_f": float("inf")}, "t_f"),
+        (_OrderCheckModel, {"field_value": float("nan")}, "field_value"),
+        (_CpuScalingModel, {"eta": float("inf")}, "eta"),
+        (_CpuScalingModel, {"iterations": 1.5}, "iterations"),
     ],
 )
 def test_library_specs_refuse_bad_values(cls, kwargs, key):
@@ -360,6 +394,79 @@ def test_each_plan_field_has_one_key(kind):
         for p in changed:
             set_by.setdefault(p, []).append(".".join(path))
     assert {p: keys for p, keys in set_by.items() if len(keys) > 1} == {}
+
+
+# a small config of each kind, so that one run takes a fraction of a second
+_SMALL = {
+    "newton-two-level": {"n_steps": 200, "newton": {"max_iters": 2}},
+    "newton-double-well": {"n_steps": 256, "model": {"n_levels": 4}, "newton": {"max_iters": 1}},
+    "continuation-two-level": {
+        "n_steps": 200,
+        "continuation": {"n_intermediate": 1},
+        "newton": {"max_iters": 2},
+    },
+    "continuation-double-well": {
+        "n_steps": 256,
+        "model": {"n_levels": 4},
+        "continuation": {"n_intermediate": 1},
+        "newton": {"max_iters": 1},
+    },
+    "eta-sweep": {"n_steps": 200, "sweep": {"etas": [1e-4], "n_seeds": 1, "k_max": 2}},
+    "singularity-demo": {"n_steps": 200},
+    "cn-order-check": {"n_steps": 10},
+    "cpu-scaling": {"n_steps": 64, "model": {"iterations": 1}},
+}
+# keys that by design move nothing a run records but its timings:
+# sweep.workers sets the parallelism, and cpu-scaling's seed draws
+# perturbations whose fixed iteration budget is spent whatever they are
+_TIMING_ONLY = {("eta-sweep", ("sweep", "workers")), ("cpu-scaling", ("seed",))}
+
+
+def _outputs(out: Path) -> dict:
+    """The files of a run by name, less what may differ between runs of one
+    plan: the config as written, its hash and the wall-clock times."""
+    found = {}
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            for key in ("config", "config_sha256", "wall_seconds"):
+                payload.pop(key, None)
+            found[path.name] = payload
+        else:
+            rows = list(csv.DictReader(io.StringIO(path.read_text())))
+            found[path.name] = [{k: v for k, v in row.items() if k != "wall_seconds"} for row in rows]
+    return found
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_key_changes_the_output(tmp_path, kind):
+    # set each key the kind accepts (of those a plan field names) to another
+    # valid value, one at a time: the run must record something else, or the
+    # key is a setting that changes nothing
+    base = {"kind": kind, **_SMALL[kind]}
+
+    def outputs(config, name):
+        run_experiment(ExperimentConfig.from_dict({**config, "out_dir": str(tmp_path / name)}))
+        return _outputs(tmp_path / name)
+
+    reference = outputs(base, "base")
+    unchanged = []
+    for i, (path, value) in enumerate(_settings(ExperimentConfig.from_dict(base).plan).items()):
+        if value is None and len(path) == 1 or (kind, path) in _TIMING_ONLY:
+            continue  # a block or seed the kind does not read
+        config = copy.deepcopy(base)
+        block = config
+        for key in path[:-1]:
+            block = block.setdefault(key, {})
+        block[path[-1]] = _another(value)
+        try:
+            changed = outputs(config, str(i))
+        except ValueError as err:
+            assert "unknown" in str(err), (path, err)
+            continue
+        if changed == reference:
+            unchanged.append(".".join(path))
+    assert unchanged == []
 
 
 def test_type_hints_read_once_per_class(monkeypatch):

@@ -312,3 +312,7 @@ def test_non_finite_inputs_rejected(rng):
     for e_n, dt in ((np.nan, 0.1), (0.3, np.nan), (0.3, np.inf)):
         with pytest.raises(ValueError, match="non-finite"):
             cn_step(np.eye(2, dtype=complex), pair.h0, pair.h1, e_n, dt)
+    # cn_step checks its operators as every other entry point does: a
+    # non-symmetric h0 would give a non-unitary step
+    with pytest.raises(ValueError, match="h0 is not symmetric"):
+        cn_step(np.eye(2, dtype=complex), np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), 0.0, 0.5)
