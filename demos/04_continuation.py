@@ -34,7 +34,7 @@ recovered, report = continuation_identify(u0, u_tar, samples, grid, cfg, truth=t
 print(f"path flag: {report.flag}")
 print("  m   iters  log10|U err|  log10|dH0|  log10|dH1|")
 for st in report.stages:
-    n_it = st.newton_report.n_iterations if st.newton_report else 0
+    n_it = st.newton_report.n_iterations
     lg = lambda v: np.log10(max(v, 1e-300))
     print(
         f"  {st.m:2d}  {n_it:5d}  {lg(st.dev_u_stage):11.2f}  {lg(st.dev_h0):9.2f}"

@@ -6,8 +6,8 @@ closed-form solution (H0, H1) = (-S / t_f, 0): with zero coupling the field
 drops out and free evolution alone produces exp(i S).  Each later stage is
 solved with the Newton iteration warm-started from the previous stage's
 solution.  The closed form solves the continuous-time problem, not the
-time-discretized one, so stage 0 is optionally Newton-polished before the
-path is walked.
+time-discretized one, so stage 0 is Newton-polished like every later stage
+before the path is walked.
 
 Only the Hermitized residual depends on the target; U_N and the Jacobian
 depend on the pair, the field and the grid.  So each converged stage but
@@ -49,18 +49,15 @@ CONTINUATION_FAILED = "failed"
 class ContinuationConfig:
     n_intermediate: int = 20
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    refine_m0: bool = True
 
     def __post_init__(self):
         require_count("n_intermediate", self.n_intermediate)
-        if not isinstance(self.refine_m0, (bool, np.bool_)):
-            raise ValueError(f"refine_m0 must be a bool, got {self.refine_m0!r}")
 
 
 @dataclass
 class ContinuationStage:
     m: int
-    newton_report: Optional[NewtonReport]
+    newton_report: NewtonReport
     dev_u_stage: float
     dev_h0: Optional[float]
     dev_h1: Optional[float]
@@ -82,17 +79,17 @@ class ContinuationReport:
                     "dev_u_stage": st.dev_u_stage,
                     "dev_h0": st.dev_h0,
                     "dev_h1": st.dev_h1,
-                    "newton": st.newton_report.to_json_dict() if st.newton_report else None,
+                    "newton": st.newton_report.to_json_dict(),
                 }
                 for st in self.stages
             ],
         }
 
     def write_csv(self, path):
-        rows = []
-        for st in self.stages:
-            n_it = st.newton_report.n_iterations if st.newton_report else 0
-            rows.append([st.m, n_it, st.dev_u_stage, st.dev_h0, st.dev_h1])
+        rows = [
+            [st.m, st.newton_report.n_iterations, st.dev_u_stage, st.dev_h0, st.dev_h1]
+            for st in self.stages
+        ]
         return reporting.write_table(
             path, ["m", "newton_iterations", "dev_U_stage", "dev_H0", "dev_H1"], rows
         )
@@ -141,21 +138,19 @@ def continuation_identify(
     report = ContinuationReport(stages=[], flag=CONTINUATION_OK)
     for m in range(0, n_c + 1):
         target_m = intermediate_target(dec, m, n_c)
-        newton_report = None
-        if m > 0 or cfg.refine_m0:
-            pair, newton_report = newton_identify(
-                u_0, target_m, start, samples, grid, cfg.newton, truth=None,
-                linearize_final=m < n_c,
-            )
-            start = newton_report.linearization or pair
-            # handed on: the stage record keeps no Jacobian blocks (2 d^4
-            # complex numbers, 0.66 MB a stage at d = 12)
-            newton_report.linearization = None
-        if newton_report is not None and newton_report.iterations:
+        pair, newton_report = newton_identify(
+            u_0, target_m, start, samples, grid, cfg.newton, truth=None,
+            linearize_final=m < n_c,
+        )
+        start = newton_report.linearization or pair
+        # handed on: the stage record keeps no Jacobian blocks (2 d^4
+        # complex numbers, 0.66 MB a stage at d = 12)
+        newton_report.linearization = None
+        if newton_report.iterations:
             dev_u_stage = newton_report.final().dev_u
         else:
-            # no Newton row was taken at the stage's pair: stage 0 without
-            # refinement, or a refusal at the first iteration
+            # no Newton row was taken at the stage's pair: a refusal at the
+            # first iteration
             dev_u_stage = spec_norm(target_m - propagate_final(u_0, pair, samples, grid))
         report.stages.append(
             ContinuationStage(
@@ -166,7 +161,7 @@ def continuation_identify(
                 dev_h1=spec_norm(truth.h1 - pair.h1) if truth is not None else None,
             )
         )
-        if newton_report is not None and newton_report.flag != FLAG_CONVERGED:
+        if newton_report.flag != FLAG_CONVERGED:
             report.flag = CONTINUATION_FAILED
             report.failed_stage = m
             break

@@ -521,20 +521,20 @@ def _run_continuation(setup: Callable, figure: str, plan: Plan, out: Path):
         report.write_csv(out / figure),
         report.write_json(out / "stages.json"),
     ]
-    last = report.stages[-1] if report.stages else None
+    last = report.stages[-1]  # stage 0 is always recorded
     summary = {
         "flag": report.flag,
         "failed_stage": report.failed_stage,
         "stages": len(report.stages),
-        "final_dev_h0": last.dev_h0 if last else None,
-        "final_dev_h1": last.dev_h1 if last else None,
-        "final_dev_u_stage": last.dev_u_stage if last else None,
+        "final_dev_h0": last.dev_h0,
+        "final_dev_h1": last.dev_h1,
+        "final_dev_u_stage": last.dev_u_stage,
     }
     resolved = {
         "field": field_to_config(p.field_desc),
         "n_steps": int(plan.n_steps),
         "n_intermediate": int(plan.continuation.n_intermediate),
-        "refine_m0": plan.continuation.refine_m0,
+        "refine_m0": True,  # every stage, stage 0 included, is a Newton solve
         "newton": asdict(plan.newton),
     }
     return files, resolved, summary
@@ -563,13 +563,9 @@ class _SingularityModel:
     """The singularity demo's model block."""
 
     t_f: float = 9000.0
-    rank_tolerance: float = 1e-9  # singular values below this times the largest count as zero
 
     def __post_init__(self):
         require_real("t_f", self.t_f, positive=True)
-        require_real("rank_tolerance", self.rank_tolerance)
-        if not 0 <= self.rank_tolerance < 1:
-            raise ValueError(f"rank_tolerance must be in [0, 1), got {self.rank_tolerance!r}")
 
 
 # the demo refuses the step as a Newton solve with the default settings does
@@ -578,7 +574,6 @@ _SINGULARITY_NEWTON = NewtonConfig()
 
 def _run_singularity_demo(plan: Plan, out: Path):
     t_f = float(plan.model.t_f)
-    rank_tol = float(plan.model.rank_tolerance)
     n_steps = int(plan.n_steps)
     grid = TimeGrid(t_f=t_f, n_steps=n_steps)
     u_tar = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -586,7 +581,7 @@ def _run_singularity_demo(plan: Plan, out: Path):
     field_desc = SinSqEnvelope(e0=2.0)  # E(t) = sin^2(pi t / t_f)
     samples = sample_field(field_desc, grid)
     system = linearize(np.eye(2, dtype=complex), pair, samples, grid).system(u_tar)
-    diag = system_diagnostic(system, rank_tol)
+    diag = system_diagnostic(system)
     refused = False
     error_text = None
     try:
@@ -607,7 +602,7 @@ def _run_singularity_demo(plan: Plan, out: Path):
     resolved = {
         "t_f": t_f,
         "n_steps": n_steps,
-        "rank_tolerance": rank_tol,
+        "rank_tolerance": diag.rank_tolerance,
         "field": field_to_config(field_desc),
         "singular_cond_threshold": _SINGULARITY_NEWTON.singular_cond_threshold,
     }

@@ -151,9 +151,7 @@ def continuation_walk_reference(u_0, u_tar, samples, grid, cfg, truth=None):
     report = ContinuationReport(stages=[], flag=CONTINUATION_OK)
     for m in range(n_c + 1):
         target_m = intermediate_target(dec, m, n_c)
-        newton_report = None
-        if m > 0 or cfg.refine_m0:
-            pair, newton_report = newton_identify(u_0, target_m, pair, samples, grid, cfg.newton)
+        pair, newton_report = newton_identify(u_0, target_m, pair, samples, grid, cfg.newton)
         report.stages.append(
             ContinuationStage(
                 m=m,
@@ -163,7 +161,7 @@ def continuation_walk_reference(u_0, u_tar, samples, grid, cfg, truth=None):
                 dev_h1=spec_norm(truth.h1 - pair.h1) if truth is not None else None,
             )
         )
-        if newton_report is not None and newton_report.flag != FLAG_CONVERGED:
+        if newton_report.flag != FLAG_CONVERGED:
             report.flag = CONTINUATION_FAILED
             report.failed_stage = m
             break

@@ -195,10 +195,7 @@ def test_criterion_5_continuation_two_level():
     ok = (
         report.flag == CONTINUATION_OK
         and len(report.stages) == 21
-        and all(
-            st.newton_report is None or st.newton_report.flag == FLAG_CONVERGED
-            for st in report.stages
-        )
+        and all(st.newton_report.flag == FLAG_CONVERGED for st in report.stages)
         and final.dev_h0 <= 1e-10
         and final.dev_h1 <= 1e-8
         and intermediates_large

@@ -234,27 +234,13 @@ HAND_OFF_CASES = {
         ContinuationConfig(n_intermediate=20, newton=NewtonConfig(tol=1e-12, max_iters=50)),
     ),
     "double-well": ("double-well", ContinuationConfig(n_intermediate=4, newton=_double_well_newton())),
-    "double-well-unrefined-m0": (
-        "double-well",
-        ContinuationConfig(n_intermediate=4, refine_m0=False, newton=_double_well_newton()),
-    ),
     "two-level-max-iters-1": (
         "two-level",
         ContinuationConfig(n_intermediate=2, newton=NewtonConfig(max_iters=1)),
     ),
-    "two-level-unrefined-max-iters-1": (
-        "two-level",
-        ContinuationConfig(n_intermediate=2, refine_m0=False, newton=NewtonConfig(max_iters=1)),
-    ),
     "two-level-refused-at-k1": (
         "two-level",
         ContinuationConfig(n_intermediate=2, newton=NewtonConfig(singular_cond_threshold=1.0)),
-    ),
-    "two-level-unrefined-refused-at-k1": (
-        "two-level",
-        ContinuationConfig(
-            n_intermediate=2, refine_m0=False, newton=NewtonConfig(singular_cond_threshold=1.0)
-        ),
     ),
 }
 
@@ -327,7 +313,7 @@ def test_converged_walk_propagates_each_pair_once(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("case", ["two-level-max-iters-1", "two-level-unrefined-max-iters-1"])
+@pytest.mark.parametrize("case", ["two-level-max-iters-1"])
 def test_failed_stage_closes_without_gram(case, monkeypatch):
     # the walk stops at a failed stage, so a linearization at its final pair
     # would never be solved from: it closes final-state-only
@@ -339,12 +325,11 @@ def test_failed_stage_closes_without_gram(case, monkeypatch):
     _, report = continuation_identify(u0, u_tar, samples, grid, cfg, truth=truth)
     assert report.flag == CONTINUATION_FAILED
     assert report.stages[-1].newton_report.flag == FLAG_MAX_ITERS
-    n_iterations = sum(st.newton_report.n_iterations for st in report.stages if st.newton_report)
+    n_iterations = sum(st.newton_report.n_iterations for st in report.stages)
     assert counts == {
         "hamid.newton.propagate_with_gram": n_iterations,
         "hamid.newton.propagate_final": 1,
-        # stage 0 without refinement takes its dev_U_stage here
-        "hamid.continuation.propagate_final": int(not cfg.refine_m0),
+        "hamid.continuation.propagate_final": 0,
     }
 
 

@@ -170,7 +170,6 @@ BAD_CONFIGS = [
     ({"kind": "newton-two-level", "model": {"delta": "x"}}, [], "model.delta"),
     ({"kind": "newton-two-level", "seed": True}, [], "seed"),
     ({"kind": "newton-double-well", "model": {"grid": {"n_points": 64.5}}}, [], "n_points"),
-    ({"kind": "continuation-two-level", "continuation": {"refine_m0": 1}}, [], "refine_m0"),
     ({"kind": "cpu-scaling", "model": {"iterations": 1.0}}, [], "model.iterations"),
     # non-finite floats, which would otherwise fail deep inside the run
     ({"kind": "cn-order-check", "model": {"t_f": float("inf")}}, [], "model.t_f"),
@@ -202,7 +201,6 @@ BAD_CONFIGS = [
     ),
     ({"kind": "newton-two-level", "model": {"t_f": -5.0}}, [], "model.t_f"),
     ({"kind": "singularity-demo", "model": {"t_f": -5.0}}, [], "model.t_f"),
-    ({"kind": "singularity-demo", "model": {"rank_tolerance": -1.0}}, [], "model.rank_tolerance"),
     ({"kind": "cn-order-check", "model": {"t_f": -1.0}}, [], "model.t_f"),
     ({"kind": "cpu-scaling", "model": {"iterations": 0}}, [], "model.iterations"),
     ({"kind": "cpu-scaling", "model": {"eta": -1.0}}, [], "model.eta"),
@@ -213,8 +211,9 @@ BAD_CONFIGS = [
     # the pi pulse drives the 0 -> 3 transition, so a double well needs 4 levels
     ({"kind": "newton-double-well", "n_steps": 256}, ["--nd", "3"], "model.n_levels"),
     ({"kind": "continuation-double-well", "model": {"n_levels": 2}}, [], "model.n_levels"),
-    # retired keys: the step count is the top-level n_steps only, and the
-    # continuation walks its path once
+    # retired keys: the step count is the top-level n_steps only, the
+    # continuation walks its path once and Newton-polishes every stage, and
+    # the singularity demo reads ranks at one tolerance
     ({"kind": "newton-two-level", "model": {"n_steps": 200}}, [], "unknown model keys ['n_steps']"),
     ({"kind": "newton-double-well", "model": {"n_steps": 256}}, [], "unknown model keys ['n_steps']"),
     ({"kind": "cn-order-check", "model": {"n_steps": 100}}, [], "unknown model keys ['n_steps']"),
@@ -224,6 +223,12 @@ BAD_CONFIGS = [
         [],
         "unknown continuation keys ['retry_doubled']",
     ),
+    (
+        {"kind": "continuation-two-level", "continuation": {"refine_m0": False}},
+        [],
+        "unknown continuation keys ['refine_m0']",
+    ),
+    ({"kind": "singularity-demo", "model": {"rank_tolerance": 1e-6}}, [], "unknown model keys ['rank_tolerance']"),
     # keys of values another key sets: the perturbation seed is the top-level
     # seed, and the sweep's Newton iteration cap is sweep.k_max
     ({"kind": "newton-two-level", "perturbation": {"seed": 5}}, [], "unknown perturbation keys ['seed']"),
@@ -288,7 +293,6 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
         (SpatialGrid, {"r_max": float("inf")}, "r_max"),
         (SpatialGrid, {"n_points": 8.5}, "n_points"),
         (NewtonConfig, {"tol": float("inf")}, "tol"),
-        (ContinuationConfig, {"refine_m0": 1}, "refine_m0"),
         (PerturbationSpec, {"eta": "x", "seed": 0}, "eta"),
         (PerturbationSpec, {"eta": 1e-3, "seed": "x"}, "seed"),
         (_SingularityModel, {"t_f": float("inf")}, "t_f"),
