@@ -52,6 +52,8 @@ class ContinuationConfig:
 
     def __post_init__(self):
         require_count("n_intermediate", self.n_intermediate)
+        if not isinstance(self.newton, NewtonConfig):
+            raise ValueError(f"newton must be a NewtonConfig, got {self.newton!r}")
 
 
 @dataclass

@@ -193,9 +193,13 @@ def resolve(cfg: ExperimentConfig) -> Plan:
     kind = _KINDS[cfg.kind]
     params = _build(cfg.kind, "model", kind.params, cfg.model, kind.defaults)
     for name in ("perturbation", "newton", "continuation", "sweep"):
-        if name not in kind.reads:
-            # object has no fields, so the block must be empty
-            _build(cfg.kind, name, object, getattr(cfg, name))
+        if name in kind.reads:
+            continue
+        block = getattr(cfg, name)
+        if not isinstance(block, dict):
+            raise ValueError(f"{cfg.kind}: the {name} block must be an object, got {block!r}")
+        if block:
+            raise ValueError(f"{cfg.kind}: this kind reads no {name} block, got keys {sorted(block)}")
     # an unread seed keeps its default, as an unread block stays empty
     if "seed" not in kind.reads and cfg.seed != ExperimentConfig.seed:
         default = ExperimentConfig.seed

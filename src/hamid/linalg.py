@@ -36,6 +36,18 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def require_real_array(x, name: str = "matrix") -> np.ndarray:
+    """``x`` as a float array.  A complex value must have a zero imaginary
+    part: a float cast would drop it with only a warning.  A float64 array
+    is returned as it is, without a copy."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        if np.any(x.imag != 0):
+            raise ValueError(f"{name} must be real, got a nonzero imaginary part")
+        x = x.real.copy()
+    return np.asarray(x, dtype=float)
+
+
 def spec_norm(m: np.ndarray) -> float:
     """Largest singular value of a square matrix.
 
@@ -58,7 +70,7 @@ def require_real_symmetric(
     m: np.ndarray, name: str = "matrix", zero_diag: bool = False
 ) -> np.ndarray:
     """Validate a real symmetric matrix (optionally with zero diagonal)."""
-    m = require_finite(require_square(np.asarray(m, dtype=float), name), name)
+    m = require_finite(require_square(require_real_array(m, name), name), name)
     if symmetry_defect(m) > SYMMETRY_TOL:
         raise ValueError(f"{name} is not symmetric (defect {symmetry_defect(m):.3e})")
     if zero_diag and m.size and np.max(np.abs(np.diag(m))) > SYMMETRY_TOL:
@@ -98,7 +110,7 @@ class TargetDecomposition:
 
     def __post_init__(self):
         s = require_real_symmetric(self.s, "S")
-        a = require_finite(np.asarray(self.a, dtype=float), "A")
+        a = require_finite(require_real_array(self.a, "A"), "A")
         if a.size and np.max(np.abs(a + a.T)) > SYMMETRY_TOL:
             raise ValueError("A is not antisymmetric")
         if s.shape != a.shape:

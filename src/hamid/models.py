@@ -99,6 +99,8 @@ class DoubleWellParams:
         require_real("t_f", self.t_f, positive=True)
         # the pi pulse drives the 0 -> 3 transition
         require_count("n_levels", self.n_levels, 4)
+        if not isinstance(self.grid, SpatialGrid):
+            raise ValueError(f"grid must be a SpatialGrid, got {self.grid!r}")
         if self.grid.n_points < 4 * self.n_levels:
             raise ValueError("grid.n_points must be at least 4 * n_levels")
 

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import TimeGrid, require_count, require_real
-from .linalg import require_square, require_unitary, spec_norm
+from .linalg import require_real_array, require_square, require_unitary, spec_norm
 from .propagation import HamiltonianPair, propagate_final, propagate_with_gram
 from . import reporting
 
@@ -374,7 +374,7 @@ def newton_identify(
     """
     u_0 = require_unitary(u_0, "initial operator")
     u_tar = require_unitary(u_tar, "target operator")
-    samples = np.asarray(samples, dtype=float)
+    samples = require_real_array(samples, "field samples")
     lin = guess if isinstance(guess, Linearization) else linearize(u_0, guess, samples, grid)
     pair = lin.pair
     report = NewtonReport(iterations=[], flag=FLAG_MAX_ITERS)

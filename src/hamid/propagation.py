@@ -31,6 +31,7 @@ import numpy as np
 from .fields import TimeGrid
 from .linalg import (
     require_finite,
+    require_real_array,
     require_real_symmetric,
     require_unitary,
     spec_norm,
@@ -134,8 +135,9 @@ def cn_step(
     u_n = np.asarray(u_n, dtype=complex)
     if u_n.shape != pair.h0.shape:
         raise ValueError("Hamiltonian dimensions do not match the state")
-    require_finite(np.array([e_n, dt], dtype=float), "field value and time step")
-    ((_, states),) = _cayley_blocks(u_n, pair.h0, pair.h1, np.array([e_n], dtype=float), dt)
+    e_dt = require_real_array([e_n, dt], "field value and time step")
+    require_finite(e_dt, "field value and time step")
+    ((_, states),) = _cayley_blocks(u_n, pair.h0, pair.h1, e_dt[:1], dt)
     return states[1].copy()
 
 
@@ -144,7 +146,7 @@ def _validated_inputs(u_0, pair: HamiltonianPair, samples, grid: TimeGrid):
     u_0 = require_unitary(u_0, "initial operator")
     if u_0.shape != (pair.dim, pair.dim):
         raise ValueError("initial operator dimension does not match the pair")
-    samples = np.asarray(samples, dtype=float)
+    samples = require_real_array(samples, "field samples")
     if samples.shape != (grid.n_steps,):
         raise ValueError(
             f"field has {samples.shape} samples, grid has {grid.n_steps} steps"

@@ -243,8 +243,16 @@ BAD_CONFIGS = [
     ({"kind": "continuation-two-level", "seed": 2}, [], "reads no seed, so seed must stay 1"),
     ({"kind": "continuation-double-well", "seed": 0}, [], "reads no seed, so seed must stay 1"),
     ({"kind": "singularity-demo"}, ["--seed", "3"], "reads no seed, so seed must stay 1"),
-    ({"kind": "singularity-demo", "newton": {"tol": 1e-3}}, [], "unknown newton keys ['tol']"),
-    ({"kind": "singularity-demo"}, ["--tol", "1e-3"], "unknown newton keys ['tol']"),
+    (
+        {"kind": "singularity-demo", "newton": {"tol": 1e-3}},
+        [],
+        "singularity-demo: this kind reads no newton block, got keys ['tol']",
+    ),
+    (
+        {"kind": "singularity-demo"},
+        ["--tol", "1e-3"],
+        "singularity-demo: this kind reads no newton block, got keys ['tol']",
+    ),
     # null is no second spelling of a sweep key's default
     ({"kind": "eta-sweep", "sweep": {"n_seeds": None}}, [], "sweep.n_seeds"),
 ]
@@ -293,6 +301,7 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
         (SpatialGrid, {"r_max": float("inf")}, "r_max"),
         (SpatialGrid, {"n_points": 8.5}, "n_points"),
         (NewtonConfig, {"tol": float("inf")}, "tol"),
+        (ContinuationConfig, {"newton": None}, "newton"),
         (PerturbationSpec, {"eta": "x", "seed": 0}, "eta"),
         (PerturbationSpec, {"eta": 1e-3, "seed": "x"}, "seed"),
         (_SingularityModel, {"t_f": float("inf")}, "t_f"),
@@ -300,6 +309,9 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
         (_OrderCheckModel, {"field_value": float("nan")}, "field_value"),
         (_CpuScalingModel, {"eta": float("inf")}, "eta"),
         (_CpuScalingModel, {"iterations": 1.5}, "iterations"),
+        # a nested block, which a config builds itself but a library caller passes
+        (DoubleWellParams, {"grid": 5}, "grid"),
+        (DoubleWellParams, {"grid": {"n_points": 64}}, "grid"),
     ],
 )
 def test_library_specs_refuse_bad_values(cls, kwargs, key):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hamid import (
     unitary_exp,
     unitary_log,
 )
+import hamid.linalg
 from hamid.linalg import TargetDecomposition, decompose_target, require_unitary
 
 from helpers import SIGMA_X, haar_unitary, unitary_log_schur
@@ -97,6 +99,33 @@ def test_non_finite_matrices_rejected():
         TargetDecomposition(s=nan, a=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         TargetDecomposition(s=np.eye(2), a=np.array([[0.0, np.inf], [-np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "s, a, name",
+    [
+        (np.array([[0.0, 1j], [-1j, 0.0]]), np.zeros((2, 2)), "S"),
+        (np.eye(2), np.array([[0.0, 1j], [-1j, 0.0]]), "A"),
+        (np.eye(2) + 1e-3j * np.eye(2), np.zeros((2, 2)), "S"),
+    ],
+)
+def test_complex_parts_refused(s, a, name):
+    # a float cast would keep the real part and drop the rest with only a warning
+    with pytest.raises(ValueError, match=f"{name} must be real"):
+        TargetDecomposition(s=s, a=a)
+
+
+@pytest.mark.parametrize("dtype", [complex, np.complex64, float, np.float32, int])
+def test_real_values_of_any_dtype_accepted(dtype):
+    # a complex dtype whose imaginary parts are all zero is a real value;
+    # a float64 array comes back as it is
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = hamid.linalg.require_real_array(m.astype(dtype), "m")
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    np.testing.assert_array_equal(out, m)
+    assert hamid.linalg.require_real_array(m, "m") is m
 
 
 def test_roundtrip_haar(rng):

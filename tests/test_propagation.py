@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +11,7 @@ from hamid import (
     cn_error_order,
     cn_step,
     grams_to_jacobians,
+    newton_identify,
     propagate,
     propagate_final,
     propagate_with_gram,
@@ -316,3 +319,45 @@ def test_non_finite_inputs_rejected(rng):
     # non-symmetric h0 would give a non-unitary step
     with pytest.raises(ValueError, match="h0 is not symmetric"):
         cn_step(np.eye(2, dtype=complex), np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), 0.0, 0.5)
+
+
+_I2 = np.eye(2, dtype=complex)
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_PAIR = HamiltonianPair(np.diag([0.3, -0.2]), _SX)
+_GRID = TimeGrid(t_f=1.0, n_steps=4)
+_COMPLEX_SAMPLES = np.array([0.1, 0.2 + 1e-3j, 0.3, 0.4])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: HamiltonianPair(np.array([[0, 1j], [-1j, 0]]), np.zeros((2, 2))), "h0"),
+        (lambda: HamiltonianPair(np.eye(2), (1 + 1j) * _SX), "h1"),
+        (lambda: propagate(_I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
+        (lambda: propagate_final(_I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
+        (lambda: propagate_with_gram(_I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
+        (lambda: newton_identify(_I2, _I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
+        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, 0.3 + 1j, 0.1), "field value and time step"),
+        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, 0.3, 0.1 + 1e-9j), "field value and time step"),
+    ],
+    ids=[
+        "pair-h0", "pair-h1", "propagate", "propagate-final", "propagate-with-gram", "newton",
+        "cn-step-e", "cn-step-dt",
+    ],
+)
+def test_complex_values_refused(call, name):
+    # a float cast would keep the real part and drop the rest with only a
+    # ComplexWarning: U_N of complex samples would be U_N of their real part
+    with pytest.raises(ValueError, match=f"{name} must be real"):
+        call()
+
+
+def test_complex_dtype_with_zero_imaginary_part_is_real():
+    # the same bits as the real inputs, and no ComplexWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = HamiltonianPair(_PAIR.h0.astype(complex), _PAIR.h1.astype(complex))
+        u_n = propagate_final(_I2, pair, _COMPLEX_SAMPLES.real.astype(complex), _GRID)
+        step = cn_step(_I2, _PAIR.h0, _PAIR.h1, complex(0.3), 0.1)
+    assert u_n.tobytes() == propagate_final(_I2, _PAIR, _COMPLEX_SAMPLES.real, _GRID).tobytes()
+    assert step.tobytes() == cn_step(_I2, _PAIR.h0, _PAIR.h1, 0.3, 0.1).tobytes()

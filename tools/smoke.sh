@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# Smoke checks: every demo runs, and the CLI's singularity demo, an override
+# refusal and a capped sweep behave as documented.  Run from the repository
+# root; outputs go under OUT_DIR:
+#
+#     tools/smoke.sh OUT_DIR
+#
+# Exits non-zero at the first check that fails.
+set -euo pipefail
+
+out="${1:?usage: tools/smoke.sh OUT_DIR}"
+mkdir -p "$out"
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+for demo in demos/0[1-6]_*.py; do
+  echo "== $demo"
+  python "$demo"
+done
+
+python -m hamid.cli demo singularity --out "$out/demo" > "$out/demo.txt"
+cat "$out/demo.txt"
+grep -q "numerical rank: 3" "$out/demo.txt"
+
+# an override the kind does not take exits 2: the demo reads no seed
+rc=0
+python -m hamid.cli demo singularity --seed 3 --out "$out/never" || rc=$?
+test "$rc" -eq 2
+
+# sweep.k_max (--k-max) is the sweep's only Newton iteration cap
+python -m hamid.cli sweep --etas 1e-5,1e-3 --n-seeds 1 --k-max 3 --steps 200 --out "$out/sweep"
+grep -q '"k_max": 3' "$out/sweep/manifest.json"
+grep -q '"max_iters": 3' "$out/sweep/manifest.json"
+echo "smoke: ok"
