@@ -38,14 +38,18 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def require_real_array(x, name: str = "matrix") -> np.ndarray:
     """``x`` as a float array.  A complex value must have a zero imaginary
-    part: a float cast would drop it with only a warning.  A float64 array
-    is returned as it is, without a copy."""
+    part: a float cast would drop it with only a warning.  A value the cast
+    cannot read (a string, a dict) is refused under ``name``.  A float64
+    array is returned as it is, without a copy."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
         if np.any(x.imag != 0):
             raise ValueError(f"{name} must be real, got a nonzero imaginary part")
         x = x.real.copy()
-    return np.asarray(x, dtype=float)
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be real, got a value that is not a number ({exc})") from None
 
 
 def spec_norm(m: np.ndarray) -> float:

@@ -13,14 +13,22 @@ trajectory (needed at the 10^6-step molecular scale).
 One private generator, ``_cayley_blocks``, takes every step.  It slices the
 samples into blocks of at most ``GRAM_CHUNK`` steps, builds each block's
 Cayley factors C_n = (I + L_n)^{-1} (I - L_n) in one batched LAPACK solve,
-and applies them one matrix product U_{n+1} = C_n U_n each, in time order,
-into one buffer that every block reuses.  It yields each block's samples
-and states (the block's starting U first).  ``propagate`` copies the states
-out, ``propagate_final`` keeps the last one, ``propagate_with_gram`` folds
-each block into the Gram sums, and ``cn_step`` is a one-sample call.
-Constant generators take the same loop.  The factors are never regrouped,
-so every entry point (and a loop of ``cn_step`` calls) produces the same
-bits; temporary memory is bounded by the block, not by N.
+and applies them one real matrix product each, in time order, into one
+buffer that every block reuses.  The buffer holds the transposes W_n =
+U_n^T, so a step is W_{n+1} = W_n C_n^T: a d x d complex W read as floats is
+d x 2d with each entry's real and imaginary parts side by side in its row,
+and multiplying it on the right by the 2d x 2d real embedding of C_n^T (each
+complex entry z as the 2 x 2 block [[Re z, Im z], [-Im z, Re z]]) is the
+complex product, taken as one float64 BLAS call, which costs less than the
+complex one at small d.  The generator yields each block's samples and
+transposed states (the block's starting W first).  ``propagate`` copies the
+states out, ``propagate_final`` keeps the last one and ``cn_step`` is a
+one-sample call; each returns U as a C-ordered copy.
+``propagate_with_gram`` folds each block into the Gram sums, over flat(W) =
+vec(U), and reindexes the sums once at the end.  Constant generators take
+the same loop.  The factors are never regrouped, so every entry point (and
+a loop of ``cn_step`` calls) produces the same bits for a fixed BLAS;
+temporary memory is bounded by the block, not by N.
 """
 from __future__ import annotations
 
@@ -42,6 +50,11 @@ from .linalg import (
 # flush of the Gram accumulators each); fixed so summation order (and hence
 # output bytes) never depends on run conditions
 GRAM_CHUNK = 4096
+
+# steps of a block whose factors are embedded as real matrices at once; a
+# whole block's embeddings (4096 x 4d^2 floats) cost fresh pages on every
+# call at d = 12, a slice of this size reuses memory still in cache
+EMBED_SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -84,21 +97,43 @@ class Trajectory:
 
 
 def _step_block(
-    states: np.ndarray, h0: np.ndarray, h1: np.ndarray, e: np.ndarray, dt: float
+    states: np.ndarray,
+    h0: np.ndarray,
+    h1: np.ndarray,
+    e: np.ndarray,
+    dt: float,
+    embedded: np.ndarray,
 ) -> None:
     """Step ``states[0]`` over the block's samples ``e`` into ``states[1:]``.
 
-    One batched solve builds every factor C_n = (I + L_n)^{-1} (I - L_n) of
-    the block; the steps then apply them one matrix product each, in time
-    order."""
-    eye = np.eye(states.shape[1])
+    The states are transposes, W_n = U_n^T, so a step is the row product
+    W_{n+1} = W_n C_n^T.  One batched solve builds every factor C_n =
+    (I + L_n)^{-1} (I - L_n) of the block.  Each W is read as its real view
+    (d x 2d, real and imaginary parts interleaved) and each C_n^T as its
+    real 2d x 2d embedding, whose 2 x 2 block (j, c) is [[Re, Im], [-Im,
+    Re]] of C_n[c, j]; the step is then one float64 matrix product.  The
+    embeddings are written ``EMBED_SLICE`` steps at a time into
+    ``embedded``, a buffer of shape (EMBED_SLICE, d, 2, d, 2) that every
+    slice reuses."""
+    d = states.shape[1]
+    eye = np.eye(d)
     l = (0.5j * dt) * (h0 + e[:, None, None] * h1)
     factors = np.linalg.solve(eye + l, eye - l)
-    u = states[0]
-    # the ndarray method runs np.dot's C routine without numpy's
-    # __array_function__ dispatch, a measurable share of a d = 2 step
-    for c, dst in zip(factors, states[1:]):
-        u = c.dot(u, out=dst)
+    factors_t = factors.transpose(0, 2, 1)
+    w = states.view(float)
+    w_n = w[0]
+    for start in range(0, e.size, EMBED_SLICE):
+        part = factors_t[start : start + EMBED_SLICE]
+        b = embedded[: part.shape[0]]
+        # row 2j holds (Re, Im) of C_n[c, j], written as complex numbers;
+        # row 2j + 1 holds (-Im, Re), taken from row 2j
+        b.view(complex)[:, :, 0, :, 0] = part
+        np.negative(b[:, :, 0, :, 1], out=b[:, :, 1, :, 0])
+        b[:, :, 1, :, 1] = b[:, :, 0, :, 0]
+        # the ndarray method runs np.dot's C routine without numpy's
+        # __array_function__ dispatch, a measurable share of a d = 2 step
+        for b_n, dst in zip(b.reshape(-1, 2 * d, 2 * d), w[start + 1 :]):
+            w_n = w_n.dot(b_n, out=dst)
 
 
 def _cayley_blocks(
@@ -109,19 +144,22 @@ def _cayley_blocks(
 
     Blocks hold at most ``GRAM_CHUNK`` samples and are stepped in time order
     into one buffer that every block reuses.  Yields ``(E block, states)``
-    with ``states[0]`` the block's starting U and ``states[n + 1] = C_n
-    states[n]``; the states are overwritten by the next block, so a caller
-    keeps what it needs before asking for it.  A block's factors are freed
-    before it is yielded (``_step_block`` has returned), so the caller's work
-    on the block (the Gram sums) reuses their memory; held across the yield,
-    they raised each call's peak heap enough for the allocator to hand the
-    memory back and fault it in again on the next call."""
-    buf = np.empty((min(samples.size, GRAM_CHUNK) + 1, *u.shape), dtype=complex)
-    buf[0] = u
+    with ``states[n]`` the transpose W_n = U_n^T (``states[0]`` the block's
+    starting state) and ``states[n + 1] = states[n] C_n^T``; the states are
+    overwritten by the next block, so a caller keeps what it needs before
+    asking for it.  A block's factors are freed before it is yielded
+    (``_step_block`` has returned), so the caller's work on the block (the
+    Gram sums) reuses their memory; held across the yield, they raised each
+    call's peak heap enough for the allocator to hand the memory back and
+    fault it in again on the next call."""
+    d = u.shape[0]
+    buf = np.empty((min(samples.size, GRAM_CHUNK) + 1, d, d), dtype=complex)
+    embedded = np.empty((min(samples.size, EMBED_SLICE), d, 2, d, 2))
+    buf[0] = u.T
     for start in range(0, samples.size, GRAM_CHUNK):
         e = samples[start : start + GRAM_CHUNK]
         states = buf[: e.size + 1]
-        _step_block(states, h0, h1, e, dt)
+        _step_block(states, h0, h1, e, dt, embedded)
         yield e, states
         buf[0] = states[-1]
 
@@ -138,7 +176,7 @@ def cn_step(
     e_dt = require_real_array([e_n, dt], "field value and time step")
     require_finite(e_dt, "field value and time step")
     ((_, states),) = _cayley_blocks(u_n, pair.h0, pair.h1, e_dt[:1], dt)
-    return states[1].copy()
+    return states[1].T.copy()
 
 
 def _validated_inputs(u_0, pair: HamiltonianPair, samples, grid: TimeGrid):
@@ -164,7 +202,7 @@ def propagate(
     variants where N is large enough for memory to matter."""
     u_0, samples = _validated_inputs(u_0, pair, samples, grid)
     blocks = _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt)
-    states = np.concatenate([u_0[None], *(block[1:].copy() for _, block in blocks)])
+    states = np.concatenate([u_0[None], *(block[1:].swapaxes(1, 2).copy() for _, block in blocks)])
     return Trajectory(grid=grid, states=states)
 
 
@@ -178,15 +216,17 @@ def propagate_final(
     u_0, samples = _validated_inputs(u_0, pair, samples, grid)
     for _, block in _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt):
         pass
-    return block[-1].copy()
+    return block[-1].T.copy()
 
 
 def _accumulate_gram(
     states_block: np.ndarray, e_block: np.ndarray, g0: np.ndarray, g1: np.ndarray
 ) -> None:
-    """Add sum_n flat(Ubar_n) outer conj(flat(Ubar_n)) over one block."""
-    ubar = 0.5 * (states_block[1:] + states_block[:-1])
-    p = ubar.reshape(e_block.shape[0], -1)
+    """Add sum_n flat(Wbar_n) outer conj(flat(Wbar_n)) over one block of
+    transposed states, where flat(Wbar_n) = vec(Ubar_n) is the column-major
+    flattening of the midpoint product."""
+    wbar = 0.5 * (states_block[1:] + states_block[:-1])
+    p = wbar.reshape(e_block.shape[0], -1)
     pc = p.conj()
     g0 += p.T @ pc
     g1 += (p.T * e_block) @ pc
@@ -215,7 +255,9 @@ def propagate_with_gram(
     g1 = np.zeros((d * d, d * d), dtype=complex)
     for e, block in _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt):
         _accumulate_gram(block, e, g0, g1)
-    return block[-1].copy(), g0, g1
+    # the sums ran over vec(Ubar); index (c d + r) becomes flat() index (r d + c)
+    g0, g1 = (g.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d) for g in (g0, g1))
+    return block[-1].T.copy(), g0, g1
 
 
 def cn_error_order(

@@ -1,8 +1,8 @@
-"""Shared test utilities, the stored-trajectory reference for the
-streaming Jacobian path, the LU reference for the SVD step, the Schur
-reference for the unitary log, the numpy.random reference for the seeded
-perturbations, and the standalone-stage reference for the continuation
-walk."""
+"""Shared test utilities, the complex step loop reference for the stepping
+kernel, the stored-trajectory reference for the streaming Jacobian path, the
+LU reference for the SVD step, the Schur reference for the unitary log, the
+numpy.random reference for the seeded perturbations, and the
+standalone-stage reference for the continuation walk."""
 import numpy as np
 import scipy.linalg
 
@@ -48,6 +48,19 @@ def random_direction(d, rng):
     dh1 = 0.5 * (dh1 + dh1.T)
     np.fill_diagonal(dh1, 0.0)
     return dh0, dh1
+
+
+def cayley_loop_reference(u_0, pair, samples, dt):
+    """U_N by complex Cayley steps: the factors C_n = (I + L_n)^{-1} (I - L_n)
+    from one batched solve (the kernel's factors, bit for bit), then U_{n+1}
+    = C_n U_n as one complex matrix product each.  The reference the
+    kernel's real-embedded products must match to round-off."""
+    eye = np.eye(pair.dim)
+    l = (0.5j * dt) * (pair.h0 + np.asarray(samples)[:, None, None] * pair.h1)
+    u = np.array(u_0, dtype=complex)
+    for c in np.linalg.solve(eye + l, eye - l):
+        u = c.dot(u)
+    return u
 
 
 def midpoint_products(traj):

@@ -23,7 +23,13 @@ from hamid import (
 from hamid.models import TWO_LEVEL_DEFAULT_STEPS
 from hamid.propagation import GRAM_CHUNK
 
-from helpers import midpoint_products, random_direction, random_pair
+from helpers import (
+    cayley_loop_reference,
+    haar_unitary,
+    midpoint_products,
+    random_direction,
+    random_pair,
+)
 
 
 def zero_pair(d):
@@ -88,16 +94,18 @@ def test_fast_path_matches_loop(rng):
 def test_entry_points_share_one_kernel(n, rng):
     # every entry point takes the same steps in the same order, so U_N agrees
     # bit for bit; each N leaves a different last block in the reused step
-    # buffer, and a constant generator (H1 = 0) must take those same steps too
-    d = 3
+    # buffer, and a constant generator (H1 = 0) must take those same steps
+    # too.  d = 1 is the real embedding's 2 x 2 edge case.
     grid = TimeGrid(t_f=5.0, n_steps=n)
-    u_0 = np.eye(d, dtype=complex)
-    pair = random_pair(d, rng)
-    cases = [
-        (pair, rng.normal(size=n)),
-        (HamiltonianPair(pair.h0, np.zeros((d, d))), rng.normal(size=n)),
-    ]
+    cases = []
+    for d in (1, 2, 3):
+        pair = random_pair(d, rng)
+        cases += [
+            (pair, rng.normal(size=n)),
+            (HamiltonianPair(pair.h0, np.zeros((d, d))), rng.normal(size=n)),
+        ]
     for case, samples in cases:
+        u_0 = np.eye(case.dim, dtype=complex)
         u = u_0
         for e in samples:
             u = cn_step(u, case.h0, case.h1, e, grid.dt)
@@ -137,6 +145,25 @@ def test_kernel_unitary_property(d, n, seed):
     grid = TimeGrid(t_f=float(rng.uniform(0.1, 10.0)), n_steps=n)
     traj = propagate(np.eye(d, dtype=complex), pair, rng.normal(size=n), grid)
     assert max_unitarity_drift(traj.states) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernel_matches_complex_loop_property(d, n, seed):
+    # the kernel's real-embedded float64 products against the complex loop
+    # on the same factors: they differ in the last bits of each product, so
+    # the gap may grow with N, by round-off only
+    rng = np.random.default_rng(seed)
+    pair = random_pair(d, rng)
+    grid = TimeGrid(t_f=float(rng.uniform(0.1, 10.0)), n_steps=n)
+    u_0 = haar_unitary(d, rng)
+    samples = rng.normal(size=n)
+    u_n = propagate_final(u_0, pair, samples, grid)
+    assert spec_norm(u_n - cayley_loop_reference(u_0, pair, samples, grid.dt)) <= 1e-14 * n
 
 
 @settings(max_examples=30, deadline=None)
@@ -349,6 +376,21 @@ def test_complex_values_refused(call, name):
     # a float cast would keep the real part and drop the rest with only a
     # ComplexWarning: U_N of complex samples would be U_N of their real part
     with pytest.raises(ValueError, match=f"{name} must be real"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: HamiltonianPair([["a", "b"], ["c", "d"]], _SX), "h0"),
+        (lambda: propagate_final(_I2, _PAIR, np.array(["a", "b", "c", "d"]), _GRID), "field samples"),
+        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, "x", 0.1), "field value and time step"),
+    ],
+    ids=["pair-h0", "propagate-final", "cn-step"],
+)
+def test_non_numeric_values_refused(call, name):
+    # the float cast's own error names the value but not the input
+    with pytest.raises(ValueError, match=f"{name} must be real, got a value that is not a number"):
         call()
 
 
