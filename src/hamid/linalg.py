@@ -38,14 +38,17 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def require_real_array(x, name: str = "matrix") -> np.ndarray:
     """``x`` as a float array.  A complex value must have a zero imaginary
-    part: a float cast would drop it with only a warning.  A value the cast
-    cannot read (a string, a dict) is refused under ``name``.  A float64
-    array is returned as it is, without a copy."""
+    part: a float cast would drop it with only a warning.  Text is refused
+    (the cast would read '0.5' as a number), and so is a value the cast
+    cannot read (a dict).  A float64 array is returned as it is, without a
+    copy."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
         if np.any(x.imag != 0):
             raise ValueError(f"{name} must be real, got a nonzero imaginary part")
         x = x.real.copy()
+    if x.dtype.kind in "US":
+        raise ValueError(f"{name} must be real, got a value that is not a number (text)")
     try:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:

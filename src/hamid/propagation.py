@@ -113,8 +113,8 @@ def _step_block(
     real 2d x 2d embedding, whose 2 x 2 block (j, c) is [[Re, Im], [-Im,
     Re]] of C_n[c, j]; the step is then one float64 matrix product.  The
     embeddings are written ``EMBED_SLICE`` steps at a time into
-    ``embedded``, a buffer of shape (EMBED_SLICE, d, 2, d, 2) that every
-    slice reuses."""
+    ``embedded``, a (steps, d, 2, d, 2) buffer of at most that many steps
+    that every slice reuses."""
     d = states.shape[1]
     eye = np.eye(d)
     l = (0.5j * dt) * (h0 + e[:, None, None] * h1)
@@ -175,7 +175,7 @@ def cn_step(
         raise ValueError("Hamiltonian dimensions do not match the state")
     e_dt = require_real_array([e_n, dt], "field value and time step")
     require_finite(e_dt, "field value and time step")
-    ((_, states),) = _cayley_blocks(u_n, pair.h0, pair.h1, e_dt[:1], dt)
+    ((_, states),) = _cayley_blocks(u_n, pair.h0, pair.h1, e_dt[:1], e_dt[1])
     return states[1].T.copy()
 
 

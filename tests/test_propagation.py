@@ -385,11 +385,15 @@ def test_complex_values_refused(call, name):
         (lambda: HamiltonianPair([["a", "b"], ["c", "d"]], _SX), "h0"),
         (lambda: propagate_final(_I2, _PAIR, np.array(["a", "b", "c", "d"]), _GRID), "field samples"),
         (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, "x", 0.1), "field value and time step"),
+        (lambda: HamiltonianPair(_PAIR.h0, [["0", "1"], ["1", "0"]]), "h1"),
+        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, 0.3, "0.1"), "field value and time step"),
+        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, {}, 0.1), "field value and time step"),
     ],
-    ids=["pair-h0", "propagate-final", "cn-step"],
+    ids=["pair-h0", "propagate-final", "cn-step", "pair-h1-numeric-text", "cn-step-dt-numeric-text", "cn-step-dict"],
 )
 def test_non_numeric_values_refused(call, name):
-    # the float cast's own error names the value but not the input
+    # the float cast's own error names the value but not the input, and it
+    # reads numeric text as a number (a text dt then failed inside the step)
     with pytest.raises(ValueError, match=f"{name} must be real, got a value that is not a number"):
         call()
 
