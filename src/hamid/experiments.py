@@ -269,7 +269,6 @@ class EtaSweepRun:
 class EtaSweepResult:
     runs: list
     aggregates: list  # one dict per eta
-    resolved: dict  # the settings the sweep ran with, as its manifest records them
 
 
 def classify_devs(dev_h0, dev_h1, dev_u) -> str:
@@ -406,10 +405,9 @@ def _median(vals: np.ndarray) -> float:
 
 def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
     """Identify the two-level benchmark from ``n_seeds`` perturbations at each
-    eta of an eta-sweep config and label each eta with its majority regime;
-    ``resolved`` records the plan's settings.  The pool of ``workers``
-    processes is capped by the job count and the CPU count; at 1 the runs
-    stay here."""
+    eta of an eta-sweep config and label each eta with its majority regime.
+    The pool of ``workers`` processes is capped by the job count and the CPU
+    count; at 1 the runs stay here."""
     if cfg.plan.sweep is None:
         raise ValueError(f"run_eta_sweep needs an eta-sweep config, got kind {cfg.kind!r}")
     return _eta_sweep(cfg.plan)
@@ -458,16 +456,7 @@ def _eta_sweep(plan: Plan) -> EtaSweepResult:
             agg[f"mean_{name}"] = float(np.mean(vals)) if vals.size else None
             agg[f"worst_{name}"] = float(np.max(vals)) if vals.size else None
         aggregates.append(agg)
-    resolved = {
-        "etas": sorted({float(eta) for eta in sweep.etas}),
-        "n_seeds": int(sweep.n_seeds),
-        "k_max": sweep.k_max,
-        "n_steps": int(plan.n_steps),
-        "delta": plan.model.delta,
-        "envelope_skew": plan.model.envelope_skew,
-        "newton": asdict(plan.newton),
-    }
-    return EtaSweepResult(runs=runs, aggregates=aggregates, resolved=resolved)
+    return EtaSweepResult(runs=runs, aggregates=aggregates)
 
 
 SWEEP_AGG_HEADER = [
@@ -559,7 +548,16 @@ def _run_eta_sweep(plan: Plan, out: Path):
             [astuple(r) for r in result.runs],
         ),
     ]
-    return files, result.resolved, summary
+    resolved = {
+        "etas": sorted({float(eta) for eta in plan.sweep.etas}),
+        "n_seeds": int(plan.sweep.n_seeds),
+        "k_max": plan.sweep.k_max,
+        "n_steps": int(plan.n_steps),
+        "delta": plan.model.delta,
+        "envelope_skew": plan.model.envelope_skew,
+        "newton": asdict(plan.newton),
+    }
+    return files, resolved, summary
 
 
 @dataclass(frozen=True)

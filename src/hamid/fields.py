@@ -72,6 +72,10 @@ class SinSqEnvelope:
     e0: float
     skew: float = 0.0
 
+    def __post_init__(self):
+        for name in ("e0", "skew"):
+            require_real(name, getattr(self, name))
+
     def values(self, t: np.ndarray, t_f: float) -> np.ndarray:
         env = 0.5 * self.e0 * np.sin(np.pi * t / t_f) ** 2
         return env * (1.0 + self.skew * np.sin(2.0 * np.pi * t / t_f))
@@ -84,6 +88,10 @@ class PiPulse:
     amplitude: float
     envelope_freq_mult: float
     carrier_freq: float
+
+    def __post_init__(self):
+        for name in ("amplitude", "envelope_freq_mult", "carrier_freq"):
+            require_real(name, getattr(self, name))
 
     def values(self, t: np.ndarray, t_f: float) -> np.ndarray:
         env = np.sin(self.envelope_freq_mult * np.pi * t / t_f) ** 2

@@ -23,7 +23,8 @@ vec(A X B) = (B^T kron A) vec(X).  The reduction keeps, for every entry
 (i, j) with i <= j in row-major order, the real part of scalar equation
 (i, j) followed (for i < j) by its imaginary part; unknowns are the upper
 triangle of dH0 (diagonal included) followed by the strict upper triangle
-of dH1.  Both counts equal d^2, so the reduced system is square.
+of dH1.  Both counts equal d^2, so the reduced system is square.  Only
+this module knows these layouts; propagation hands it Gram sums over vec(Ubar).
 """
 from __future__ import annotations
 
@@ -77,19 +78,21 @@ class NewtonUpdate:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Square real system over the independent symmetric entries.
-
-    ``unknown_index_map`` lists, in column order, tuples ("h0"|"h1", i, j)
-    with i <= j naming the matrix entry each unknown corresponds to.
-    """
+    """Real system over the independent symmetric entries, laid out by
+    :func:`reduce_system`: one column per unknown of ``unknown_index_map``."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    unknown_index_map: tuple
 
     @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    def dim(self) -> int:
+        """d, from the d^2 unknowns (the column count)."""
+        return int(round(self.matrix.shape[1] ** 0.5))
+
+    @property
+    def unknown_index_map(self) -> tuple:
+        """("h0"|"h1", i, j), i <= j, naming the matrix entry of each column."""
+        return unknown_index_map(self.dim)
 
     @cached_property
     def svd(self):
@@ -97,6 +100,12 @@ class ReducedSystem:
         condition, the rank diagnostic and the step read, computed on first
         use."""
         return np.linalg.svd(self.matrix)
+
+    @cached_property
+    def condition(self) -> float:
+        """2-norm condition estimate of ``matrix`` (inf when singular)."""
+        sv = self.svd[1]
+        return float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
 
 
 @dataclass
@@ -185,18 +194,16 @@ def residual_skew_norm(u_n: np.ndarray, u_tar: np.ndarray) -> float:
 def grams_to_jacobians(g0: np.ndarray, g1: np.ndarray, dt: float):
     """Reindex streaming Gram sums into the Kronecker Jacobian blocks.
 
-    With G[a, b] = sum_n flat(Ubar)[a] conj(flat(Ubar))[b] over row-major
-    flattening, the column-major Kronecker block is
+    With G[a, b] = sum_n vec(Ubar)[a] conj(vec(Ubar))[b] over the column-major
+    vec, the block dt sum_n Ubar^T kron Ubar^dag is
 
-        J[(c*d+r), (c'*d+r')] = dt * G[(c', c), (r', r)],
+        J[(c*d+r), (c'*d+r')] = dt * G[(c*d+c'), (r*d+r')],
 
-    i.e. a (1, 3, 0, 2) axis permutation of G viewed as a d^4 tensor.
+    i.e. a (0, 2, 1, 3) axis permutation of G viewed as a d^4 tensor.
     """
     d2 = g0.shape[0]
     d = int(round(d2**0.5))
-    j0 = dt * g0.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d2, d2)
-    j1 = dt * g1.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d2, d2)
-    return j0, j1
+    return tuple(dt * g.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2) for g in (g0, g1))
 
 
 @lru_cache(maxsize=64)
@@ -206,15 +213,9 @@ def unknown_index_map(d: int) -> tuple:
     return tuple(entries)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only, as every cached index array is."""
-    a.setflags(write=False)
-    return a
-
-
 @lru_cache(maxsize=64)
 def _reduction_indices(d: int):
-    """Gather indices of the reduction at dimension d, cached per d.
+    """Gather and scatter indices of the reduction at dimension d, cached.
 
     Entry (p, q) of a symmetric update appears at vec indices q*d+p and
     p*d+q, so the merged columns are the columns ``first`` of [J0 | J1],
@@ -223,6 +224,8 @@ def _reduction_indices(d: int):
     Reduced row r is row ``rows[r]`` of [Re; Im] of the merged matrix (and of
     vec(S)): for every entry (i, j), i <= j in row-major order, its real part
     and then, for i < j, its imaginary part.
+    Unknown k sets entries (i, j) and (j, i) of matrix ``which`` (0 for dH0,
+    1 for dH1), the rows of ``scatter`` = (which, i, j).
     """
     d2 = d * d
     offset = {"h0": 0, "h1": d2}
@@ -236,12 +239,11 @@ def _reduction_indices(d: int):
             rows.append(j * d + i)
             if i < j:
                 rows.append(d2 + j * d + i)
-    return (
-        _frozen(np.array(first, dtype=int)),
-        _frozen(np.array(second, dtype=int)),
-        _frozen(np.array(pairs, dtype=int)),
-        _frozen(np.array(rows, dtype=int)),
-    )
+    scatter = np.transpose([(w == "h1", p, q) for w, p, q in index_map])
+    indices = tuple(np.array(a, dtype=int) for a in (first, second, pairs, rows, scatter))
+    for a in indices:
+        a.setflags(write=False)  # cached, so shared by every caller
+    return indices
 
 
 def reduce_system(j0: np.ndarray, j1: np.ndarray, s_k: np.ndarray) -> ReducedSystem:
@@ -252,7 +254,7 @@ def reduce_system(j0: np.ndarray, j1: np.ndarray, s_k: np.ndarray) -> ReducedSys
         raise ValueError("Jacobian blocks must be square and equally sized")
     if s_k.shape != (d, d):
         raise ValueError("residual dimension does not match the Jacobian")
-    first, second, pairs, rows = _reduction_indices(d)
+    first, second, pairs, rows, _ = _reduction_indices(d)
     blocks = np.concatenate([j0, j1], axis=1)
     full = blocks[:, first]  # complex, d^2 x d^2
     full[:, pairs] += blocks[:, second]
@@ -260,30 +262,17 @@ def reduce_system(j0: np.ndarray, j1: np.ndarray, s_k: np.ndarray) -> ReducedSys
     return ReducedSystem(
         matrix=np.concatenate([full.real, full.imag])[rows],
         rhs=np.concatenate([vec_s.real, vec_s.imag])[rows],
-        unknown_index_map=unknown_index_map(d),
     )
-
-
-def reduced_spectrum(system: ReducedSystem):
-    """Singular values of the reduced matrix (descending) and its 2-norm
-    condition estimate (inf when singular)."""
-    sv = system.svd[1]
-    return sv, float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
 
 
 def reduced_condition(system: ReducedSystem) -> float:
     """2-norm condition estimate of the reduced matrix (inf when singular)."""
-    return reduced_spectrum(system)[1]
+    return system.condition
 
 
-@lru_cache(maxsize=64)
-def _scatter_indices(index_map: tuple) -> np.ndarray:
-    """Rows (matrix, i, j) of an index map, matrix 0 for h0 and 1 for h1."""
-    return _frozen(np.array([(which == "h1", i, j) for which, i, j in index_map], dtype=int).T)
-
-
-def expand_update(x: np.ndarray, index_map: tuple, d: int) -> NewtonUpdate:
-    which, i, j = _scatter_indices(index_map)
+def expand_update(x: np.ndarray, d: int) -> NewtonUpdate:
+    """(dH0, dH1) from the reduced unknowns ``x`` at dimension d."""
+    which, i, j = _reduction_indices(d)[4]
     dh = np.zeros((2, d, d))
     dh[which, i, j] = x
     dh[which, j, i] = x
@@ -297,14 +286,12 @@ def solve_update(system: ReducedSystem, cfg: NewtonConfig) -> NewtonUpdate:
     SVD mixes columns whose norms span 1e-6..1e4 in the double-well systems,
     where the unrefined step carries 30 to 3e4 times an LU solve's round-off.
     """
-    sv, cond = reduced_spectrum(system)
-    if not cond <= cfg.singular_cond_threshold:
-        raise SingularJacobianError(cond, cfg.singular_cond_threshold)
-    u, _, vt = system.svd
+    if not system.condition <= cfg.singular_cond_threshold:
+        raise SingularJacobianError(system.condition, cfg.singular_cond_threshold)
+    u, sv, vt = system.svd
     x = vt.T @ ((u.T @ system.rhs) / sv)
     x += vt.T @ ((u.T @ (system.rhs - system.matrix @ x)) / sv)
-    d = int(round(system.size**0.5))
-    return expand_update(x, system.unknown_index_map, d)
+    return expand_update(x, system.dim)
 
 
 @dataclass(frozen=True)
@@ -319,12 +306,16 @@ def system_diagnostic(system: ReducedSystem, rank_tolerance: float = 1e-9) -> Si
     """Numerical rank and condition of an assembled reduced system.
 
     Singular values below rank_tolerance times the largest are treated as
-    zero.  Always returns; never raises on deficiency.
+    zero; the tolerance must be a finite real in [0, 1).  Always returns a
+    diagnostic; never raises on deficiency.
     """
-    sv, cond = reduced_spectrum(system)
+    require_real("rank_tolerance", rank_tolerance)
+    if not 0 <= rank_tolerance < 1:
+        raise ValueError(f"rank_tolerance must be in [0, 1), got {rank_tolerance!r}")
+    sv = system.svd[1]
     rank = int(np.sum(sv > rank_tolerance * sv[0])) if sv[0] > 0 else 0
     return SingularityDiagnostic(
-        condition_estimate=cond,
+        condition_estimate=system.condition,
         numerical_rank=rank,
         rank_tolerance=rank_tolerance,
         singular_values=tuple(float(s) for s in sv),

@@ -22,13 +22,14 @@ complex entry z as the 2 x 2 block [[Re z, Im z], [-Im z, Re z]]) is the
 complex product, taken as one float64 BLAS call, which costs less than the
 complex one at small d.  The generator yields each block's samples and
 transposed states (the block's starting W first).  ``propagate`` copies the
-states out, ``propagate_final`` keeps the last one and ``cn_step`` is a
-one-sample call; each returns U as a C-ordered copy.
-``propagate_with_gram`` folds each block into the Gram sums, over flat(W) =
-vec(U), and reindexes the sums once at the end.  Constant generators take
-the same loop.  The factors are never regrouped, so every entry point (and
-a loop of ``cn_step`` calls) produces the same bits for a fixed BLAS;
-temporary memory is bounded by the block, not by N.
+states into one preallocated trajectory, ``propagate_final`` keeps the last
+one and ``cn_step`` is a one-sample call; each returns U as a C-ordered
+copy.  ``propagate_with_gram`` folds each block into Gram sums over flat(W)
+= vec(U) and returns them so; ``hamid.newton`` lays them out as the
+Jacobian.  Constant generators take the same loop.  The factors are never
+regrouped, so every entry point (and a loop of ``cn_step`` calls) produces
+the same bits for a fixed BLAS; temporary memory is bounded by the block,
+not by N.
 """
 from __future__ import annotations
 
@@ -201,8 +202,12 @@ def propagate(
     """Full trajectory U_0..U_N.  Stores every state; use the streaming
     variants where N is large enough for memory to matter."""
     u_0, samples = _validated_inputs(u_0, pair, samples, grid)
-    blocks = _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt)
-    states = np.concatenate([u_0[None], *(block[1:].swapaxes(1, 2).copy() for _, block in blocks)])
+    states = np.empty((samples.size + 1, *u_0.shape), dtype=complex)
+    states[0] = u_0
+    n = 1
+    for e, block in _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt):
+        states[n : n + e.size] = block[1:].swapaxes(1, 2)
+        n += e.size
     return Trajectory(grid=grid, states=states)
 
 
@@ -242,12 +247,12 @@ def propagate_with_gram(
 
     Returns (U_N, G0, G1) with
 
-        G0[a, b] = sum_n flat(Ubar_n)[a] * conj(flat(Ubar_n))[b]
-        G1[a, b] = sum_n E_n * flat(Ubar_n)[a] * conj(flat(Ubar_n))[b]
+        G0[a, b] = sum_n vec(Ubar_n)[a] * conj(vec(Ubar_n))[b]
+        G1[a, b] = sum_n E_n * vec(Ubar_n)[a] * conj(vec(Ubar_n))[b]
 
-    where flat() is the row-major flattening of the d x d midpoint product.
-    These are reindexed into the Kronecker-form Jacobian blocks by
-    :func:`hamid.newton.grams_to_jacobians`.
+    where vec() is the column-major flattening of the d x d midpoint
+    product.  :func:`hamid.newton.grams_to_jacobians` lays these out as the
+    Kronecker-form Jacobian blocks.
     """
     u_0, samples = _validated_inputs(u_0, pair, samples, grid)
     d = pair.dim
@@ -255,8 +260,6 @@ def propagate_with_gram(
     g1 = np.zeros((d * d, d * d), dtype=complex)
     for e, block in _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt):
         _accumulate_gram(block, e, g0, g1)
-    # the sums ran over vec(Ubar); index (c d + r) becomes flat() index (r d + c)
-    g0, g1 = (g.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d) for g in (g0, g1))
     return block[-1].T.copy(), g0, g1
 
 

@@ -68,14 +68,21 @@ def midpoint_products(traj):
     return 0.5 * (traj.states[1:] + traj.states[:-1])
 
 
+def vec_midpoint_products(traj):
+    """vec(Ubar_n), the column-major flattening, one row per step."""
+    ubar = midpoint_products(traj)
+    return ubar.swapaxes(1, 2).reshape(ubar.shape[0], -1)
+
+
 def assemble_jacobian(traj, samples):
     """J0 = dt sum_n (Ubar^T kron Ubar^dag), J1 the field-weighted sum, from
-    a stored trajectory: the reference the streaming Gram sums must match."""
+    Gram sums over vec(Ubar) of a stored trajectory: the reference the
+    streaming Gram sums must match."""
     samples = np.asarray(samples, dtype=float)
     n = traj.states.shape[0] - 1
     if samples.shape != (n,):
         raise ValueError("field length does not match the trajectory")
-    p = midpoint_products(traj).reshape(n, -1)
+    p = vec_midpoint_products(traj)
     pc = p.conj()
     g0 = p.T @ pc
     g1 = (p.T * samples) @ pc
@@ -122,7 +129,7 @@ def solve_update_lu(system):
     """(dH0, dH1) from a dense LU solve of a reduced system: the reference
     the SVD step must match."""
     x = scipy.linalg.solve(system.matrix, system.rhs)
-    return expand_update(x, system.unknown_index_map, int(round(system.size**0.5)))
+    return expand_update(x, system.dim)
 
 
 def unitary_log_schur(u):

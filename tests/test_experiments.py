@@ -30,8 +30,9 @@ from hamid.experiments import (
     run_eta_sweep,
 )
 from hamid.continuation import ContinuationConfig
+from hamid.fields import PiPulse, SinSqEnvelope
 from hamid.models import DoubleWellParams, PerturbationSpec, SpatialGrid, TwoLevelParams
-from hamid.newton import NewtonConfig
+from hamid.newton import NewtonConfig, ReducedSystem, system_diagnostic
 
 
 def test_classify_devs_examples():
@@ -274,6 +275,10 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+# a two-level-sized reduced system of full rank, for the diagnostic's checks
+_FULL_RANK = ReducedSystem(matrix=np.eye(4), rhs=np.zeros(4))
+
+
 @pytest.mark.parametrize(
     "cls, kwargs, key",
     [
@@ -312,11 +317,26 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
         # a nested block, which a config builds itself but a library caller passes
         (DoubleWellParams, {"grid": 5}, "grid"),
         (DoubleWellParams, {"grid": {"n_points": 64}}, "grid"),
+        # a rank tolerance outside [0, 1) gave rank 0 (NaN, 2.0) or full rank
+        # (-1.0) on the two-level system, without a word
+        (system_diagnostic, {"system": _FULL_RANK, "rank_tolerance": float("nan")}, "rank_tolerance"),
+        (system_diagnostic, {"system": _FULL_RANK, "rank_tolerance": -1.0}, "rank_tolerance"),
+        (system_diagnostic, {"system": _FULL_RANK, "rank_tolerance": 2.0}, "rank_tolerance"),
+        (system_diagnostic, {"system": _FULL_RANK, "rank_tolerance": 1.0}, "rank_tolerance"),
+        (system_diagnostic, {"system": _FULL_RANK, "rank_tolerance": "1e-9"}, "rank_tolerance"),
+        # field descriptors, which failed only when sampled, and then without
+        # naming the field
+        (SinSqEnvelope, {"e0": "2"}, "e0"),
+        (SinSqEnvelope, {"e0": float("nan")}, "e0"),
+        (SinSqEnvelope, {"e0": 1.0, "skew": float("inf")}, "skew"),
+        (PiPulse, {"amplitude": 1.0, "envelope_freq_mult": "4", "carrier_freq": 0.1}, "envelope_freq_mult"),
+        (PiPulse, {"amplitude": float("nan"), "envelope_freq_mult": 4.0, "carrier_freq": 0.1}, "amplitude"),
+        (PiPulse, {"amplitude": 1.0, "envelope_freq_mult": 4.0, "carrier_freq": None}, "carrier_freq"),
     ],
 )
 def test_library_specs_refuse_bad_values(cls, kwargs, key):
-    # the dataclasses a library caller builds directly refuse what the
-    # config path refuses, before any run starts
+    # the dataclasses a library caller builds directly, and the rank
+    # diagnostic, refuse what the config path refuses, before any run starts
     with pytest.raises(ValueError, match=f"^{key} must be"):
         cls(**kwargs)
 

@@ -156,7 +156,8 @@ def test_linearized_system_matches_stored_trajectory_oracle(rng):
     scale = np.max(np.abs(oracle.matrix))
     np.testing.assert_allclose(system.matrix, oracle.matrix, rtol=0, atol=tol * scale)
     np.testing.assert_allclose(system.rhs, oracle.rhs, rtol=0, atol=tol)
-    assert system.unknown_index_map == oracle.unknown_index_map
+    assert system.dim == oracle.dim == d
+    assert system.unknown_index_map == oracle.unknown_index_map == unknown_index_map(d)
 
 
 def test_unknown_index_map_counts():
@@ -210,7 +211,7 @@ def test_reduction_matches_entry_loop(rng):
         assert system.matrix.tobytes() == matrix.tobytes()
         assert system.rhs.tobytes() == rhs.tobytes()
         x = rng.normal(size=d * d)
-        update = expand_update(x, system.unknown_index_map, d)
+        update = expand_update(x, d)
         dh0, dh1 = expand_update_loop(x, system.unknown_index_map, d)
         assert update.dh0.tobytes() == dh0.tobytes()
         assert update.dh1.tobytes() == dh1.tobytes()
@@ -227,12 +228,12 @@ def test_reduce_expand_round_trip_property(d, seed):
     dh0, dh1 = random_direction(d, rng)
     index_map = unknown_index_map(d)
     x = np.array([(dh0 if which == "h0" else dh1)[i, j] for which, i, j in index_map])
-    update = expand_update(x, index_map, d)
+    update = expand_update(x, d)
     assert np.array_equal(update.dh0, dh0) and np.array_equal(update.dh1, dh1)
     j0, j1 = random_complex((d * d, d * d), rng), random_complex((d * d, d * d), rng)
     s = (j0 @ vec_f(dh0) + j1 @ vec_f(dh1)).reshape(d, d, order="F")
     system = reduce_system(j0, j1, s)
-    assert system.size == len(index_map) == d * d
+    assert system.matrix.shape == (d * d, len(index_map)) and system.dim == d
     np.testing.assert_allclose(system.matrix @ x, system.rhs, rtol=0, atol=1e-12 * d * d)
 
 
@@ -254,11 +255,7 @@ def test_reduce_identity_states_is_singular():
 def test_singular_error_names_threshold_not_estimate():
     # the estimate of a singular system is round-off, so the message (which
     # diagnostic.json and demo 05 print) carries only the threshold
-    system = ReducedSystem(
-        matrix=np.diag([1.0, 1.0, 1.0, 1e-14]),
-        rhs=np.ones(4),
-        unknown_index_map=unknown_index_map(2),
-    )
+    system = ReducedSystem(matrix=np.diag([1.0, 1.0, 1.0, 1e-14]), rhs=np.ones(4))
     with pytest.raises(SingularJacobianError) as info:
         solve_update(system, NewtonConfig(singular_cond_threshold=1e12))
     err = info.value
@@ -268,12 +265,7 @@ def test_singular_error_names_threshold_not_estimate():
 
 
 def test_solve_update_identity_system():
-    d = 2
-    system = ReducedSystem(
-        matrix=np.eye(4),
-        rhs=np.array([1.0, 0.0, 0.0, 0.0]),
-        unknown_index_map=unknown_index_map(d),
-    )
+    system = ReducedSystem(matrix=np.eye(4), rhs=np.array([1.0, 0.0, 0.0, 0.0]))
     upd = solve_update(system, NewtonConfig())
     np.testing.assert_allclose(upd.dh0, [[1.0, 0.0], [0.0, 0.0]])
     np.testing.assert_allclose(upd.dh1, 0.0)
@@ -342,7 +334,7 @@ def test_svd_step_accurate_on_column_scaled_systems(rng):
         y = rng.normal(size=n)
         y /= np.linalg.norm(y)
         index_map = unknown_index_map(d)
-        system = ReducedSystem(matrix=m0 * scales, rhs=m0 @ y, unknown_index_map=index_map)
+        system = ReducedSystem(matrix=m0 * scales, rhs=m0 @ y)
         cfg = NewtonConfig(singular_cond_threshold=1e15)
         for update in (solve_update(system, cfg), solve_update_lu(system)):
             x = np.array([(update.dh0 if w == "h0" else update.dh1)[i, j] for w, i, j in index_map])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,9 +27,9 @@ from hamid.propagation import GRAM_CHUNK
 from helpers import (
     cayley_loop_reference,
     haar_unitary,
-    midpoint_products,
     random_direction,
     random_pair,
+    vec_midpoint_products,
 )
 
 
@@ -223,7 +224,7 @@ def test_streaming_matches_stored(rng):
     traj = propagate(np.eye(d, dtype=complex), pair, samples, grid)
     u_n, g0, g1 = propagate_with_gram(np.eye(d, dtype=complex), pair, samples, grid)
     np.testing.assert_allclose(u_n, traj.final(), atol=1e-13)
-    ubar = midpoint_products(traj).reshape(n, -1)
+    ubar = vec_midpoint_products(traj)
     np.testing.assert_allclose(g0, ubar.T @ ubar.conj(), atol=1e-11)
     np.testing.assert_allclose(g1, (ubar.T * samples) @ ubar.conj(), atol=1e-11)
 
@@ -407,3 +408,21 @@ def test_complex_dtype_with_zero_imaginary_part_is_real():
         step = cn_step(_I2, _PAIR.h0, _PAIR.h1, complex(0.3), 0.1)
     assert u_n.tobytes() == propagate_final(_I2, _PAIR, _COMPLEX_SAMPLES.real, _GRID).tobytes()
     assert step.tobytes() == cn_step(_I2, _PAIR.h0, _PAIR.h1, 0.3, 0.1).tobytes()
+
+
+def test_propagate_peak_memory_is_the_trajectory():
+    # the blocks' states go straight into the result, so the peak is the
+    # trajectory plus one block's temporaries (the factor solve's few arrays
+    # of GRAM_CHUNK d x d matrices), not a second copy of the trajectory
+    n, d = 2**16, 2
+    grid = TimeGrid(t_f=10.0, n_steps=n)
+    samples = np.sin(1e-3 * np.arange(n))
+    propagate(_I2, _PAIR, samples[:8], TimeGrid(t_f=1.0, n_steps=8))  # lazy imports
+    tracemalloc.start()
+    try:
+        traj = propagate(_I2, _PAIR, samples, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = GRAM_CHUNK * d * d * np.dtype(complex).itemsize
+    assert peak <= traj.states.nbytes + 8 * block
