@@ -94,6 +94,8 @@ def require_unitary(
     u: np.ndarray, name: str = "matrix", tol: float = DEFAULT_UNITARITY_TOL
 ) -> np.ndarray:
     u = require_finite(np.asarray(u, dtype=complex), name)
+    if u.size == 0:
+        raise ValueError(f"{name} must be at least 1 x 1, got shape {u.shape}")
     defect = unitarity_defect(u)
     if defect > tol:
         raise ValueError(f"{name} is not unitary within {tol:.1e} (defect {defect:.3e})")

@@ -96,10 +96,11 @@ class ReducedSystem:
 
     @cached_property
     def svd(self):
-        """(U, s, V^T) of ``matrix``, s descending: the one factorization the
-        condition, the rank diagnostic and the step read, computed on first
-        use."""
-        return np.linalg.svd(self.matrix)
+        """Thin (U, s, V^T) of ``matrix``, s descending: the one
+        factorization the condition, the rank diagnostic and the step read,
+        computed on first use.  U has one column per unknown, so a stacked
+        K d^2 x d^2 system solves as a square one does."""
+        return np.linalg.svd(self.matrix, full_matrices=False)
 
     @cached_property
     def condition(self) -> float:
@@ -252,6 +253,8 @@ def reduce_system(j0: np.ndarray, j1: np.ndarray, s_k: np.ndarray) -> ReducedSys
     d = int(round(d2**0.5))
     if j0.shape != (d2, d2) or j1.shape != (d2, d2):
         raise ValueError("Jacobian blocks must be square and equally sized")
+    if d * d != d2:
+        raise ValueError(f"Jacobian blocks must have d * d rows, got {d2}")
     if s_k.shape != (d, d):
         raise ValueError("residual dimension does not match the Jacobian")
     first, second, pairs, rows, _ = _reduction_indices(d)

@@ -33,6 +33,7 @@ from hamid.continuation import ContinuationConfig
 from hamid.fields import PiPulse, SinSqEnvelope
 from hamid.models import DoubleWellParams, PerturbationSpec, SpatialGrid, TwoLevelParams
 from hamid.newton import NewtonConfig, ReducedSystem, system_diagnostic
+from hamid.propagation import HamiltonianPair
 
 
 def test_classify_devs_examples():
@@ -332,6 +333,9 @@ _FULL_RANK = ReducedSystem(matrix=np.eye(4), rhs=np.zeros(4))
         (PiPulse, {"amplitude": 1.0, "envelope_freq_mult": "4", "carrier_freq": 0.1}, "envelope_freq_mult"),
         (PiPulse, {"amplitude": float("nan"), "envelope_freq_mult": 4.0, "carrier_freq": 0.1}, "amplitude"),
         (PiPulse, {"amplitude": 1.0, "envelope_freq_mult": 4.0, "carrier_freq": None}, "carrier_freq"),
+        # an empty pair was built with dim 0 and failed only when propagated,
+        # with an IndexError from the spectral norm
+        (HamiltonianPair, {"h0": np.zeros((0, 0)), "h1": np.zeros((0, 0))}, "h0"),
     ],
 )
 def test_library_specs_refuse_bad_values(cls, kwargs, key):

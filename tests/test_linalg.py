@@ -91,6 +91,13 @@ def test_unitary_log_rejects_nonunitary():
         unitary_log(np.diag([2.0, 1.0]).astype(complex))
 
 
+def test_require_unitary_refuses_empty_operator():
+    # an empty operator is vacuously finite; its unitarity defect ended in
+    # an IndexError from the spectral norm, which did not name it
+    with pytest.raises(ValueError, match=r"^target operator must be at least 1 x 1, got shape \(0, 0\)"):
+        require_unitary(np.zeros((0, 0)), "target operator")
+
+
 def test_non_finite_matrices_rejected():
     nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):

@@ -29,7 +29,7 @@ from hamid.models import (
     perturb_pair,
     two_level_model,
 )
-from hamid.newton import expand_update, linearize
+from hamid.newton import expand_update, linearize, system_diagnostic
 from hamid.propagation import GRAM_CHUNK
 from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
 from hamid.fields import sample_field
@@ -237,6 +237,13 @@ def test_reduce_expand_round_trip_property(d, seed):
     np.testing.assert_allclose(system.matrix @ x, system.rhs, rtol=0, atol=1e-12 * d * d)
 
 
+def test_reduce_system_refuses_blocks_without_d_squared_rows():
+    # 5 rows are no d * d; round(sqrt(5)) = 2 built a 4 x 4 system from the
+    # first columns, without a word
+    with pytest.raises(ValueError, match="must have d \\* d rows, got 5"):
+        reduce_system(np.ones((5, 5)), np.ones((5, 5)), np.zeros((2, 2)))
+
+
 def test_reduce_identity_states_is_singular():
     # all-identity midpoint products keep every row real, so the imaginary
     # row vanishes and the system cannot be solved
@@ -269,6 +276,44 @@ def test_solve_update_identity_system():
     upd = solve_update(system, NewtonConfig())
     np.testing.assert_allclose(upd.dh0, [[1.0, 0.0], [0.0, 0.0]])
     np.testing.assert_allclose(upd.dh1, 0.0)
+
+
+def test_solve_update_stacked_system():
+    # a stacked K d^2 x d^2 system solves like a square one: here two copies
+    # of the identity at d = 2, whose step sets every unknown to 1
+    system = ReducedSystem(np.vstack([np.eye(4), np.eye(4)]), np.ones(8))
+    upd = solve_update(system, NewtonConfig())
+    np.testing.assert_array_equal(upd.dh0, np.ones((2, 2)))
+    np.testing.assert_array_equal(upd.dh1, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacked_copies_give_the_same_step_property(d, k, seed):
+    # K copies of a system have its exact solution and its rank, and both
+    # solves are backward stable; the bound is the one of
+    # test_svd_step_matches_lu_reference
+    rng = np.random.default_rng(seed)
+    n = 40
+    grid = TimeGrid(t_f=1.3, n_steps=n)
+    system = linearize(
+        np.eye(d, dtype=complex), random_pair(d, rng), rng.uniform(-1.0, 1.0, size=n), grid
+    ).system(haar_unitary(d, rng))
+    stacked = ReducedSystem(np.vstack([system.matrix] * k), np.concatenate([system.rhs] * k))
+    assert stacked.dim == d
+    assert system_diagnostic(stacked).numerical_rank >= system_diagnostic(system).numerical_rank
+    cfg = NewtonConfig()
+    if not system.condition <= cfg.singular_cond_threshold:
+        return
+    ref = solve_update(system, cfg)
+    update = solve_update(stacked, cfg)
+    size = spec_norm(ref.dh0) + spec_norm(ref.dh1)
+    err = spec_norm(update.dh0 - ref.dh0) + spec_norm(update.dh1 - ref.dh1)
+    assert err <= 1e-13 * system.condition * max(1.0, size)
 
 
 def test_solve_update_zero_rhs(rng):

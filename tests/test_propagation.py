@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -22,6 +25,7 @@ from hamid import (
     unitary_exp,
 )
 from hamid.models import TWO_LEVEL_DEFAULT_STEPS
+from hamid import propagation
 from hamid.propagation import GRAM_CHUNK
 
 from helpers import (
@@ -426,3 +430,91 @@ def test_propagate_peak_memory_is_the_trajectory():
         tracemalloc.stop()
     block = GRAM_CHUNK * d * d * np.dtype(complex).itemsize
     assert peak <= traj.states.nbytes + 8 * block
+
+
+def _every_entry_point(pair, samples, grid):
+    u_0 = np.eye(pair.dim, dtype=complex)
+    u_n, g0, g1 = propagate_with_gram(u_0, pair, samples, grid)
+    return [
+        u_n,
+        g0,
+        g1,
+        propagate_final(u_0, pair, samples, grid),
+        propagate(u_0, pair, samples, grid).states,
+        cn_step(u_0, pair.h0, pair.h1, samples[0], grid.dt),
+    ]
+
+
+def _pool_cases(rng, dims):
+    # one, several and a partial last block, at each dimension; the block
+    # sizes rise and fall, so a pooled workspace is grown and then reused
+    return [
+        (random_pair(d, rng), rng.normal(size=n), TimeGrid(t_f=2.0, n_steps=n))
+        for d in dims
+        for n in (1, 300, GRAM_CHUNK + 37, 5)
+    ]
+
+
+def test_threads_never_share_a_workspace(rng):
+    # a running propagation holds its dimension's workspace out of the pool,
+    # so threads switching every microsecond still get the serial bits
+    cases = _pool_cases(rng, (2, 3))
+    expected = [_every_entry_point(*case) for case in cases]
+    mismatches, errors, calls = [], [], [0] * 8
+    deadline = time.monotonic() + 2.0
+
+    def worker(k):
+        try:
+            while time.monotonic() < deadline:
+                case = (k + calls[k]) % len(cases)
+                got = _every_entry_point(*cases[case])
+                if not all(np.array_equal(a, b) for a, b in zip(got, expected[case])):
+                    mismatches.append(case)
+                calls[k] += 1
+        except Exception as exc:  # a thread's exception would not fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not mismatches
+    assert all(calls), calls
+
+
+def test_pooled_buffers_carry_nothing_between_calls(rng):
+    # every value a call reads from its workspace it wrote there first:
+    # NaN in every pooled buffer between two calls changes no bit
+    for case in _pool_cases(rng, (1, 2, 3)):
+        first = _every_entry_point(*case)
+        for ws in propagation._POOL.values():
+            for name in ws.__slots__:
+                if isinstance(getattr(ws, name), np.ndarray):
+                    getattr(ws, name).fill(np.nan)
+        second = _every_entry_point(*case)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("call", [propagate_with_gram, propagate_final])
+def test_warm_call_allocates_one_block(call):
+    # with the dimension's workspace pooled, the factor solve's output is the
+    # one block-sized array a call allocates
+    n, d = 2 * GRAM_CHUNK + 100, 2
+    grid = TimeGrid(t_f=10.0, n_steps=n)
+    samples = np.sin(1e-3 * np.arange(n))
+    call(_I2, _PAIR, samples, grid)
+    tracemalloc.start()
+    try:
+        call(_I2, _PAIR, samples, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = GRAM_CHUNK * d * d * np.dtype(complex).itemsize
+    assert peak <= 1.5 * block
