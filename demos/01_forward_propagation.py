@@ -25,16 +25,16 @@ samples = sample_field(field, grid)
 print(f"two-level system: t_f = {params.t_f} a.u., {grid.n_steps} steps")
 print(f"pulse amplitude e0 = {field.e0:.6e} a.u. (pi-area pulse)")
 
-traj = propagate(np.eye(2, dtype=complex), pair, samples, grid)
+states = propagate(np.eye(2, dtype=complex), pair, samples, grid)  # U_0..U_N
 
 # population of the upper level along the pulse
 print("\n  time [a.u.]   P(upper)")
 for idx in range(0, grid.n_steps + 1, grid.n_steps // 8):
-    pop = abs(traj.states[idx][1, 0]) ** 2
+    pop = abs(states[idx][1, 0]) ** 2
     print(f"  {idx * grid.dt:10.0f}   {pop:.6f}")
 print("a pi pulse moves all population to the upper level at t_f")
 
-drift = max(spec_norm(s.conj().T @ s - np.eye(2)) for s in traj.states[::100])
+drift = max(spec_norm(s.conj().T @ s - np.eye(2)) for s in states[::100])
 print(f"\nmax unitarity defect along the trajectory: {drift:.2e}")
 
 # halving the step divides the constant-generator error by ~4

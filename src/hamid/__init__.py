@@ -75,7 +75,6 @@ from .newton import (
 )
 from .propagation import (
     HamiltonianPair,
-    Trajectory,
     cn_error_order,
     cn_step,
     propagate,

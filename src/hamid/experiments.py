@@ -20,6 +20,7 @@ seeded, so identical configs produce byte-identical CSVs.
 """
 from __future__ import annotations
 
+import copy
 import json
 import os
 import time
@@ -115,6 +116,7 @@ class SweepSpec:
             require_count(name, getattr(self, name))
         if not isinstance(self.etas, list) or not self.etas:
             raise ValueError(f"etas must be a non-empty list, got {self.etas!r}")
+        object.__setattr__(self, "etas", list(self.etas))  # the caller's list stays theirs
         for eta in self.etas:
             require_real("etas", eta)
         if not all(eta >= 0 for eta in self.etas):
@@ -126,11 +128,15 @@ class SweepSpec:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment config as written.  Its resolved form is the attribute
-    ``plan`` (see ``resolve``), which is not a field: ``to_dict`` and the
-    manifest record the config as written."""
+    """An experiment config as written, frozen.  Its resolved form is the
+    attribute ``plan`` (see ``resolve``), which is not a field: ``to_dict``
+    and the manifest record the config as written.  The blocks are copied
+    when the config is built, so a later edit of a block dict (the
+    caller's, or this config's own) changes neither the plan nor what
+    ``to_dict`` records; derive a changed config with
+    ``dataclasses.replace``."""
 
     kind: str
     seed: int = 1
@@ -153,9 +159,11 @@ class ExperimentConfig:
                 require_count("n_steps", self.n_steps)
         except ValueError as err:
             raise ValueError(f"{self.kind}: {err}") from None
-        if not self.out_dir:
-            self.out_dir = f"runs/{self.kind}"
-        self.plan = resolve(self)
+        object.__setattr__(self, "out_dir", self.out_dir or f"runs/{self.kind}")
+        for f in fields(self):  # the blocks as given, copied
+            object.__setattr__(self, f.name, copy.deepcopy(getattr(self, f.name)))
+        object.__setattr__(self, "plan", resolve(self))
+        object.__setattr__(self, "_written", asdict(self))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -167,7 +175,8 @@ class ExperimentConfig:
         return cls(**payload)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The config the plan was resolved from, as a new dict."""
+        return copy.deepcopy(self._written)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Reject NaN and inf, which compare false against every tolerance."""
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 

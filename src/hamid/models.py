@@ -175,9 +175,10 @@ def build_double_well(p: DoubleWellParams = DoubleWellParams()) -> DoubleWellMod
     return model
 
 
-def pi_pulse_field(model: DoubleWellModel, t_f: Optional[float] = None) -> PiPulse:
-    """Resonant 0 -> 3 transfer pulse (2 pi / (t_f mu_03)) sin^2(4 pi t / t_f) cos(w_03 t)."""
-    t_f = model.params.t_f if t_f is None else t_f
+def pi_pulse_field(model: DoubleWellModel) -> PiPulse:
+    """Resonant 0 -> 3 transfer pulse (2 pi / (t_f mu_03)) sin^2(4 pi t / t_f)
+    cos(w_03 t) over the model's window t_f."""
+    t_f = model.params.t_f
     if model.mu_03 == 0.0 or not np.isfinite(model.mu_03):
         raise ValueError("model has no usable 0-3 dipole element")
     return PiPulse(

@@ -79,7 +79,8 @@ class NewtonUpdate:
 @dataclass(frozen=True)
 class ReducedSystem:
     """Real system over the independent symmetric entries, laid out by
-    :func:`reduce_system`: one column per unknown of ``unknown_index_map``."""
+    :func:`reduce_system`: one column per unknown of
+    ``unknown_index_map(dim)``."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -88,11 +89,6 @@ class ReducedSystem:
     def dim(self) -> int:
         """d, from the d^2 unknowns (the column count)."""
         return int(round(self.matrix.shape[1] ** 0.5))
-
-    @property
-    def unknown_index_map(self) -> tuple:
-        """("h0"|"h1", i, j), i <= j, naming the matrix entry of each column."""
-        return unknown_index_map(self.dim)
 
     @cached_property
     def svd(self):

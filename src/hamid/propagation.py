@@ -21,30 +21,34 @@ and multiplying it on the right by the 2d x 2d real embedding of C_n^T (each
 complex entry z as the 2 x 2 block [[Re z, Im z], [-Im z, Re z]]) is the
 complex product, taken as one float64 BLAS call, which costs less than the
 complex one at small d.  The generator yields each block's samples and
-transposed states (the block's starting W first).  ``propagate`` copies the
-states into one preallocated trajectory, ``propagate_final`` keeps the last
-one and ``cn_step`` is a one-sample call; each returns U as a C-ordered
-copy.  ``propagate_with_gram`` folds each block into Gram sums over flat(W)
-= vec(U) and returns them so; ``hamid.newton`` lays them out as the
-Jacobian.  Constant generators take the same loop.  The factors are never
-regrouped, so every entry point (and a loop of ``cn_step`` calls) produces
-the same bits for a fixed BLAS; temporary memory is bounded by the block,
-not by N.
+transposed states (the block's starting W first).
+
+Every entry point takes a ``HamiltonianPair`` and returns plain C-ordered
+arrays: ``propagate`` the stored states U_0..U_N, ``propagate_final`` U_N,
+``propagate_with_gram`` U_N and the Gram sums over flat(W) = vec(U), which
+``hamid.newton`` lays out as the Jacobian, and ``cn_step`` one step as a
+one-sample call.  Inputs whose generator (dt/2)(H0 + E_n H1) overflows are
+refused, since their steps would be NaN.  Constant generators take the same
+loop.  The factors are never regrouped, so every entry point (and a loop of
+``cn_step`` calls) produces the same bits for a fixed BLAS; temporary
+memory is bounded by the block, not by N.
 
 Every buffer of the loop (the block's states, the embedding slice and the
-state slab it is multiplied into, the generator sums, and the scratch for
-I +- L_n and the Gram midpoints) lives in a ``_Workspace``, kept in a
-private pool with one idle workspace per dimension, sized to the largest
-block seen there.  A call takes its dimension's workspace out of the pool
-and puts it back when it ends, so two live propagations (in threads, or one
-generator inside another) never share one, and a warm call allocates one
-block-sized array: the factors the batched solve returns.  A workspace
-for ``GRAM_CHUNK`` steps holds 0.24 d^2 MB: 0.97 MB at d = 2, 8.7 MB at
-d = 6 and 35 MB at d = 12.
+state slab it is multiplied into, and the complex scratch for I +- L_n and
+the Gram midpoints) lives in a ``_Workspace``, kept in a private pool with
+one idle workspace per dimension, sized to the largest block seen there.  A
+call takes its dimension's workspace out of the pool and puts it back when
+it ends, so two live propagations (in threads, or one generator inside
+another) never share one, and a warm call allocates one block-sized array:
+the factors the batched solve returns.  A workspace for ``GRAM_CHUNK``
+steps holds 0.21 d^2 MB: 0.84 MB at d = 2, 7.5 MB at d = 6 and 30 MB at
+d = 12.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +68,9 @@ from .linalg import (
 GRAM_CHUNK = 4096
 
 # steps of a block whose factors are embedded as real matrices at once; a
-# whole block's embeddings (4096 x 4d^2 floats) cost fresh pages on every
-# call at d = 12, a slice of this size reuses memory still in cache
+# whole block's embeddings (4096 x 4d^2 floats, 19 MB at d = 12) leave the
+# cache before the steps read them, a slice of this size stays resident
+# (whole blocks were 5-11% slower per step at d = 6 and 12)
 EMBED_SLICE = 256
 
 
@@ -94,33 +99,22 @@ class HamiltonianPair:
     def shifted(self, dh0: np.ndarray, dh1: np.ndarray) -> "HamiltonianPair":
         return HamiltonianPair(self.h0 + dh0, self.h1 + dh1)
 
-
-@dataclass(frozen=True)
-class Trajectory:
-    """All stored propagator samples U_0..U_N on a grid."""
-
-    grid: TimeGrid
-    states: np.ndarray  # (n_steps + 1, d, d) complex
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    def final(self) -> np.ndarray:
-        return self.states[-1]
+    @cached_property
+    def _entry_max(self) -> tuple:
+        """(max|h0|, max|h1|) as Python floats, for the overflow bound."""
+        return float(np.abs(self.h0).max()), float(np.abs(self.h1).max())
 
 
 class _Workspace:
     """The stepping loop's buffers at one dimension d, for blocks of up to
     ``capacity`` steps: the block's transposed states, an ``EMBED_SLICE``-step
     state slab and the factor embeddings (each with its per-step float views
-    built once, so a step creates no array), the real generator sum
-    H0 + E_n H1, and complex scratch that holds I + L_n and I - L_n for the
-    factor solve and is free for the caller once the block is stepped."""
+    built once, so a step creates no array), and complex scratch that holds
+    I + L_n and I - L_n for the factor solve (the I - L_n half first holds
+    H0 + E_n H1 as floats) and is free for the caller once the block is
+    stepped."""
 
-    __slots__ = (
-        "capacity", "states", "slab", "slab_views", "embedded", "embed_views", "gen", "scratch"
-    )
+    __slots__ = ("capacity", "states", "slab", "slab_views", "embedded", "embed_views", "scratch")
 
     def __init__(self, d: int, capacity: int):
         slice_steps = min(capacity, EMBED_SLICE)
@@ -130,7 +124,6 @@ class _Workspace:
         self.slab_views = list(self.slab.view(float))
         self.embedded = np.empty((slice_steps, d, 2, d, 2))
         self.embed_views = list(self.embedded.reshape(slice_steps, 2 * d, 2 * d))
-        self.gen = np.empty((capacity, d, d))
         self.scratch = np.empty((2, capacity, d, d), dtype=complex)
 
 
@@ -138,36 +131,35 @@ class _Workspace:
 _POOL: dict[int, _Workspace] = {}
 
 
-def _step_block(
-    ws: _Workspace,
-    states: np.ndarray,
-    h0: np.ndarray,
-    h1: np.ndarray,
-    e: np.ndarray,
-    dt: float,
-) -> None:
-    """Step ``states[0]`` over the block's samples ``e`` into ``states[1:]``.
+def _step_block(ws: _Workspace, h0: np.ndarray, h1: np.ndarray, e: np.ndarray, dt: float) -> None:
+    """Step ``ws.states[0]`` over the block's samples ``e`` into
+    ``ws.states[1 : e.size + 1]``.
 
     The states are transposes, W_n = U_n^T, so a step is the row product
     W_{n+1} = W_n C_n^T.  One batched solve builds every factor C_n =
     (I + L_n)^{-1} (I - L_n) of the block from I + L_n and I - L_n formed
-    in ``ws.scratch``.  Each W is read as its real view (d x 2d, real and
-    imaginary parts interleaved) and each C_n^T as its real 2d x 2d
-    embedding, whose 2 x 2 block (j, c) is [[Re, Im], [-Im, Re]] of
-    C_n[c, j]; the step is then one float64 matrix product.  The
+    in ``ws.scratch``; the generator H0 + E_n H1 is summed in the I - L_n
+    half, which is overwritten once I + L_n is formed from that sum.  Each
+    W is read as its real view (d x 2d, real and imaginary parts
+    interleaved) and each C_n^T as its real 2d x 2d embedding, whose 2 x 2
+    block (j, c) is [[Re, Im], [-Im, Re]] of C_n[c, j]; the step is then
+    one float64 matrix product.  The
     embeddings are written ``EMBED_SLICE`` steps at a time into
     ``ws.embedded``, the products into ``ws.slab``, which is then copied
-    into ``states``."""
+    into ``ws.states``."""
     n = e.size
     eye = np.eye(h0.shape[0])
-    gen = np.multiply(e[:, None, None], h1, out=ws.gen[:n])
-    np.add(h0, gen, out=gen)
     plus, minus = ws.scratch[:, :n]
+    # H0 + E_n H1 in the first half of the I - L_n scratch read as floats:
+    # contiguous, where minus.real would be strided
+    gen = minus.view(float).reshape(-1)[: minus.size].reshape(minus.shape)
+    np.multiply(e[:, None, None], h1, out=gen)
+    np.add(h0, gen, out=gen)
     np.multiply(0.5j * dt, gen, out=plus)
     np.subtract(eye, plus, out=minus)
     np.add(eye, plus, out=plus)
     factors_t = np.linalg.solve(plus, minus).transpose(0, 2, 1)
-    w_n = states.view(float)[0]
+    w_n = ws.states.view(float)[0]
     for start in range(0, n, EMBED_SLICE):
         part = factors_t[start : start + EMBED_SLICE]
         k = part.shape[0]
@@ -181,12 +173,10 @@ def _step_block(
         # __array_function__ dispatch, a measurable share of a d = 2 step
         for b_n, dst in zip(ws.embed_views[:k], ws.slab_views):
             w_n = w_n.dot(b_n, out=dst)
-        states[start + 1 : start + 1 + k] = ws.slab[:k]
+        ws.states[start + 1 : start + 1 + k] = ws.slab[:k]
 
 
-def _cayley_blocks(
-    u: np.ndarray, h0: np.ndarray, h1: np.ndarray, samples: np.ndarray, dt: float
-):
+def _cayley_blocks(u: np.ndarray, pair: HamiltonianPair, samples: np.ndarray, dt: float):
     """Cayley steps from U = ``u`` over ``samples``, block by block: the
     package's only stepping loop.
 
@@ -208,26 +198,38 @@ def _cayley_blocks(
         ws.states[0] = u.T
         for start in range(0, samples.size, GRAM_CHUNK):
             e = samples[start : start + GRAM_CHUNK]
+            _step_block(ws, pair.h0, pair.h1, e, dt)
             states = ws.states[: e.size + 1]
-            _step_block(ws, states, h0, h1, e, dt)
             yield e, states, ws.scratch[:, : e.size]
             ws.states[0] = states[-1]
     finally:
         _POOL[d] = ws
 
 
-def cn_step(
-    u_n: np.ndarray, h0: np.ndarray, h1: np.ndarray, e_n: float, dt: float
-) -> np.ndarray:
-    """One Cayley step (I + L)^{-1} (I - L) U with L = i (dt/2)(h0 + e_n h1);
-    h0 and h1 are checked as a ``HamiltonianPair``."""
-    pair = HamiltonianPair(h0, h1)
+def _require_bounded_generator(pair: HamiltonianPair, e_max: float, dt: float) -> None:
+    """Refuse finite inputs whose generator (dt/2)(H0 + E_n H1), with
+    |E_n| <= ``e_max``, may overflow, which would make every step NaN.  The
+    bound is taken in Python floats, which overflow to inf without a
+    warning."""
+    h0_max, h1_max = pair._entry_max
+    h_max = h0_max + e_max * h1_max
+    if not math.isfinite(0.5 * abs(float(dt)) * h_max):
+        raise ValueError(
+            "the time step, field samples, h0 and h1 overflow the generator "
+            "(dt/2)(H0 + E_n H1): 0.5 |dt| (max|H0| + max|E_n| max|H1|) is not finite"
+        )
+
+
+def cn_step(u_n: np.ndarray, pair: HamiltonianPair, e_n: float, dt: float) -> np.ndarray:
+    """One Cayley step (I + L)^{-1} (I - L) U with L = i (dt/2)(h0 + e_n h1).
+    ``u_n`` need not be unitary, and a negative ``dt`` steps back."""
     u_n = np.asarray(u_n, dtype=complex)
-    if u_n.shape != pair.h0.shape:
+    if u_n.shape != (pair.dim, pair.dim):
         raise ValueError("Hamiltonian dimensions do not match the state")
     e_dt = require_real_array([e_n, dt], "field value and time step")
     require_finite(e_dt, "field value and time step")
-    for _, states, _ in _cayley_blocks(u_n, pair.h0, pair.h1, e_dt[:1], e_dt[1]):
+    _require_bounded_generator(pair, abs(float(e_dt[0])), e_dt[1])
+    for _, states, _ in _cayley_blocks(u_n, pair, e_dt[:1], e_dt[1]):
         u = states[1].T.copy()
     return u
 
@@ -242,7 +244,9 @@ def _validated_inputs(u_0, pair: HamiltonianPair, samples, grid: TimeGrid):
         raise ValueError(
             f"field has {samples.shape} samples, grid has {grid.n_steps} steps"
         )
-    return u_0, require_finite(samples, "field samples")
+    require_finite(samples, "field samples")
+    _require_bounded_generator(pair, max(float(samples.max()), -float(samples.min())), grid.dt)
+    return u_0, samples
 
 
 def propagate(
@@ -250,17 +254,18 @@ def propagate(
     pair: HamiltonianPair,
     samples: np.ndarray,
     grid: TimeGrid,
-) -> Trajectory:
-    """Full trajectory U_0..U_N.  Stores every state; use the streaming
-    variants where N is large enough for memory to matter."""
+) -> np.ndarray:
+    """U_0..U_N as one C-ordered (N + 1, d, d) complex array.  Stores every
+    state; use the streaming variants where N is large enough for memory to
+    matter."""
     u_0, samples = _validated_inputs(u_0, pair, samples, grid)
     states = np.empty((samples.size + 1, *u_0.shape), dtype=complex)
     states[0] = u_0
     n = 1
-    for e, block, _ in _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt):
+    for e, block, _ in _cayley_blocks(u_0, pair, samples, grid.dt):
         states[n : n + e.size] = block[1:].swapaxes(1, 2)
         n += e.size
-    return Trajectory(grid=grid, states=states)
+    return states
 
 
 def propagate_final(
@@ -271,7 +276,7 @@ def propagate_final(
 ) -> np.ndarray:
     """Final state U_N only, without storing the trajectory."""
     u_0, samples = _validated_inputs(u_0, pair, samples, grid)
-    for _, block, _ in _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt):
+    for _, block, _ in _cayley_blocks(u_0, pair, samples, grid.dt):
         u_n = block[-1].T.copy()
     return u_n
 
@@ -317,7 +322,7 @@ def propagate_with_gram(
     d = pair.dim
     g0 = np.zeros((d * d, d * d), dtype=complex)
     g1 = np.zeros((d * d, d * d), dtype=complex)
-    for e, block, scratch in _cayley_blocks(u_0, pair.h0, pair.h1, samples, grid.dt):
+    for e, block, scratch in _cayley_blocks(u_0, pair, samples, grid.dt):
         _accumulate_gram(block, e, g0, g1, scratch)
         u_n = block[-1].T.copy()
     return u_n, g0, g1

@@ -63,30 +63,30 @@ def cayley_loop_reference(u_0, pair, samples, dt):
     return u
 
 
-def midpoint_products(traj):
-    """Ubar_n = (U_{n+1} + U_n)/2 for every step of a stored trajectory."""
-    return 0.5 * (traj.states[1:] + traj.states[:-1])
+def midpoint_products(states):
+    """Ubar_n = (U_{n+1} + U_n)/2 for every step of stored states U_0..U_N."""
+    return 0.5 * (states[1:] + states[:-1])
 
 
-def vec_midpoint_products(traj):
+def vec_midpoint_products(states):
     """vec(Ubar_n), the column-major flattening, one row per step."""
-    ubar = midpoint_products(traj)
+    ubar = midpoint_products(states)
     return ubar.swapaxes(1, 2).reshape(ubar.shape[0], -1)
 
 
-def assemble_jacobian(traj, samples):
+def assemble_jacobian(states, samples, dt):
     """J0 = dt sum_n (Ubar^T kron Ubar^dag), J1 the field-weighted sum, from
-    Gram sums over vec(Ubar) of a stored trajectory: the reference the
+    Gram sums over vec(Ubar) of stored states U_0..U_N: the reference the
     streaming Gram sums must match."""
     samples = np.asarray(samples, dtype=float)
-    n = traj.states.shape[0] - 1
+    n = states.shape[0] - 1
     if samples.shape != (n,):
-        raise ValueError("field length does not match the trajectory")
-    p = vec_midpoint_products(traj)
+        raise ValueError("field length does not match the states")
+    p = vec_midpoint_products(states)
     pc = p.conj()
     g0 = p.T @ pc
     g1 = (p.T * samples) @ pc
-    return grams_to_jacobians(g0, g1, traj.grid.dt)
+    return grams_to_jacobians(g0, g1, dt)
 
 
 def reduce_system_loop(j0, j1, s_k):

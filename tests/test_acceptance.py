@@ -102,9 +102,9 @@ def test_criterion_2_jacobian_fd(rng):
         grid = TimeGrid(t_f=1.1, n_steps=n)
         samples = rng.normal(size=n)
         u0 = np.eye(d, dtype=complex)
-        traj = propagate(u0, pair, samples, grid)
-        j0, j1 = assemble_jacobian(traj, samples)
-        u_n = traj.final()
+        states = propagate(u0, pair, samples, grid)
+        j0, j1 = assemble_jacobian(states, samples, grid.dt)
+        u_n = states[-1]
         for _ in range(5):
             dh0, dh1 = random_direction(d, rng)
             eps = 1e-6
@@ -292,8 +292,8 @@ def test_criterion_8_invariant_suites(rng, tmp_path):
         problems.append(f"roundtrip {worst_rt:.1e}")
     # trajectory unitarity drift at benchmark scales
     pair, samples, grid = _bench_two_level()
-    traj = propagate(np.eye(2, dtype=complex), pair, samples, grid)
-    gram = np.einsum("nji,njk->nik", traj.states.conj(), traj.states) - np.eye(2)
+    states = propagate(np.eye(2, dtype=complex), pair, samples, grid)
+    gram = np.einsum("nji,njk->nik", states.conj(), states) - np.eye(2)
     drift = float(np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))).max())
     if drift > 1e-9:
         problems.append(f"drift {drift:.1e}")
@@ -320,9 +320,9 @@ def test_criterion_8_invariant_suites(rng, tmp_path):
     if identity_err > 1e-10:
         problems.append(f"derivative identity {identity_err:.1e}")
     # reduction consistency
-    traj3 = propagate(np.eye(d, dtype=complex), p3, s3, g3)
-    j0, j1 = assemble_jacobian(traj3, s3)
-    s_k = hermitian_residual(traj3.final(), haar_unitary(d, rng))
+    states3 = propagate(np.eye(d, dtype=complex), p3, s3, g3)
+    j0, j1 = assemble_jacobian(states3, s3, g3.dt)
+    s_k = hermitian_residual(states3[-1], haar_unitary(d, rng))
     system = reduce_system(j0, j1, s_k)
     upd = solve_update(system, NewtonConfig(singular_cond_threshold=1e14))
     back = (

@@ -1,6 +1,7 @@
 import ast
 import copy
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -365,6 +366,36 @@ def test_perfbench_sites_resolve():
     assert not missing
 
 
+def test_config_is_frozen():
+    # the plan is resolved once, when the config is built: an assigned seed
+    # or block would be recorded in the manifest but not run
+    cfg = ExperimentConfig(kind="newton-two-level", n_steps=200)
+    for name, value in (("seed", 5), ("newton", {"max_iters": 2}), ("out_dir", "elsewhere")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+
+
+def test_block_edits_after_building_change_neither_run_nor_manifest(tmp_path):
+    # the blocks are copied when the config is built, and the manifest
+    # records the config the plan was resolved from
+    newton = {"max_iters": 3}
+    sweep = {"etas": [1e-4], "n_seeds": 1, "k_max": 2}
+    cfg = ExperimentConfig(kind="newton-two-level", n_steps=200, out_dir=str(tmp_path / "n"), newton=newton)
+    newton["max_iters"] = 2
+    cfg.newton["tol"] = 1e-3
+    run_experiment(cfg)
+    manifest = json.loads((tmp_path / "n" / "manifest.json").read_text())
+    assert manifest["config"]["newton"] == {"max_iters": 3} == cfg.to_dict()["newton"]
+    assert manifest["resolved"]["newton"]["max_iters"] == cfg.plan.newton.max_iters == 3
+    assert manifest["resolved"]["newton"]["tol"] == cfg.plan.newton.tol == NewtonConfig().tol
+    cfg = ExperimentConfig(kind="eta-sweep", n_steps=200, out_dir=str(tmp_path / "s"), sweep=sweep)
+    sweep["etas"].append(1e-3)
+    cfg.sweep["etas"].append(1e-2)
+    run_experiment(cfg)
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert manifest["config"]["sweep"]["etas"] == [1e-4] == list(cfg.plan.sweep.etas)
+
+
 @pytest.mark.parametrize(
     "config, builds",
     [
@@ -573,6 +604,14 @@ def test_cli_sweep(tmp_path):
     assert rc == 0
     raw = (tmp_path / "sw" / "fig2_raw.csv").read_text().splitlines()
     assert len(raw) == 3  # header + 2 runs
+
+
+def test_cli_sweep_refuses_an_overflowing_guess(tmp_path, capsys):
+    # a perturbation of 1e307 makes the guess's generator overflow: the
+    # propagation refuses it rather than labelling the eta Diverges
+    rc = main(["sweep", "--etas", "1e307", "--n-seeds", "1", "--steps", "50", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: the time step, field samples, h0 and h1 overflow" in capsys.readouterr().err
 
 
 def test_sweep_worker_pool_matches_serial():

@@ -322,30 +322,6 @@ u0 = np.eye(2, dtype=complex)
 u_tar = hamid.propagate_final(u0, truth, samples, grid)
 """
 
-# nothing in hamid imports scipy: a Newton solve, a sweep, a target log and
-# a continuation all run without scipy.linalg (about 26 MB resident)
-IMPORT_FOOTPRINT_SCRIPT = TWO_LEVEL_SETUP + """
-guess = hamid.perturb_pair(truth, hamid.PerturbationSpec(eta=1e-4, seed=3))
-_, report = hamid.newton_identify(u0, u_tar, guess, samples, grid, truth=truth)
-assert report.n_iterations > 0
-sweep = run_eta_sweep(ExperimentConfig.from_dict(
-    {"kind": "eta-sweep", "n_steps": 200, "sweep": {"etas": [1e-4], "n_seeds": 2, "k_max": 3}}
-))
-assert len(sweep.runs) == 2
-assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded without a log"
-
-rng = np.random.default_rng(0)
-q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-dec = hamid.decompose_target(q * (np.diag(r) / np.abs(np.diag(r))))  # Haar
-assert dec.dim == 3
-assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by decompose_target"
-cfg = hamid.ContinuationConfig(n_intermediate=2)
-_, walk = hamid.continuation_identify(u0, u_tar, samples, grid, cfg, truth=truth)
-assert len(walk.stages) == 3
-assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by a continuation"
-print("ok")
-"""
-
 # scipy made unimportable: a continuation run and the singularity demo, the
 # two kinds that take a log, still write their outputs
 NUMPY_ONLY_SCRIPT = """
@@ -361,11 +337,13 @@ for kind in ("continuation-two-level", "singularity-demo"):
 """
 
 
-def _run_script(script, *args):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -373,7 +351,10 @@ def _run_script(script, *args):
 
 
 def test_newton_and_sweep_leave_scipy_linalg_unloaded():
-    assert _run_script(IMPORT_FOOTPRINT_SCRIPT).strip() == "ok"
+    # nothing in hamid imports scipy: a Newton solve, a sweep, a target log
+    # and a continuation all run without scipy.linalg; the same script
+    # checks the continuation's and the serial sweep's other modules
+    assert _run_python(str(ROOT / "tools" / "footprint.py")).strip() == "footprint: ok"
 
 
 # what only some runs use is imported on use: OpenSSL by the manifest digest,
@@ -406,11 +387,11 @@ print("ok")
 
 
 def test_continuation_and_serial_sweep_load_no_digest_pool_or_masked_arrays():
-    assert _run_script(LAZY_IMPORTS_SCRIPT).strip() == "ok"
+    assert _run_python("-c", LAZY_IMPORTS_SCRIPT).strip() == "ok"
 
 
 def test_log_kinds_run_without_scipy(tmp_path):
-    out = _run_script(NUMPY_ONLY_SCRIPT, str(tmp_path)).splitlines()
+    out = _run_python("-c", NUMPY_ONLY_SCRIPT, str(tmp_path)).splitlines()
     assert [line.split()[0] for line in out] == ["continuation-two-level", "singularity-demo"]
     assert "'flag': 'converged'" in out[0] and "'stages': 21" in out[0]
     assert "'numerical_rank': 3" in out[1]

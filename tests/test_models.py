@@ -179,11 +179,11 @@ def test_pi_pulse_field_values():
 
 def test_pi_pulse_population_transfer_short():
     # same pulse on a shorter window (0.2 ps) so the fast suite can afford
-    # full carrier resolution; the transfer physics is t_f-invariant
-    model = build_double_well(DoubleWellParams())
-    t_f = 0.2 * PICOSECOND_AU
-    fld = pi_pulse_field(model, t_f)
-    grid = TimeGrid(t_f, 2**17)
+    # full carrier resolution; the transfer physics is t_f-invariant, and
+    # t_f is not in the Hamiltonian
+    model = build_double_well(DoubleWellParams(t_f=0.2 * PICOSECOND_AU))
+    fld = pi_pulse_field(model)
+    grid = TimeGrid(model.params.t_f, 2**17)
     u_n = propagate_final(
         np.eye(12, dtype=complex), model.pair, sample_field(fld, grid), grid
     )

@@ -43,14 +43,14 @@ def zero_pair(d):
 
 def test_cn_step_free_evolution(rng):
     u = np.eye(3, dtype=complex)
-    out = cn_step(u, np.zeros((3, 3)), np.zeros((3, 3)), 0.7, 0.1)
+    out = cn_step(u, zero_pair(3), 0.7, 0.1)
     np.testing.assert_allclose(out, u, atol=1e-15)
 
 
 def test_cn_step_diagonal_cayley():
     h = np.diag([0.4, -1.3, 2.2])
     dt = 0.37
-    out = cn_step(np.eye(3, dtype=complex), h, np.zeros((3, 3)), 0.0, dt)
+    out = cn_step(np.eye(3, dtype=complex), HamiltonianPair(h, np.zeros((3, 3))), 0.0, dt)
     expected = np.diag((1 - 0.5j * np.diag(h) * dt) / (1 + 0.5j * np.diag(h) * dt))
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -58,15 +58,15 @@ def test_cn_step_diagonal_cayley():
 def test_cn_step_unitary(rng):
     pair = random_pair(4, rng)
     u = np.eye(4, dtype=complex)
-    out = cn_step(u, pair.h0, pair.h1, 0.3, 0.05)
+    out = cn_step(u, pair, 0.3, 0.05)
     assert spec_norm(out.conj().T @ out - np.eye(4)) < 1e-13
 
 
 def test_propagate_zero_hamiltonian():
     grid = TimeGrid(t_f=1.0, n_steps=8)
-    traj = propagate(np.eye(2, dtype=complex), zero_pair(2), np.zeros(8), grid)
-    assert traj.states.shape == (9, 2, 2)
-    for state in traj.states:
+    states = propagate(np.eye(2, dtype=complex), zero_pair(2), np.zeros(8), grid)
+    assert states.shape == (9, 2, 2) and states.dtype == complex and states.flags.c_contiguous
+    for state in states:
         np.testing.assert_allclose(state, np.eye(2), atol=1e-15)
 
 
@@ -75,8 +75,8 @@ def test_propagate_pi_pulse_inversion():
     p = TwoLevelParams()
     pair, fld = two_level_model(p)
     grid = TimeGrid(p.t_f, TWO_LEVEL_DEFAULT_STEPS)
-    traj = propagate(np.eye(2, dtype=complex), pair, sample_field(fld, grid), grid)
-    assert abs(traj.final()[1, 0]) ** 2 >= 0.999
+    states = propagate(np.eye(2, dtype=complex), pair, sample_field(fld, grid), grid)
+    assert abs(states[-1][1, 0]) ** 2 >= 0.999
 
 
 def test_fast_path_matches_loop(rng):
@@ -85,42 +85,58 @@ def test_fast_path_matches_loop(rng):
     pair = random_pair(3, rng)
     grid = TimeGrid(t_f=2.0, n_steps=50)
     samples = np.full(50, 0.8)
-    traj = propagate(np.eye(3, dtype=complex), pair, samples, grid)
+    states = propagate(np.eye(3, dtype=complex), pair, samples, grid)
     u = np.eye(3, dtype=complex)
     for e in samples:
-        u = cn_step(u, pair.h0, pair.h1, e, grid.dt)
-    np.testing.assert_allclose(traj.final(), u, atol=1e-12)
+        u = cn_step(u, pair, e, grid.dt)
+    np.testing.assert_allclose(states[-1], u, atol=1e-12)
     np.testing.assert_allclose(
         propagate_final(np.eye(3, dtype=complex), pair, samples, grid), u, atol=1e-12
     )
 
 
-@pytest.mark.parametrize("n", [1, GRAM_CHUNK, GRAM_CHUNK + 1, 2 * GRAM_CHUNK + 123])
-def test_entry_points_share_one_kernel(n, rng):
-    # every entry point takes the same steps in the same order, so U_N agrees
-    # bit for bit; each N leaves a different last block in the reused step
-    # buffer, and a constant generator (H1 = 0) must take those same steps
-    # too.  d = 1 is the real embedding's 2 x 2 edge case.
-    grid = TimeGrid(t_f=5.0, n_steps=n)
+# the kernel-equivalence test's step: a power of two, so every grid of
+# n * KERNEL_DT has dt == KERNEL_DT exactly
+KERNEL_DT = 2.0**-10
+KERNEL_LENGTHS = (1, GRAM_CHUNK, GRAM_CHUNK + 1, 2 * GRAM_CHUNK + 123)
+
+
+@pytest.fixture(scope="module")
+def cn_step_loops():
+    # (pair, samples, U_0..U_N from a loop of cn_step calls) for each case,
+    # over the longest N; every N is checked against the loop's prefix.
+    # d = 1 is the real embedding's 2 x 2 edge case, and a constant
+    # generator (H1 = 0) must take the same steps too
+    rng = np.random.default_rng(20240901)
+    n = max(KERNEL_LENGTHS)
     cases = []
     for d in (1, 2, 3):
         pair = random_pair(d, rng)
-        cases += [
-            (pair, rng.normal(size=n)),
-            (HamiltonianPair(pair.h0, np.zeros((d, d))), rng.normal(size=n)),
-        ]
-    for case, samples in cases:
-        u_0 = np.eye(case.dim, dtype=complex)
-        u = u_0
-        for e in samples:
-            u = cn_step(u, case.h0, case.h1, e, grid.dt)
+        for case in (pair, HamiltonianPair(pair.h0, np.zeros((d, d)))):
+            samples = rng.normal(size=n)
+            loop = [np.eye(d, dtype=complex)]
+            for e in samples:
+                loop.append(cn_step(loop[-1], case, e, KERNEL_DT))
+            cases.append((case, samples, loop))
+    return cases
+
+
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_entry_points_share_one_kernel(n, cn_step_loops):
+    # every entry point takes the same steps in the same order as a loop of
+    # cn_step calls, so U_N agrees bit for bit; each N leaves a different
+    # last block in the reused step buffer
+    grid = TimeGrid(t_f=n * KERNEL_DT, n_steps=n)
+    assert grid.dt == KERNEL_DT
+    for case, samples, loop in cn_step_loops:
+        u_0 = loop[0]
         finals = [
-            propagate(u_0, case, samples, grid).states[-1],
-            propagate_final(u_0, case, samples, grid),
-            propagate_with_gram(u_0, case, samples, grid)[0],
+            propagate(u_0, case, samples[:n], grid)[-1],
+            propagate_final(u_0, case, samples[:n], grid),
+            propagate_with_gram(u_0, case, samples[:n], grid)[0],
         ]
         for final in finals:
-            assert np.array_equal(final, u)
+            assert np.array_equal(final, loop[n])
 
 
 def test_final_states_own_their_memory(rng):
@@ -133,7 +149,7 @@ def test_final_states_own_their_memory(rng):
     finals = [
         propagate_final(u0, pair, samples, grid),
         propagate_with_gram(u0, pair, samples, grid)[0],
-        cn_step(u0, pair.h0, pair.h1, 0.3, 0.1),
+        cn_step(u0, pair, 0.3, 0.1),
     ]
     assert all(final.base is None for final in finals)
 
@@ -148,8 +164,8 @@ def test_kernel_unitary_property(d, n, seed):
     rng = np.random.default_rng(seed)
     pair = random_pair(d, rng)
     grid = TimeGrid(t_f=float(rng.uniform(0.1, 10.0)), n_steps=n)
-    traj = propagate(np.eye(d, dtype=complex), pair, rng.normal(size=n), grid)
-    assert max_unitarity_drift(traj.states) <= 1e-12
+    states = propagate(np.eye(d, dtype=complex), pair, rng.normal(size=n), grid)
+    assert max_unitarity_drift(states) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,10 +241,10 @@ def test_streaming_matches_stored(rng):
     pair = random_pair(d, rng)
     grid = TimeGrid(t_f=1.3, n_steps=n)
     samples = rng.normal(size=n)
-    traj = propagate(np.eye(d, dtype=complex), pair, samples, grid)
+    states = propagate(np.eye(d, dtype=complex), pair, samples, grid)
     u_n, g0, g1 = propagate_with_gram(np.eye(d, dtype=complex), pair, samples, grid)
-    np.testing.assert_allclose(u_n, traj.final(), atol=1e-13)
-    ubar = vec_midpoint_products(traj)
+    np.testing.assert_allclose(u_n, states[-1], atol=1e-13)
+    ubar = vec_midpoint_products(states)
     np.testing.assert_allclose(g0, ubar.T @ ubar.conj(), atol=1e-11)
     np.testing.assert_allclose(g1, (ubar.T * samples) @ ubar.conj(), atol=1e-11)
 
@@ -244,8 +260,8 @@ def test_unitarity_drift_two_level():
     p = TwoLevelParams()
     pair, fld = two_level_model(p)
     grid = TimeGrid(p.t_f, TWO_LEVEL_DEFAULT_STEPS)
-    traj = propagate(np.eye(2, dtype=complex), pair, sample_field(fld, grid), grid)
-    assert max_unitarity_drift(traj.states) <= 1e-9
+    states = propagate(np.eye(2, dtype=complex), pair, sample_field(fld, grid), grid)
+    assert max_unitarity_drift(states) <= 1e-9
 
 
 def test_unitarity_drift_random_12(rng):
@@ -253,8 +269,8 @@ def test_unitarity_drift_random_12(rng):
     n = 4096
     grid = TimeGrid(t_f=40.0, n_steps=n)
     samples = rng.normal(size=n)
-    traj = propagate(np.eye(12, dtype=complex), pair, samples, grid)
-    assert max_unitarity_drift(traj.states) <= 1e-9
+    states = propagate(np.eye(12, dtype=complex), pair, samples, grid)
+    assert max_unitarity_drift(states) <= 1e-9
 
 
 def test_time_reversal(rng):
@@ -262,10 +278,9 @@ def test_time_reversal(rng):
     n = 64
     grid = TimeGrid(t_f=1.0, n_steps=n)
     samples = rng.normal(size=n)
-    traj = propagate(np.eye(4, dtype=complex), pair, samples, grid)
-    u = traj.final()
+    u = propagate(np.eye(4, dtype=complex), pair, samples, grid)[-1]
     for e in samples[::-1]:
-        u = cn_step(u, pair.h0, pair.h1, e, -grid.dt)
+        u = cn_step(u, pair, e, -grid.dt)
     assert spec_norm(u - np.eye(4)) < 1e-10
 
 
@@ -346,11 +361,7 @@ def test_non_finite_inputs_rejected(rng):
             TimeGrid(t_f=t_f, n_steps=8)
     for e_n, dt in ((np.nan, 0.1), (0.3, np.nan), (0.3, np.inf)):
         with pytest.raises(ValueError, match="non-finite"):
-            cn_step(np.eye(2, dtype=complex), pair.h0, pair.h1, e_n, dt)
-    # cn_step checks its operators as every other entry point does: a
-    # non-symmetric h0 would give a non-unitary step
-    with pytest.raises(ValueError, match="h0 is not symmetric"):
-        cn_step(np.eye(2, dtype=complex), np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), 0.0, 0.5)
+            cn_step(np.eye(2, dtype=complex), pair, e_n, dt)
 
 
 _I2 = np.eye(2, dtype=complex)
@@ -358,6 +369,35 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PAIR = HamiltonianPair(np.diag([0.3, -0.2]), _SX)
 _GRID = TimeGrid(t_f=1.0, n_steps=4)
 _COMPLEX_SAMPLES = np.array([0.1, 0.2 + 1e-3j, 0.3, 0.4])
+
+# finite inputs whose generator (dt/2)(H0 + E_n H1) overflows: E_n H1 in the
+# first, the dt/2 factor in the last
+_HUGE_PAIR = HamiltonianPair(np.eye(2), 1e200 * _SX)
+_HUGE_SAMPLES = np.full(10, 1e200)
+_GRID_10 = TimeGrid(t_f=1.0, n_steps=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: propagate_final(_I2, _HUGE_PAIR, _HUGE_SAMPLES, _GRID_10),
+        lambda: propagate_with_gram(_I2, _HUGE_PAIR, _HUGE_SAMPLES, _GRID_10),
+        lambda: propagate(_I2, _HUGE_PAIR, _HUGE_SAMPLES, _GRID_10),
+        lambda: cn_step(_I2, _HUGE_PAIR, -1e200, 0.1),
+        lambda: propagate_final(
+            _I2, HamiltonianPair(np.diag([1e300, 0.0]), np.zeros((2, 2))), np.zeros(1), TimeGrid(1e10, 1)
+        ),
+    ],
+    ids=["propagate-final", "propagate-with-gram", "propagate", "cn-step", "propagate-final-dt"],
+)
+def test_overflowing_generator_refused(call):
+    # every step would be NaN, with only a RuntimeWarning; the bound itself
+    # is taken in Python floats and warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="time step, field samples, h0 and h1 overflow"):
+            call()
+
 
 
 @pytest.mark.parametrize(
@@ -369,8 +409,8 @@ _COMPLEX_SAMPLES = np.array([0.1, 0.2 + 1e-3j, 0.3, 0.4])
         (lambda: propagate_final(_I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
         (lambda: propagate_with_gram(_I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
         (lambda: newton_identify(_I2, _I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
-        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, 0.3 + 1j, 0.1), "field value and time step"),
-        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, 0.3, 0.1 + 1e-9j), "field value and time step"),
+        (lambda: cn_step(_I2, _PAIR, 0.3 + 1j, 0.1), "field value and time step"),
+        (lambda: cn_step(_I2, _PAIR, 0.3, 0.1 + 1e-9j), "field value and time step"),
     ],
     ids=[
         "pair-h0", "pair-h1", "propagate", "propagate-final", "propagate-with-gram", "newton",
@@ -389,10 +429,10 @@ def test_complex_values_refused(call, name):
     [
         (lambda: HamiltonianPair([["a", "b"], ["c", "d"]], _SX), "h0"),
         (lambda: propagate_final(_I2, _PAIR, np.array(["a", "b", "c", "d"]), _GRID), "field samples"),
-        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, "x", 0.1), "field value and time step"),
+        (lambda: cn_step(_I2, _PAIR, "x", 0.1), "field value and time step"),
         (lambda: HamiltonianPair(_PAIR.h0, [["0", "1"], ["1", "0"]]), "h1"),
-        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, 0.3, "0.1"), "field value and time step"),
-        (lambda: cn_step(_I2, _PAIR.h0, _PAIR.h1, {}, 0.1), "field value and time step"),
+        (lambda: cn_step(_I2, _PAIR, 0.3, "0.1"), "field value and time step"),
+        (lambda: cn_step(_I2, _PAIR, {}, 0.1), "field value and time step"),
     ],
     ids=["pair-h0", "propagate-final", "cn-step", "pair-h1-numeric-text", "cn-step-dt-numeric-text", "cn-step-dict"],
 )
@@ -409,9 +449,9 @@ def test_complex_dtype_with_zero_imaginary_part_is_real():
         warnings.simplefilter("error")
         pair = HamiltonianPair(_PAIR.h0.astype(complex), _PAIR.h1.astype(complex))
         u_n = propagate_final(_I2, pair, _COMPLEX_SAMPLES.real.astype(complex), _GRID)
-        step = cn_step(_I2, _PAIR.h0, _PAIR.h1, complex(0.3), 0.1)
+        step = cn_step(_I2, _PAIR, complex(0.3), 0.1)
     assert u_n.tobytes() == propagate_final(_I2, _PAIR, _COMPLEX_SAMPLES.real, _GRID).tobytes()
-    assert step.tobytes() == cn_step(_I2, _PAIR.h0, _PAIR.h1, 0.3, 0.1).tobytes()
+    assert step.tobytes() == cn_step(_I2, _PAIR, 0.3, 0.1).tobytes()
 
 
 def test_propagate_peak_memory_is_the_trajectory():
@@ -424,12 +464,12 @@ def test_propagate_peak_memory_is_the_trajectory():
     propagate(_I2, _PAIR, samples[:8], TimeGrid(t_f=1.0, n_steps=8))  # lazy imports
     tracemalloc.start()
     try:
-        traj = propagate(_I2, _PAIR, samples, grid)
+        states = propagate(_I2, _PAIR, samples, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     block = GRAM_CHUNK * d * d * np.dtype(complex).itemsize
-    assert peak <= traj.states.nbytes + 8 * block
+    assert peak <= states.nbytes + 8 * block
 
 
 def _every_entry_point(pair, samples, grid):
@@ -440,8 +480,8 @@ def _every_entry_point(pair, samples, grid):
         g0,
         g1,
         propagate_final(u_0, pair, samples, grid),
-        propagate(u_0, pair, samples, grid).states,
-        cn_step(u_0, pair.h0, pair.h1, samples[0], grid.dt),
+        propagate(u_0, pair, samples, grid),
+        cn_step(u_0, pair, samples[0], grid.dt),
     ]
 
 
