@@ -12,16 +12,18 @@ trajectory (needed at the 10^6-step molecular scale).
 
 One private generator, ``_cayley_blocks``, takes every step.  It slices the
 samples into blocks of at most ``GRAM_CHUNK`` steps, builds each block's
-Cayley factors C_n = (I + L_n)^{-1} (I - L_n) in one batched LAPACK solve,
-and applies them one real matrix product each, in time order, into one
-buffer that every block reuses.  The buffer holds the transposes W_n =
-U_n^T, so a step is W_{n+1} = W_n C_n^T: a d x d complex W read as floats is
-d x 2d with each entry's real and imaginary parts side by side in its row,
-and multiplying it on the right by the 2d x 2d real embedding of C_n^T (each
-complex entry z as the 2 x 2 block [[Re z, Im z], [-Im z, Re z]]) is the
-complex product, taken as one float64 BLAS call, which costs less than the
-complex one at small d.  The generator yields each block's samples and
-transposed states (the block's starting W first).
+Cayley factors C_n = (I + L_n)^{-1} (I - L_n) (at d = 2 in closed form,
+2 adj(I + L_n) / det(I + L_n) - I taken in real arithmetic; at every other
+d in one batched LAPACK solve), and applies them one real matrix product
+each, in time order, into one buffer that every block reuses.  The buffer
+holds the transposes W_n = U_n^T, so a step is W_{n+1} = W_n C_n^T: a d x d
+complex W read as floats is d x 2d with each entry's real and imaginary
+parts side by side in its row, and multiplying it on the right by the
+2d x 2d real embedding of C_n^T (each complex entry z as the 2 x 2 block
+[[Re z, Im z], [-Im z, Re z]]) is the complex product, taken as one float64
+BLAS call, which costs less than the complex one at small d.  The generator
+yields each block's samples and transposed states (the block's starting W
+first).
 
 Every entry point takes a ``HamiltonianPair`` and returns plain C-ordered
 arrays: ``propagate`` the stored states U_0..U_N, ``propagate_final`` U_N,
@@ -34,13 +36,14 @@ loop.  The factors are never regrouped, so every entry point (and a loop of
 memory is bounded by the block, not by N.
 
 Every buffer of the loop (the block's states, the embedding slice and the
-state slab it is multiplied into, and the complex scratch for I +- L_n and
-the Gram midpoints) lives in a ``_Workspace``, kept in a private pool with
-one idle workspace per dimension, sized to the largest block seen there.  A
-call takes its dimension's workspace out of the pool and puts it back when
-it ends, so two live propagations (in threads, or one generator inside
-another) never share one, and a warm call allocates one block-sized array:
-the factors the batched solve returns.  A workspace for ``GRAM_CHUNK``
+state slab it is multiplied into, and the complex scratch for the factors
+and the Gram midpoints) lives in a ``_Workspace``, kept in a private pool
+with one idle workspace per dimension, sized to the largest block seen
+there.  A call takes its dimension's workspace out of the pool and puts it
+back when it ends, so two live propagations (in threads, or one generator
+inside another) never share one.  A warm call allocates one block-sized
+array, the factors the batched solve returns, and none at d = 2, where the
+factors are written into the scratch.  A workspace for ``GRAM_CHUNK``
 steps holds 0.21 d^2 MB: 0.84 MB at d = 2, 7.5 MB at d = 6 and 30 MB at
 d = 12.
 """
@@ -62,8 +65,8 @@ from .linalg import (
     unitary_exp,
 )
 
-# steps per block of the stepping loop (one batched factor solve and one
-# flush of the Gram accumulators each); fixed so summation order (and hence
+# steps per block of the stepping loop (one factor build and one flush of
+# the Gram accumulators each); fixed so summation order (and hence
 # output bytes) never depends on run conditions
 GRAM_CHUNK = 4096
 
@@ -72,6 +75,11 @@ GRAM_CHUNK = 4096
 # cache before the steps read them, a slice of this size stays resident
 # (whole blocks were 5-11% slower per step at d = 6 and 12)
 EMBED_SLICE = 256
+
+# at d = 2 a factor is built from products of up to four entries of
+# A_n = (dt/2)(H0 + E_n H1); below 2**_CLOSED_FORM_EXP they stay under
+# 2**1003, and a step with an entry at or above it takes the batched solve
+_CLOSED_FORM_EXP = 250
 
 
 @dataclass(frozen=True)
@@ -109,10 +117,9 @@ class _Workspace:
     """The stepping loop's buffers at one dimension d, for blocks of up to
     ``capacity`` steps: the block's transposed states, an ``EMBED_SLICE``-step
     state slab and the factor embeddings (each with its per-step float views
-    built once, so a step creates no array), and complex scratch that holds
-    I + L_n and I - L_n for the factor solve (the I - L_n half first holds
-    H0 + E_n H1 as floats) and is free for the caller once the block is
-    stepped."""
+    built once, so a step creates no array), and complex scratch in which
+    ``_step_block`` builds the factors (the second half holds them when it
+    is done) and which is free for the caller once the block is stepped."""
 
     __slots__ = ("capacity", "states", "slab", "slab_views", "embedded", "embed_views", "scratch")
 
@@ -131,34 +138,112 @@ class _Workspace:
 _POOL: dict[int, _Workspace] = {}
 
 
-def _step_block(ws: _Workspace, h0: np.ndarray, h1: np.ndarray, e: np.ndarray, dt: float) -> None:
+def _two_level_factors(
+    pair: HamiltonianPair, e: np.ndarray, dt: float, scratch: np.ndarray, out: np.ndarray
+) -> None:
+    """The 2 x 2 Cayley factors C_n = (I + L_n)^{-1} (I - L_n) of the
+    samples ``e`` in closed form, written into ``out``, in real arithmetic
+    on the planes of ``scratch`` (one more (n, 2, 2) complex array).
+
+    With A_n = (dt/2)(H0 + E_n H1) real, L_n = i A_n and det(I + L_n) =
+    x + i y, x = 1 - det A_n, y = tr A_n, the adjugate gives
+
+        C = I + q (L + det(L) I),    q = -2 / (x + i y) = v - i u,
+
+    with v = m x, u = m y and m = -2 / (x^2 + y^2): entry (j, k != j) is
+    a_jk (u + i v), and entry (j, j) is 1 + (a_jj u - det(A) v) + i (a_jj v
+    + det(A) u).  C - I is formed without rounding I + L_n, so a factor
+    near I keeps the low bits of A_n (LAPACK's solve is off by a few ulps).
+    Every entry is taken as it is, since H0 and H1 are symmetric only to
+    ``SYMMETRY_TOL``.  Each op is a real ufunc over one plane of the block,
+    so step n gets the same bits in any block, alone or not.  x^2 would
+    overflow for entries of A_n near 2**256: a step with an entry at or
+    above 2**_CLOSED_FORM_EXP takes the batched solve instead."""
+    n = e.size
+    floats = scratch.view(float).reshape(-1)
+    a = floats[: 4 * n].reshape(2, 2, n)
+    t0, t1, t2, t3 = floats[4 * n :].reshape(4, n)
+    # plane (j, k) of a holds entry (j, k) of every A_n
+    planes = a.reshape(4, n)
+    np.multiply(pair.h1.reshape(4, 1), e, out=planes)
+    np.add(pair.h0.reshape(4, 1), planes, out=planes)
+    np.multiply(0.5 * dt, planes, out=planes)
+    # a bound on every entry of the block's A_n, taken in Python floats
+    h0_max, h1_max = pair._entry_max
+    e_max = max(float(e.max()), -float(e.min()))
+    big = None
+    if 0.5 * abs(dt) * (h0_max + e_max * h1_max) >= 2.0 ** (_CLOSED_FORM_EXP - 1):
+        big = np.abs(a).max(axis=(0, 1)) >= 2.0**_CLOSED_FORM_EXP
+        a[:, :, big] = 0.0
+    a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+    # det A in t0, x in t1, m in t3
+    np.multiply(a00, a11, out=t0)
+    np.multiply(a01, a10, out=t1)
+    np.subtract(t0, t1, out=t0)
+    np.subtract(1.0, t0, out=t1)
+    np.add(a00, a11, out=t2)
+    np.multiply(t2, t2, out=t2)
+    np.multiply(t1, t1, out=t3)
+    np.add(t3, t2, out=t3)
+    np.divide(-2.0, t3, out=t3)
+    # u in t2, v in t1, then det(A) v in t3 and det(A) u in t0
+    np.add(a00, a11, out=t2)
+    np.multiply(t3, t2, out=t2)
+    np.multiply(t3, t1, out=t1)
+    u, v = t2, t1
+    for j, k in ((0, 1), (1, 0)):
+        np.multiply(a[j, k], u, out=out[:, j, k].real)
+        np.multiply(a[j, k], v, out=out[:, j, k].imag)
+    np.multiply(t0, v, out=t3)
+    np.multiply(t0, u, out=t0)
+    for j in range(2):
+        c = out[:, j, j]
+        np.multiply(a[j, j], u, out=c.real)
+        np.subtract(c.real, t3, out=c.real)
+        np.add(1.0, c.real, out=c.real)
+        np.multiply(a[j, j], v, out=c.imag)
+        np.add(c.imag, t0, out=c.imag)
+    if big is not None:
+        # the ops of the solve at other d, on these steps alone
+        eye = np.eye(2)
+        l_big = 0.5j * dt * (pair.h0 + e[big, None, None] * pair.h1)
+        out[big] = np.linalg.solve(eye + l_big, eye - l_big)
+
+
+def _step_block(ws: _Workspace, pair: HamiltonianPair, e: np.ndarray, dt: float) -> None:
     """Step ``ws.states[0]`` over the block's samples ``e`` into
     ``ws.states[1 : e.size + 1]``.
 
     The states are transposes, W_n = U_n^T, so a step is the row product
-    W_{n+1} = W_n C_n^T.  One batched solve builds every factor C_n =
-    (I + L_n)^{-1} (I - L_n) of the block from I + L_n and I - L_n formed
-    in ``ws.scratch``; the generator H0 + E_n H1 is summed in the I - L_n
-    half, which is overwritten once I + L_n is formed from that sum.  Each
-    W is read as its real view (d x 2d, real and imaginary parts
-    interleaved) and each C_n^T as its real 2d x 2d embedding, whose 2 x 2
-    block (j, c) is [[Re, Im], [-Im, Re]] of C_n[c, j]; the step is then
-    one float64 matrix product.  The
-    embeddings are written ``EMBED_SLICE`` steps at a time into
-    ``ws.embedded``, the products into ``ws.slab``, which is then copied
-    into ``ws.states``."""
+    W_{n+1} = W_n C_n^T.  The block's factors C_n = (I + L_n)^{-1} (I -
+    L_n) are built first in ``ws.scratch``.  At d = 2 they are written in
+    closed form into its second half (``_two_level_factors``).  At every
+    other d, the generator H0 + E_n H1 is summed in the second half, read
+    as floats, L_n formed from that sum in the first half, then I - L_n in
+    the second and I + L_n in the first, and one batched LAPACK solve
+    returns the factors.  Each W is read as its real view (d x 2d, real and
+    imaginary parts interleaved) and each C_n^T as its real 2d x 2d
+    embedding, whose 2 x 2 block (j, c) is [[Re, Im], [-Im, Re]] of
+    C_n[c, j]; the step is then one float64 matrix product.  The embeddings
+    are written ``EMBED_SLICE`` steps at a time into ``ws.embedded``, the
+    products into ``ws.slab``, which is then copied into ``ws.states``."""
     n = e.size
-    eye = np.eye(h0.shape[0])
     plus, minus = ws.scratch[:, :n]
-    # H0 + E_n H1 in the first half of the I - L_n scratch read as floats:
-    # contiguous, where minus.real would be strided
-    gen = minus.view(float).reshape(-1)[: minus.size].reshape(minus.shape)
-    np.multiply(e[:, None, None], h1, out=gen)
-    np.add(h0, gen, out=gen)
-    np.multiply(0.5j * dt, gen, out=plus)
-    np.subtract(eye, plus, out=minus)
-    np.add(eye, plus, out=plus)
-    factors_t = np.linalg.solve(plus, minus).transpose(0, 2, 1)
+    if pair.dim == 2:
+        _two_level_factors(pair, e, dt, plus, minus)
+        factors = minus
+    else:
+        eye = np.eye(pair.dim)
+        # H0 + E_n H1 in the first half of the I - L_n scratch read as
+        # floats: contiguous, where minus.real would be strided
+        gen = minus.view(float).reshape(-1)[: minus.size].reshape(minus.shape)
+        np.multiply(e[:, None, None], pair.h1, out=gen)
+        np.add(pair.h0, gen, out=gen)
+        np.multiply(0.5j * dt, gen, out=plus)
+        np.subtract(eye, plus, out=minus)
+        np.add(eye, plus, out=plus)
+        factors = np.linalg.solve(plus, minus)
+    factors_t = factors.transpose(0, 2, 1)
     w_n = ws.states.view(float)[0]
     for start in range(0, n, EMBED_SLICE):
         part = factors_t[start : start + EMBED_SLICE]
@@ -198,7 +283,7 @@ def _cayley_blocks(u: np.ndarray, pair: HamiltonianPair, samples: np.ndarray, dt
         ws.states[0] = u.T
         for start in range(0, samples.size, GRAM_CHUNK):
             e = samples[start : start + GRAM_CHUNK]
-            _step_block(ws, pair.h0, pair.h1, e, dt)
+            _step_block(ws, pair, e, dt)
             states = ws.states[: e.size + 1]
             yield e, states, ws.scratch[:, : e.size]
             ws.states[0] = states[-1]

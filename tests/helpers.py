@@ -52,9 +52,11 @@ def random_direction(d, rng):
 
 def cayley_loop_reference(u_0, pair, samples, dt):
     """U_N by complex Cayley steps: the factors C_n = (I + L_n)^{-1} (I - L_n)
-    from one batched solve (the kernel's factors, bit for bit), then U_{n+1}
-    = C_n U_n as one complex matrix product each.  The reference the
-    kernel's real-embedded products must match to round-off."""
+    from one batched solve, then U_{n+1} = C_n U_n as one complex matrix
+    product each.  The reference the kernel must match to round-off: at
+    d != 2 the factors are the kernel's, bit for bit, and only its
+    real-embedded products differ; at d = 2, where the kernel takes the
+    factors in closed form, it is an independent reference for both."""
     eye = np.eye(pair.dim)
     l = (0.5j * dt) * (pair.h0 + np.asarray(samples)[:, None, None] * pair.h1)
     u = np.array(u_0, dtype=complex)

@@ -24,6 +24,7 @@ from hamid import (
     two_level_model,
     unitary_exp,
 )
+from hamid.linalg import SYMMETRY_TOL, unitarity_defect
 from hamid.models import TWO_LEVEL_DEFAULT_STEPS
 from hamid import propagation
 from hamid.propagation import GRAM_CHUNK
@@ -175,9 +176,10 @@ def test_kernel_unitary_property(d, n, seed):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_kernel_matches_complex_loop_property(d, n, seed):
-    # the kernel's real-embedded float64 products against the complex loop
-    # on the same factors: they differ in the last bits of each product, so
-    # the gap may grow with N, by round-off only
+    # the kernel's real-embedded float64 products against the complex loop,
+    # on the same factors except at d = 2, where the kernel's closed-form
+    # factors differ from LAPACK's in their last bits too, so the gap may
+    # grow with N, by round-off only
     rng = np.random.default_rng(seed)
     pair = random_pair(d, rng)
     grid = TimeGrid(t_f=float(rng.uniform(0.1, 10.0)), n_steps=n)
@@ -185,6 +187,87 @@ def test_kernel_matches_complex_loop_property(d, n, seed):
     samples = rng.normal(size=n)
     u_n = propagate_final(u_0, pair, samples, grid)
     assert spec_norm(u_n - cayley_loop_reference(u_0, pair, samples, grid.dt)) <= 1e-14 * n
+
+
+def _two_level_factor(pair, e, dt):
+    """(the kernel's factor C from one ``cn_step`` of I, A = (dt/2)(H0 + E
+    H1) by the kernel's own ops, LAPACK's (I + iA)^{-1} (I - iA), and the
+    bound on C's distance from any reference)."""
+    a = 0.5 * dt * (pair.h0 + e * pair.h1)
+    eye = np.eye(2)
+    factor = cn_step(eye, pair, e, dt)
+    # rounding errors of the closed form, of LAPACK and of eigh each grow
+    # like eps ||A||: through det A, or the condition of I + iA
+    bound = 32 * np.finfo(float).eps * (1.0 + spec_norm(a))
+    return factor, a, np.linalg.solve(eye + 1j * a, eye - 1j * a), bound
+
+
+def _eigh_cayley(a):
+    """(I + iA)^{-1} (I - iA) for a real symmetric A, from its eigenpairs."""
+    w, v = np.linalg.eigh(a)
+    return (v * ((1.0 - 1j * w) / (1.0 + 1j * w))) @ v.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_norm=st.floats(min_value=-8.0, max_value=6.0),
+    e=st.floats(min_value=-2.0, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_two_level_factor_property(log_norm, e, seed):
+    # the closed-form d = 2 factor against LAPACK's solve and an eigh-built
+    # Cayley map, for ||(dt/2)(H0 + E H1)|| from 1e-8 to 1e6
+    pair = random_pair(2, np.random.default_rng(seed))
+    h_norm = spec_norm(pair.h0 + e * pair.h1)
+    assume(h_norm > 0.0)
+    factor, a, lapack, bound = _two_level_factor(pair, e, 2.0 * 10.0**log_norm / h_norm)
+    assert spec_norm(factor - lapack) <= bound
+    assert spec_norm(factor - _eigh_cayley(a)) <= bound
+    assert unitarity_defect(factor) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_norm=st.floats(min_value=0.0, max_value=8.0),
+    log_rest=st.floats(min_value=-8.0, max_value=0.0),
+    angle=st.floats(min_value=0.0, max_value=np.pi),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_two_level_factor_near_rank_one_property(log_norm, log_rest, angle, seed):
+    # H0 = s v v^T + a unit-scale rest, up to s = 1e8: det A cancels to
+    # about 1/s of its terms, so every method loses about eps s
+    rng = np.random.default_rng(seed)
+    v = np.array([np.cos(angle), np.sin(angle)])
+    rest = random_pair(2, rng).h0
+    rest *= 10.0**log_rest / spec_norm(rest)
+    pair = HamiltonianPair(10.0**log_norm * np.outer(v, v) + rest, np.zeros((2, 2)))
+    factor, a, lapack, bound = _two_level_factor(pair, 0.0, 2.0)
+    assert spec_norm(factor - lapack) <= bound
+    assert spec_norm(factor - _eigh_cayley(a)) <= bound
+    assert unitarity_defect(factor) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    norm=st.floats(min_value=0.1, max_value=1.0),
+    skew=st.floats(min_value=0.2, max_value=0.45),
+    e=st.floats(min_value=-2.0, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_two_level_factor_non_symmetric_property(norm, skew, e, seed):
+    # H0 symmetric only to SYMMETRY_TOL: the factor uses both off-diagonal
+    # entries as they are, so it matches LAPACK on the same A, and not the
+    # factor of A's symmetric part (which lies far outside the bound)
+    pair = random_pair(2, np.random.default_rng(seed))
+    h_norm = spec_norm(pair.h0 + e * pair.h1)
+    assume(h_norm > 0.0)
+    skewed = pair.h0 / h_norm + skew * SYMMETRY_TOL * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    pair = HamiltonianPair(skewed, pair.h1 / h_norm)
+    factor, a, lapack, bound = _two_level_factor(pair, e, 2.0 * norm)
+    assert spec_norm(factor - lapack) <= bound
+    symmetric = 0.5 * (a + a.T)
+    eye = np.eye(2)
+    assert spec_norm(factor - np.linalg.solve(eye + 1j * symmetric, eye - 1j * symmetric)) > 10 * bound
 
 
 @settings(max_examples=30, deadline=None)
@@ -399,6 +482,36 @@ def test_overflowing_generator_refused(call):
             call()
 
 
+def test_two_level_huge_generator_stays_unitary():
+    # finite inputs whose entries of (dt/2)(H0 + E_n H1) reach 1e198: a
+    # product of two of them would overflow
+    pair = HamiltonianPair(np.array([[1e200, 3e199], [3e199, -2e200]]), 1e199 * _SX)
+    samples = np.linspace(-1.0, 1.0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_n = propagate_final(_I2, pair, samples, _GRID_10)
+    assert np.all(np.isfinite(u_n))
+    assert unitarity_defect(u_n) <= 1e-14
+    reference = cayley_loop_reference(_I2, pair, samples, _GRID_10.dt)
+    assert spec_norm(u_n - reference) <= 1e-13
+
+
+def test_two_level_huge_and_unit_steps_in_one_block():
+    # steps past the closed form's range take the solve, one by one, and the
+    # others the closed form, so a block mixing them gives the bits of a
+    # loop of cn_step calls
+    pair = HamiltonianPair(np.diag([0.3, -0.2]), 1e199 * _SX)
+    samples = np.tile([0.0, 1.0, 1e-199, -0.5], 5)
+    grid = TimeGrid(t_f=1.0, n_steps=samples.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_n = propagate_final(_I2, pair, samples, grid)
+        u = _I2
+        for e in samples:
+            u = cn_step(u, pair, e, grid.dt)
+    assert np.array_equal(u_n, u)
+    assert unitarity_defect(u_n) <= 1e-14
+
 
 @pytest.mark.parametrize(
     "call, name",
@@ -456,8 +569,8 @@ def test_complex_dtype_with_zero_imaginary_part_is_real():
 
 def test_propagate_peak_memory_is_the_trajectory():
     # the blocks' states go straight into the result, so the peak is the
-    # trajectory plus one block's temporaries (the factor solve's few arrays
-    # of GRAM_CHUNK d x d matrices), not a second copy of the trajectory
+    # trajectory plus at most one block's temporaries (a few arrays of
+    # GRAM_CHUNK d x d matrices), not a second copy of the trajectory
     n, d = 2**16, 2
     grid = TimeGrid(t_f=10.0, n_steps=n)
     samples = np.sin(1e-3 * np.arange(n))
@@ -542,19 +655,34 @@ def test_pooled_buffers_carry_nothing_between_calls(rng):
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
-@pytest.mark.parametrize("call", [propagate_with_gram, propagate_final])
-def test_warm_call_allocates_one_block(call):
-    # with the dimension's workspace pooled, the factor solve's output is the
-    # one block-sized array a call allocates
-    n, d = 2 * GRAM_CHUNK + 100, 2
+# (d, pair, bound on a warm call's peak in blocks): at d = 2 the factors are
+# built in the pooled scratch, so no block-sized array is allocated; at
+# d = 3 the batched solve returns one
+_WARM_PAIR_3 = HamiltonianPair(np.diag([0.3, -0.2, 0.1]), np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1))
+
+
+@pytest.mark.parametrize(
+    "call, d, pair, bound",
+    [
+        (call, d, pair, bound)
+        for d, pair, bound in ((2, _PAIR, 0.9), (3, _WARM_PAIR_3, 1.5))
+        for call in (propagate_with_gram, propagate_final)
+    ],
+    ids=["propagate_with_gram", "propagate_final", "propagate_with_gram-d3", "propagate_final-d3"],
+)
+def test_warm_call_allocates_one_block(call, d, pair, bound):
+    # with the dimension's workspace pooled, a call allocates at most the
+    # factor solve's output
+    n = 2 * GRAM_CHUNK + 100
     grid = TimeGrid(t_f=10.0, n_steps=n)
     samples = np.sin(1e-3 * np.arange(n))
-    call(_I2, _PAIR, samples, grid)
+    u_0 = np.eye(d, dtype=complex)
+    call(u_0, pair, samples, grid)
     tracemalloc.start()
     try:
-        call(_I2, _PAIR, samples, grid)
+        call(u_0, pair, samples, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     block = GRAM_CHUNK * d * d * np.dtype(complex).itemsize
-    assert peak <= 1.5 * block
+    assert peak <= bound * block
