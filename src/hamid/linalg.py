@@ -8,6 +8,7 @@ operation's contract demands them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ def require_real_array(x, name: str = "matrix") -> np.ndarray:
     (the cast would read '0.5' as a number), and so is a value the cast
     cannot read (a dict).  A float64 array is returned as it is, without a
     copy."""
+    if type(x) is np.ndarray and x.dtype == np.float64:
+        return x
     x = np.asarray(x)
     if np.iscomplexobj(x):
         if np.any(x.imag != 0):
@@ -69,20 +72,42 @@ def spec_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def symmetry_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.T))) if m.size else 0.0
+def spec_norms(*ms: np.ndarray) -> list:
+    """``[spec_norm(m) for m in ms]``, bit for bit, with one batched SVD per
+    group of matrices that share a dtype and a shape: the batched call makes
+    the same LAPACK call on each matrix."""
+    ms = [require_square(m) for m in ms]
+    norms = [0.0] * len(ms)
+    groups = {}
+    for k, m in enumerate(ms):
+        if m.size == 1:
+            norms[k] = float(abs(m[0, 0]))
+        else:
+            groups.setdefault((m.dtype, m.shape), []).append(k)
+    for ks in groups.values():
+        sv = np.linalg.svd(np.array([ms[k] for k in ks]), compute_uv=False)
+        for k, s in zip(ks, sv[:, 0].tolist()):
+            norms[k] = s
+    return norms
 
 
-def require_real_symmetric(
-    m: np.ndarray, name: str = "matrix", zero_diag: bool = False
-) -> np.ndarray:
-    """Validate a real symmetric matrix (optionally with zero diagonal)."""
-    m = require_finite(require_square(require_real_array(m, name), name), name)
-    if symmetry_defect(m) > SYMMETRY_TOL:
-        raise ValueError(f"{name} is not symmetric (defect {symmetry_defect(m):.3e})")
-    if zero_diag and m.size and np.max(np.abs(np.diag(m))) > SYMMETRY_TOL:
+def require_real_symmetric(m: np.ndarray, name: str = "matrix", zero_diag: bool = False):
+    """Validate a real symmetric matrix (optionally with zero diagonal):
+    returns (the matrix as floats, max|m| as a Python float).  max|m| is NaN
+    or inf exactly when an entry is, so one reduction gives the finiteness
+    verdict and the entry bound."""
+    m = require_square(require_real_array(m, name), name)
+    if not m.size:
+        return m, 0.0
+    entry_max = float(abs(m).max())
+    if not math.isfinite(entry_max):
+        raise ValueError(f"{name} has non-finite entries")
+    defect = float(abs(m - m.T).max())
+    if defect > SYMMETRY_TOL:
+        raise ValueError(f"{name} is not symmetric (defect {defect:.3e})")
+    if zero_diag and abs(m.diagonal()).max() > SYMMETRY_TOL:
         raise ValueError(f"{name} must have a zero diagonal")
-    return m
+    return m, entry_max
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -96,9 +121,13 @@ def require_unitary(
     u = require_finite(np.asarray(u, dtype=complex), name)
     if u.size == 0:
         raise ValueError(f"{name} must be at least 1 x 1, got shape {u.shape}")
-    defect = unitarity_defect(u)
-    if defect > tol:
-        raise ValueError(f"{name} is not unitary within {tol:.1e} (defect {defect:.3e})")
+    e = require_square(u).conj().T @ u - np.eye(u.shape[0])
+    # ||E||_2 <= ||E||_F, so a Frobenius norm (one BLAS call) under half the
+    # tolerance passes without the SVD; any other E gets the SVD's verdict
+    if not math.sqrt(np.vdot(e, e).real) <= 0.5 * tol:
+        defect = spec_norm(e)
+        if defect > tol:
+            raise ValueError(f"{name} is not unitary within {tol:.1e} (defect {defect:.3e})")
     return u
 
 
@@ -118,7 +147,7 @@ class TargetDecomposition:
     a: np.ndarray
 
     def __post_init__(self):
-        s = require_real_symmetric(self.s, "S")
+        s = require_real_symmetric(self.s, "S")[0]
         a = require_finite(require_real_array(self.a, "A"), "A")
         if a.size and np.max(np.abs(a + a.T)) > SYMMETRY_TOL:
             raise ValueError("A is not antisymmetric")

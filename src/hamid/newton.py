@@ -24,7 +24,8 @@ vec(A X B) = (B^T kron A) vec(X).  The reduction keeps, for every entry
 (i, j) followed (for i < j) by its imaginary part; unknowns are the upper
 triangle of dH0 (diagonal included) followed by the strict upper triangle
 of dH1.  Both counts equal d^2, so the reduced system is square.  Only
-this module knows these layouts; propagation hands it Gram sums over vec(Ubar).
+this module knows these layouts; propagation hands it Gram sums over
+vec(Ubar), from which ``reduce_system`` gathers the reduced matrix directly.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import TimeGrid, require_count, require_real
-from .linalg import require_real_array, require_square, require_unitary, spec_norm
+from .linalg import require_real_array, require_square, require_unitary, spec_norms
 from .propagation import HamiltonianPair, propagate_final, propagate_with_gram
 from . import reporting
 
@@ -119,16 +120,18 @@ class NewtonIteration:
 @dataclass(frozen=True)
 class Linearization:
     """What the Newton system at ``pair`` has that does not depend on the
-    target: U_N and the Jacobian blocks J0, J1, from one propagation with
-    Gram sums.  ``system(u_tar)`` is the Newton system for any target."""
+    target: U_N and the Gram sums G0, G1 of one propagation with time step
+    ``dt`` (``grams_to_jacobians`` lays them out as the Jacobian blocks).
+    ``system(u_tar)`` is the Newton system for any target."""
 
     pair: HamiltonianPair
     u_n: np.ndarray
-    j0: np.ndarray
-    j1: np.ndarray
+    g0: np.ndarray
+    g1: np.ndarray
+    dt: float
 
     def system(self, u_tar: np.ndarray) -> ReducedSystem:
-        return reduce_system(self.j0, self.j1, hermitian_residual(self.u_n, u_tar))
+        return reduce_system(self.g0, self.g1, self.dt, hermitian_residual(self.u_n, u_tar))
 
 
 @dataclass
@@ -182,10 +185,10 @@ def hermitian_residual(u_n: np.ndarray, u_tar: np.ndarray) -> np.ndarray:
     return 0.5j * (m - m.conj().T)
 
 
-def residual_skew_norm(u_n: np.ndarray, u_tar: np.ndarray) -> float:
-    """Norm of the part of i(U_N^dag U_tar - I) the Hermitization discards."""
+def residual_skew(u_n: np.ndarray, u_tar: np.ndarray) -> np.ndarray:
+    """The part of i(U_N^dag U_tar - I) the Hermitization discards."""
     r = 1j * (np.asarray(u_n).conj().T @ np.asarray(u_tar) - np.eye(u_n.shape[0]))
-    return spec_norm(0.5 * (r - r.conj().T))
+    return 0.5 * (r - r.conj().T)
 
 
 def grams_to_jacobians(g0: np.ndarray, g1: np.ndarray, dt: float):
@@ -197,6 +200,7 @@ def grams_to_jacobians(g0: np.ndarray, g1: np.ndarray, dt: float):
         J[(c*d+r), (c'*d+r')] = dt * G[(c*d+c'), (r*d+r')],
 
     i.e. a (0, 2, 1, 3) axis permutation of G viewed as a d^4 tensor.
+    ``reduce_system`` reads the same entries from G by its gather.
     """
     d2 = g0.shape[0]
     d = int(round(d2**0.5))
@@ -217,10 +221,15 @@ def _reduction_indices(d: int):
     Entry (p, q) of a symmetric update appears at vec indices q*d+p and
     p*d+q, so the merged columns are the columns ``first`` of [J0 | J1],
     with the columns ``second`` added to the off-diagonal ones (positions
-    ``pairs``).
-    Reduced row r is row ``rows[r]`` of [Re; Im] of the merged matrix (and of
-    vec(S)): for every entry (i, j), i <= j in row-major order, its real part
-    and then, for i < j, its imaginary part.
+    ``pairs``).  Reduced row r is the real part of row a of the merged
+    matrix (and of vec(S)), or its imaginary part: for every entry (i, j),
+    i <= j in row-major order, a = j*d+i, its real part and then, for
+    i < j, its imaginary part.  Entry (a, col) of J_b is entry (c*d+c',
+    r*d+r') of dt G_b, with (c, r) = divmod(a, d) and (c', r') = divmod(col
+    mod d^2, d), the (0, 2, 1, 3) permutation of ``grams_to_jacobians``.
+    So the reduced matrix is ``matrix_src`` gathered from the floats of
+    [dt G0, dt G1], plus ``pair_src`` gathered at columns ``pairs``, and
+    the right-hand side is ``rhs_src`` gathered from the floats of S.
     Unknown k sets entries (i, j) and (j, i) of matrix ``which`` (0 for dH0,
     1 for dH1), the rows of ``scatter`` = (which, i, j).
     """
@@ -230,38 +239,51 @@ def _reduction_indices(d: int):
     first = [offset[w] + q * d + p for w, p, q in index_map]
     second = [offset[w] + p * d + q for w, p, q in index_map if p != q]
     pairs = [k for k, (_, p, q) in enumerate(index_map) if p != q]
-    rows = []
+    rows = []  # (vec index a, 0 for the real part or 1 for the imaginary)
     for i in range(d):
         for j in range(i, d):
-            rows.append(j * d + i)
+            rows.append((j * d + i, 0))
             if i < j:
-                rows.append(d2 + j * d + i)
+                rows.append((j * d + i, 1))
+
+    def src(a, part, col):
+        b, col = divmod(col, d2)
+        (c, r), (c2, r2) = divmod(a, d), divmod(col, d)
+        return 2 * ((b * d2 + c * d + c2) * d2 + r * d + r2) + part
+
+    matrix_src = [[src(a, part, col) for col in first] for a, part in rows]
+    pair_src = [[src(a, part, col) for col in second] for a, part in rows]
+    # S[i, j] at a = j*d+i, in C order
+    rhs_src = [2 * ((a % d) * d + a // d) + part for a, part in rows]
     scatter = np.transpose([(w == "h1", p, q) for w, p, q in index_map])
-    indices = tuple(np.array(a, dtype=int) for a in (first, second, pairs, rows, scatter))
+    arrays = (matrix_src, pair_src, pairs, rhs_src, scatter)
+    indices = tuple(np.array(a, dtype=int) for a in arrays)
     for a in indices:
         a.setflags(write=False)  # cached, so shared by every caller
     return indices
 
 
-def reduce_system(j0: np.ndarray, j1: np.ndarray, s_k: np.ndarray) -> ReducedSystem:
-    """Collapse the redundant complex system to a square real one."""
-    d2 = j0.shape[0]
+def reduce_system(g0: np.ndarray, g1: np.ndarray, dt: float, s_k: np.ndarray) -> ReducedSystem:
+    """Collapse the redundant complex system with Jacobian blocks
+    ``grams_to_jacobians(g0, g1, dt)`` and residual ``s_k`` to a square
+    real one, gathered from the Gram sums without forming the blocks."""
+    d2 = g0.shape[0]
     d = int(round(d2**0.5))
-    if j0.shape != (d2, d2) or j1.shape != (d2, d2):
-        raise ValueError("Jacobian blocks must be square and equally sized")
+    if g0.shape != (d2, d2) or g1.shape != (d2, d2):
+        raise ValueError("Gram sums must be square and equally sized")
     if d * d != d2:
-        raise ValueError(f"Jacobian blocks must have d * d rows, got {d2}")
+        raise ValueError(f"Gram sums must have d * d rows, got {d2}")
     if s_k.shape != (d, d):
-        raise ValueError("residual dimension does not match the Jacobian")
-    first, second, pairs, rows, _ = _reduction_indices(d)
-    blocks = np.concatenate([j0, j1], axis=1)
-    full = blocks[:, first]  # complex, d^2 x d^2
-    full[:, pairs] += blocks[:, second]
-    vec_s = s_k.ravel(order="F")
-    return ReducedSystem(
-        matrix=np.concatenate([full.real, full.imag])[rows],
-        rhs=np.concatenate([vec_s.real, vec_s.imag])[rows],
-    )
+        raise ValueError("residual dimension does not match the Gram sums")
+    matrix_src, pair_src, pairs, rhs_src, _ = _reduction_indices(d)
+    scaled = np.empty((2, d2, d2), dtype=complex)
+    np.multiply(dt, g0, out=scaled[0])
+    np.multiply(dt, g1, out=scaled[1])
+    floats = scaled.reshape(-1).view(float)
+    matrix = floats[matrix_src]
+    matrix[:, pairs] += floats[pair_src]
+    s_floats = np.ascontiguousarray(s_k, dtype=complex).reshape(-1).view(float)
+    return ReducedSystem(matrix=matrix, rhs=s_floats[rhs_src])
 
 
 def reduced_condition(system: ReducedSystem) -> float:
@@ -324,10 +346,8 @@ def system_diagnostic(system: ReducedSystem, rank_tolerance: float = 1e-9) -> Si
 def linearize(
     u_0: np.ndarray, pair: HamiltonianPair, samples: np.ndarray, grid: TimeGrid
 ) -> Linearization:
-    """U_N and the Jacobian blocks at ``pair``, from one propagation with
-    the Jacobian Gram sums."""
-    u_n, g0, g1 = propagate_with_gram(u_0, pair, samples, grid)
-    return Linearization(pair, u_n, *grams_to_jacobians(g0, g1, grid.dt))
+    """U_N and the Jacobian's Gram sums at ``pair``, from one propagation."""
+    return Linearization(pair, *propagate_with_gram(u_0, pair, samples, grid), grid.dt)
 
 
 def newton_identify(
@@ -380,7 +400,14 @@ def newton_identify(
             report.failed_iteration = k
             break
         pair = pair.shifted(update.dh0, update.dh1)
-        e_k = spec_norm(update.dh0) + spec_norm(update.dh1)
+        # one batched SVD for the real norms, one for the complex ones
+        if truth is None:
+            (n0, n1), dev_h0, dev_h1 = spec_norms(update.dh0, update.dh1), None, None
+        else:
+            n0, n1, dev_h0, dev_h1 = spec_norms(
+                update.dh0, update.dh1, truth.h0 - pair.h0, truth.h1 - pair.h1
+            )
+        e_k = n0 + n1
         converged = e_k <= cfg.tol
         if converged:
             report.flag = FLAG_CONVERGED
@@ -391,15 +418,16 @@ def newton_identify(
         else:
             lin = linearize(u_0, pair, samples, grid)
             u_next = lin.u_n
+        dev_u, skew = spec_norms(u_tar - u_next, residual_skew(u_n, u_tar))
         report.iterations.append(
             NewtonIteration(
                 k=k,
                 e_k=e_k,
-                dev_h0=spec_norm(truth.h0 - pair.h0) if truth is not None else None,
-                dev_h1=spec_norm(truth.h1 - pair.h1) if truth is not None else None,
-                dev_u=spec_norm(u_tar - u_next),
+                dev_h0=dev_h0,
+                dev_h1=dev_h1,
+                dev_u=dev_u,
                 jacobian_condition=cond,
-                residual_skew=residual_skew_norm(u_n, u_tar),
+                residual_skew=skew,
             )
         )
         if stops:

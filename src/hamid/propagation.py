@@ -12,18 +12,21 @@ trajectory (needed at the 10^6-step molecular scale).
 
 One private generator, ``_cayley_blocks``, takes every step.  It slices the
 samples into blocks of at most ``GRAM_CHUNK`` steps, builds each block's
-Cayley factors C_n = (I + L_n)^{-1} (I - L_n) (at d = 2 in closed form,
-2 adj(I + L_n) / det(I + L_n) - I taken in real arithmetic; at every other
-d in one batched LAPACK solve), and applies them one real matrix product
-each, in time order, into one buffer that every block reuses.  The buffer
-holds the transposes W_n = U_n^T, so a step is W_{n+1} = W_n C_n^T: a d x d
-complex W read as floats is d x 2d with each entry's real and imaginary
-parts side by side in its row, and multiplying it on the right by the
-2d x 2d real embedding of C_n^T (each complex entry z as the 2 x 2 block
-[[Re z, Im z], [-Im z, Re z]]) is the complex product, taken as one float64
-BLAS call, which costs less than the complex one at small d.  The generator
-yields each block's samples and transposed states (the block's starting W
-first).
+Cayley factors C_n = (I + L_n)^{-1} (I - L_n), and applies them one real
+matrix product each, in time order, into one buffer that every block
+reuses.  The buffer holds the transposes W_n = U_n^T, so a step is W_{n+1}
+= W_n C_n^T: a d x d complex W read as floats is d x 2d with each entry's
+real and imaginary parts side by side in its row, and multiplying it on the
+right by the 2d x 2d real embedding of C_n^T (each complex entry z as the
+2 x 2 block [[Re z, Im z], [-Im z, Re z]]) is the complex product, taken as
+one float64 BLAS call, which costs less than the complex one at small d.
+At d = 2 the factors are taken in closed form, 2 adj(I + L_n) / det(I +
+L_n) - I in real arithmetic, which writes the 16 entries of every
+embedding as contiguous planes; one transposing copy per ``EMBED_SLICE``
+steps lays them out step by step.  At every other d one batched LAPACK
+solve gives the factors, and three strided copies per slice embed them.
+The generator yields each block's samples and transposed states (the
+block's starting W first).
 
 Every entry point takes a ``HamiltonianPair`` and returns plain C-ordered
 arrays: ``propagate`` the stored states U_0..U_N, ``propagate_final`` U_N,
@@ -43,15 +46,14 @@ there.  A call takes its dimension's workspace out of the pool and puts it
 back when it ends, so two live propagations (in threads, or one generator
 inside another) never share one.  A warm call allocates one block-sized
 array, the factors the batched solve returns, and none at d = 2, where the
-factors are written into the scratch.  A workspace for ``GRAM_CHUNK``
-steps holds 0.21 d^2 MB: 0.84 MB at d = 2, 7.5 MB at d = 6 and 30 MB at
-d = 12.
+embedding planes are written into the scratch and A_n into the states not
+yet stepped.  A workspace for ``GRAM_CHUNK`` steps holds 0.21 d^2 MB:
+0.84 MB at d = 2, 7.5 MB at d = 6 and 30 MB at d = 12.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -91,14 +93,16 @@ class HamiltonianPair:
     h1: np.ndarray
 
     def __post_init__(self):
-        h0 = require_real_symmetric(self.h0, "h0")
+        h0, h0_max = require_real_symmetric(self.h0, "h0")
         if h0.size == 0:
             raise ValueError(f"h0 must be at least 1 x 1, got shape {h0.shape}")
-        h1 = require_real_symmetric(self.h1, "h1", zero_diag=True)
+        h1, h1_max = require_real_symmetric(self.h1, "h1", zero_diag=True)
         if h0.shape != h1.shape:
             raise ValueError(f"h0 {h0.shape} and h1 {h1.shape} differ in dimension")
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "h1", h1)
+        # (max|h0|, max|h1|) as Python floats, for the overflow bound
+        object.__setattr__(self, "_entry_max", (h0_max, h1_max))
 
     @property
     def dim(self) -> int:
@@ -107,19 +111,14 @@ class HamiltonianPair:
     def shifted(self, dh0: np.ndarray, dh1: np.ndarray) -> "HamiltonianPair":
         return HamiltonianPair(self.h0 + dh0, self.h1 + dh1)
 
-    @cached_property
-    def _entry_max(self) -> tuple:
-        """(max|h0|, max|h1|) as Python floats, for the overflow bound."""
-        return float(np.abs(self.h0).max()), float(np.abs(self.h1).max())
-
 
 class _Workspace:
     """The stepping loop's buffers at one dimension d, for blocks of up to
     ``capacity`` steps: the block's transposed states, an ``EMBED_SLICE``-step
     state slab and the factor embeddings (each with its per-step float views
     built once, so a step creates no array), and complex scratch in which
-    ``_step_block`` builds the factors (the second half holds them when it
-    is done) and which is free for the caller once the block is stepped."""
+    ``_step_block`` builds the factors (at d = 2, the embedding planes) and
+    which is free for the caller once the block is stepped."""
 
     __slots__ = ("capacity", "states", "slab", "slab_views", "embedded", "embed_views", "scratch")
 
@@ -138,12 +137,15 @@ class _Workspace:
 _POOL: dict[int, _Workspace] = {}
 
 
-def _two_level_factors(
-    pair: HamiltonianPair, e: np.ndarray, dt: float, scratch: np.ndarray, out: np.ndarray
+def _two_level_operands(
+    pair: HamiltonianPair, e: np.ndarray, dt: float, temps: np.ndarray, planes: np.ndarray
 ) -> None:
-    """The 2 x 2 Cayley factors C_n = (I + L_n)^{-1} (I - L_n) of the
-    samples ``e`` in closed form, written into ``out``, in real arithmetic
-    on the planes of ``scratch`` (one more (n, 2, 2) complex array).
+    """The 4 x 4 real step operands of the samples ``e`` at d = 2, written
+    into the (16, n) float array ``planes``, from the 2 x 2 Cayley factors
+    C_n = (I + L_n)^{-1} (I - L_n) in closed form; ``temps``, (8, n)
+    floats, holds A_n and the per-step scalars.  Plane 8 j + 4 r + 2 c + s
+    holds entry (2 j + r, 2 c + s) of every operand, the embedding of C_n^T
+    in which entry z = C_n[c, j] is the block [[Re z, Im z], [-Im z, Re z]].
 
     With A_n = (dt/2)(H0 + E_n H1) real, L_n = i A_n and det(I + L_n) =
     x + i y, x = 1 - det A_n, y = tr A_n, the adjugate gives
@@ -155,59 +157,68 @@ def _two_level_factors(
     + det(A) u).  C - I is formed without rounding I + L_n, so a factor
     near I keeps the low bits of A_n (LAPACK's solve is off by a few ulps).
     Every entry is taken as it is, since H0 and H1 are symmetric only to
-    ``SYMMETRY_TOL``.  Each op is a real ufunc over one plane of the block,
-    so step n gets the same bits in any block, alone or not.  x^2 would
-    overflow for entries of A_n near 2**256: a step with an entry at or
-    above 2**_CLOSED_FORM_EXP takes the batched solve instead."""
+    ``SYMMETRY_TOL``.  Each op is a real ufunc over whole planes, so step n
+    gets the same bits in any block, alone or not.  An op spans several
+    planes only where every operand is a run of whole planes (or they
+    share one layout): numpy copies a broadcast or differently strided
+    operand into a buffer.  Re and Im are written once, into the rows
+    r = 0, and copied and negated into the rows r = 1.  x^2 would overflow
+    for entries of A_n near 2**256: a step with an entry at or above
+    2**_CLOSED_FORM_EXP takes the LAPACK solve instead, into the same
+    planes."""
     n = e.size
-    floats = scratch.view(float).reshape(-1)
-    a = floats[: 4 * n].reshape(2, 2, n)
-    t0, t1, t2, t3 = floats[4 * n :].reshape(4, n)
-    # plane (j, k) of a holds entry (j, k) of every A_n
-    planes = a.reshape(4, n)
-    np.multiply(pair.h1.reshape(4, 1), e, out=planes)
-    np.add(pair.h0.reshape(4, 1), planes, out=planes)
-    np.multiply(0.5 * dt, planes, out=planes)
+    # A_n's entries (0, 0), (0, 1), (1, 1), (1, 0), one plane each
+    a = temps[:4]
+    a00, a01, a11, a10 = a
+    t0, t1, t2, t3 = temps[4:]
+    for plane, (j, k) in zip(a, ((0, 0), (0, 1), (1, 1), (1, 0))):
+        np.multiply(pair.h1[j, k], e, out=plane)
+        np.add(pair.h0[j, k], plane, out=plane)
+    np.multiply(0.5 * dt, a, out=a)
     # a bound on every entry of the block's A_n, taken in Python floats
     h0_max, h1_max = pair._entry_max
     e_max = max(float(e.max()), -float(e.min()))
     big = None
     if 0.5 * abs(dt) * (h0_max + e_max * h1_max) >= 2.0 ** (_CLOSED_FORM_EXP - 1):
-        big = np.abs(a).max(axis=(0, 1)) >= 2.0**_CLOSED_FORM_EXP
-        a[:, :, big] = 0.0
-    a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    # det A in t0, x in t1, m in t3
-    np.multiply(a00, a11, out=t0)
-    np.multiply(a01, a10, out=t1)
+        big = np.abs(a).max(axis=0) >= 2.0**_CLOSED_FORM_EXP
+        a[:, big] = 0.0
+    # rows 12-15 of the planes are free until the end
+    free = planes[12:14]
+    # det A in t0, x in t1, y in t2, then m in t3, v = m x in t1, u = m y in t2
+    np.multiply(a[:2], a[2:], out=temps[4:6])
     np.subtract(t0, t1, out=t0)
     np.subtract(1.0, t0, out=t1)
     np.add(a00, a11, out=t2)
-    np.multiply(t2, t2, out=t2)
-    np.multiply(t1, t1, out=t3)
-    np.add(t3, t2, out=t3)
+    np.multiply(temps[5:7], temps[5:7], out=free)
+    np.add(free[0], free[1], out=t3)
     np.divide(-2.0, t3, out=t3)
-    # u in t2, v in t1, then det(A) v in t3 and det(A) u in t0
-    np.add(a00, a11, out=t2)
-    np.multiply(t3, t2, out=t2)
     np.multiply(t3, t1, out=t1)
+    np.multiply(t3, t2, out=t2)
     u, v = t2, t1
-    for j, k in ((0, 1), (1, 0)):
-        np.multiply(a[j, k], u, out=out[:, j, k].real)
-        np.multiply(a[j, k], v, out=out[:, j, k].imag)
-    np.multiply(t0, v, out=t3)
-    np.multiply(t0, u, out=t0)
-    for j in range(2):
-        c = out[:, j, j]
-        np.multiply(a[j, j], u, out=c.real)
-        np.subtract(c.real, t3, out=c.real)
-        np.add(1.0, c.real, out=c.real)
-        np.multiply(a[j, j], v, out=c.imag)
-        np.add(c.imag, t0, out=c.imag)
+    # det(A) v and det(A) u
+    np.multiply(t0, v, out=free[0])
+    np.multiply(t0, u, out=free[1])
+    # Re C[c, j] in plane 8 j + 2 c, Im C[c, j] in the next one
+    for a_jk, row in ((a10, 2), (a01, 8)):
+        np.multiply(a_jk, u, out=planes[row])
+        np.multiply(a_jk, v, out=planes[row + 1])
+    for a_jj, row in ((a00, 0), (a11, 10)):
+        np.multiply(a_jj, u, out=planes[row])
+        np.subtract(planes[row], free[0], out=planes[row])
+        np.multiply(a_jj, v, out=planes[row + 1])
+        np.add(planes[row + 1], free[1], out=planes[row + 1])
+    np.add(1.0, planes[::10], out=planes[::10])
+    out = planes.reshape(2, 2, 2, 2, n)
     if big is not None:
         # the ops of the solve at other d, on these steps alone
         eye = np.eye(2)
         l_big = 0.5j * dt * (pair.h0 + e[big, None, None] * pair.h1)
-        out[big] = np.linalg.solve(eye + l_big, eye - l_big)
+        factors_t = np.linalg.solve(eye + l_big, eye - l_big).T
+        out[:, 0, :, 0][..., big] = factors_t.real
+        out[:, 0, :, 1][..., big] = factors_t.imag
+    for half in out:
+        np.copyto(half[1, :, 1], half[0, :, 0])
+        np.negative(half[0, :, 1], out=half[1, :, 0])
 
 
 def _step_block(ws: _Workspace, pair: HamiltonianPair, e: np.ndarray, dt: float) -> None:
@@ -215,24 +226,30 @@ def _step_block(ws: _Workspace, pair: HamiltonianPair, e: np.ndarray, dt: float)
     ``ws.states[1 : e.size + 1]``.
 
     The states are transposes, W_n = U_n^T, so a step is the row product
-    W_{n+1} = W_n C_n^T.  The block's factors C_n = (I + L_n)^{-1} (I -
-    L_n) are built first in ``ws.scratch``.  At d = 2 they are written in
-    closed form into its second half (``_two_level_factors``).  At every
-    other d, the generator H0 + E_n H1 is summed in the second half, read
-    as floats, L_n formed from that sum in the first half, then I - L_n in
-    the second and I + L_n in the first, and one batched LAPACK solve
-    returns the factors.  Each W is read as its real view (d x 2d, real and
-    imaginary parts interleaved) and each C_n^T as its real 2d x 2d
-    embedding, whose 2 x 2 block (j, c) is [[Re, Im], [-Im, Re]] of
-    C_n[c, j]; the step is then one float64 matrix product.  The embeddings
-    are written ``EMBED_SLICE`` steps at a time into ``ws.embedded``, the
-    products into ``ws.slab``, which is then copied into ``ws.states``."""
+    W_{n+1} = W_n C_n^T of the block's Cayley factors C_n = (I + L_n)^{-1}
+    (I - L_n).  Each W is read as its real view (d x 2d, real and imaginary
+    parts interleaved) and each C_n^T as its real 2d x 2d embedding, whose
+    2 x 2 block (j, c) is [[Re, Im], [-Im, Re]] of C_n[c, j]; the step is
+    then one float64 matrix product.  The embeddings are written
+    ``EMBED_SLICE`` steps at a time into ``ws.embedded``, the products into
+    ``ws.slab``, which is then copied into ``ws.states``.
+
+    At d = 2 the embeddings are built in closed form as 16 float planes in
+    ``ws.scratch`` (``_two_level_operands``, with A_n and its temporaries in
+    the states not yet stepped), and one transposing copy per slice lays a
+    slice of them out step by step.  At every other d, the generator H0 +
+    E_n H1 is summed in the second half of the scratch, read as floats, L_n
+    formed from that sum in the first half, then I - L_n in the second and
+    I + L_n in the first, and one batched LAPACK solve returns the factors,
+    which three strided copies per slice embed."""
     n = e.size
-    plus, minus = ws.scratch[:, :n]
     if pair.dim == 2:
-        _two_level_factors(pair, e, dt, plus, minus)
-        factors = minus
+        planes = ws.scratch.reshape(-1).view(float)[: 16 * n].reshape(16, n)
+        temps = ws.states[1 : n + 1].view(float).reshape(8, n)
+        _two_level_operands(pair, e, dt, temps, planes)
     else:
+        planes = None
+        plus, minus = ws.scratch[:, :n]
         eye = np.eye(pair.dim)
         # H0 + E_n H1 in the first half of the I - L_n scratch read as
         # floats: contiguous, where minus.real would be strided
@@ -242,22 +259,25 @@ def _step_block(ws: _Workspace, pair: HamiltonianPair, e: np.ndarray, dt: float)
         np.multiply(0.5j * dt, gen, out=plus)
         np.subtract(eye, plus, out=minus)
         np.add(eye, plus, out=plus)
-        factors = np.linalg.solve(plus, minus)
-    factors_t = factors.transpose(0, 2, 1)
+        factors_t = np.linalg.solve(plus, minus).transpose(0, 2, 1)
     w_n = ws.states.view(float)[0]
+    # np.dot's C routine, unbound and with a positional out: without numpy's
+    # __array_function__ dispatch, a bound method and a keyword, which are a
+    # measurable share of a d = 2 step
+    dot = np.ndarray.dot
     for start in range(0, n, EMBED_SLICE):
-        part = factors_t[start : start + EMBED_SLICE]
-        k = part.shape[0]
+        k = min(EMBED_SLICE, n - start)
         b = ws.embedded[:k]
-        # row 2j holds (Re, Im) of C_n[c, j], written as complex numbers;
-        # row 2j + 1 holds (-Im, Re), taken from row 2j
-        b.view(complex)[:, :, 0, :, 0] = part
-        np.negative(b[:, :, 0, :, 1], out=b[:, :, 1, :, 0])
-        b[:, :, 1, :, 1] = b[:, :, 0, :, 0]
-        # the ndarray method runs np.dot's C routine without numpy's
-        # __array_function__ dispatch, a measurable share of a d = 2 step
+        if planes is not None:
+            np.copyto(b.reshape(k, 16), planes[:, start : start + k].T)
+        else:
+            # row 2j holds (Re, Im) of C_n[c, j], written as complex
+            # numbers; row 2j + 1 holds (-Im, Re), taken from row 2j
+            b.view(complex)[:, :, 0, :, 0] = factors_t[start : start + k]
+            np.negative(b[:, :, 0, :, 1], out=b[:, :, 1, :, 0])
+            b[:, :, 1, :, 1] = b[:, :, 0, :, 0]
         for b_n, dst in zip(ws.embed_views[:k], ws.slab_views):
-            w_n = w_n.dot(b_n, out=dst)
+            w_n = dot(w_n, b_n, dst)
         ws.states[start + 1 : start + 1 + k] = ws.slab[:k]
 
 
@@ -329,8 +349,12 @@ def _validated_inputs(u_0, pair: HamiltonianPair, samples, grid: TimeGrid):
         raise ValueError(
             f"field has {samples.shape} samples, grid has {grid.n_steps} steps"
         )
-    require_finite(samples, "field samples")
-    _require_bounded_generator(pair, max(float(samples.max()), -float(samples.min())), grid.dt)
+    # max and min are NaN or inf exactly when a sample is, so the two
+    # reductions of the bound also give the finiteness verdict
+    e_hi, e_lo = float(samples.max()), float(samples.min())
+    if not (math.isfinite(e_hi) and math.isfinite(e_lo)):
+        raise ValueError("field samples has non-finite entries")
+    _require_bounded_generator(pair, max(e_hi, -e_lo), grid.dt)
     return u_0, samples
 
 
@@ -376,14 +400,18 @@ def _accumulate_gram(
     """Add sum_n flat(Wbar_n) outer conj(flat(Wbar_n)) over one block of
     transposed states, where flat(Wbar_n) = vec(Ubar_n) is the column-major
     flattening of the midpoint product.  The midpoints and their conjugates
-    are formed in ``scratch``, the block's two free complex arrays."""
+    are formed in ``scratch``, the block's two free complex arrays.  For
+    G1 the midpoints are scaled by E_n in place through their float view:
+    a complex-by-real multiply would cast the samples into a buffer."""
     wbar, wbar_c = scratch
     np.add(states_block[1:], states_block[:-1], out=wbar)
     np.multiply(0.5, wbar, out=wbar)
     p = wbar.reshape(e_block.shape[0], -1)
     pc = np.conjugate(p, out=wbar_c.reshape(p.shape))
     g0 += p.T @ pc
-    g1 += np.multiply(p.T, e_block, out=p.T) @ pc
+    p_floats = p.view(float)
+    np.multiply(p_floats, e_block[:, None], out=p_floats)
+    g1 += p.T @ pc
 
 
 def propagate_with_gram(

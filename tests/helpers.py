@@ -76,19 +76,23 @@ def vec_midpoint_products(states):
     return ubar.swapaxes(1, 2).reshape(ubar.shape[0], -1)
 
 
-def assemble_jacobian(states, samples, dt):
-    """J0 = dt sum_n (Ubar^T kron Ubar^dag), J1 the field-weighted sum, from
-    Gram sums over vec(Ubar) of stored states U_0..U_N: the reference the
-    streaming Gram sums must match."""
+def assemble_grams(states, samples):
+    """G0 = sum_n vec(Ubar_n) vec(Ubar_n)^dag and G1 the field-weighted sum,
+    over stored states U_0..U_N: the reference the streaming Gram sums must
+    match."""
     samples = np.asarray(samples, dtype=float)
     n = states.shape[0] - 1
     if samples.shape != (n,):
         raise ValueError("field length does not match the states")
     p = vec_midpoint_products(states)
     pc = p.conj()
-    g0 = p.T @ pc
-    g1 = (p.T * samples) @ pc
-    return grams_to_jacobians(g0, g1, dt)
+    return p.T @ pc, (p.T * samples) @ pc
+
+
+def assemble_jacobian(states, samples, dt):
+    """J0 = dt sum_n (Ubar^T kron Ubar^dag), J1 the field-weighted sum, from
+    ``assemble_grams``."""
+    return grams_to_jacobians(*assemble_grams(states, samples), dt)
 
 
 def reduce_system_loop(j0, j1, s_k):

@@ -50,6 +50,7 @@ from hamid.models import (
 )
 from hamid.newton import (
     SingularJacobianError,
+    grams_to_jacobians,
     hermitian_residual,
     linearize,
     reduce_system,
@@ -58,7 +59,14 @@ from hamid.newton import (
 )
 from hamid.propagation import HamiltonianPair
 
-from helpers import SIGMA_X, assemble_jacobian, haar_unitary, random_direction, random_pair
+from helpers import (
+    SIGMA_X,
+    assemble_grams,
+    assemble_jacobian,
+    haar_unitary,
+    random_direction,
+    random_pair,
+)
 
 
 def _report(num, name, ok, detail=""):
@@ -321,9 +329,10 @@ def test_criterion_8_invariant_suites(rng, tmp_path):
         problems.append(f"derivative identity {identity_err:.1e}")
     # reduction consistency
     states3 = propagate(np.eye(d, dtype=complex), p3, s3, g3)
-    j0, j1 = assemble_jacobian(states3, s3, g3.dt)
+    g0, g1 = assemble_grams(states3, s3)
+    j0, j1 = grams_to_jacobians(g0, g1, g3.dt)
     s_k = hermitian_residual(states3[-1], haar_unitary(d, rng))
-    system = reduce_system(j0, j1, s_k)
+    system = reduce_system(g0, g1, g3.dt, s_k)
     upd = solve_update(system, NewtonConfig(singular_cond_threshold=1e14))
     back = (
         j0 @ upd.dh0.reshape(-1, order="F") + j1 @ upd.dh1.reshape(-1, order="F")

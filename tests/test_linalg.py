@@ -16,7 +16,7 @@ from hamid import (
     unitary_log,
 )
 import hamid.linalg
-from hamid.linalg import TargetDecomposition, decompose_target, require_unitary
+from hamid.linalg import TargetDecomposition, decompose_target, require_unitary, spec_norms
 
 from helpers import SIGMA_X, haar_unitary, unitary_log_schur
 
@@ -64,6 +64,36 @@ def test_spec_norm_is_a_norm_on_hermitian(rng):
         c = rng.normal()
         assert spec_norm(a + b) <= spec_norm(a) + spec_norm(b) + 1e-12
         assert spec_norm(c * a) == pytest.approx(abs(c) * spec_norm(a), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cases=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=5), st.booleans(), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_spec_norms_match_spec_norm_property(cases, seed):
+    # one batched SVD per dtype and shape makes the LAPACK call spec_norm
+    # makes on each matrix: the same bits, in any mix of sizes 1..5, real
+    # and complex matrices and zero ones
+    rng = np.random.default_rng(seed)
+    ms = []
+    for d, is_complex, is_zero in cases:
+        m = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-8, 8)
+        if is_complex:
+            m = m + 1j * rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-8, 8)
+        ms.append(np.zeros_like(m) if is_zero else m)
+    norms = spec_norms(*ms)
+    assert all(type(x) is float for x in norms)
+    assert [x.hex() for x in norms] == [spec_norm(m).hex() for m in ms]
+
+
+def test_spec_norms_refuses_nonsquare():
+    with pytest.raises(ValueError, match="must be square"):
+        spec_norms(np.eye(2), np.ones((2, 3)))
 
 
 def test_unitary_log_identity():

@@ -36,6 +36,7 @@ from hamid.fields import sample_field
 
 from helpers import (
     SIGMA_X,
+    assemble_grams,
     assemble_jacobian,
     expand_update_loop,
     haar_unitary,
@@ -150,7 +151,7 @@ def test_linearized_system_matches_stored_trajectory_oracle(rng):
     lin = linearize(u0, pair, samples, grid)
     u_n, system = lin.u_n, lin.system(u_tar)
     states = propagate(u0, pair, samples, grid)
-    oracle = reduce_system(*assemble_jacobian(states, samples, grid.dt), hermitian_residual(states[-1], u_tar))
+    oracle = reduce_system(*assemble_grams(states, samples), grid.dt, hermitian_residual(states[-1], u_tar))
     tol = n * np.finfo(float).eps
     np.testing.assert_allclose(u_n, states[-1], rtol=0, atol=tol)
     scale = np.max(np.abs(oracle.matrix))
@@ -169,10 +170,11 @@ def test_unknown_index_map_counts():
 
 def test_reduce_system_shape_and_ordering():
     d = 2
-    j0 = np.arange(16, dtype=complex).reshape(4, 4)
-    j1 = 1j * np.arange(16, dtype=complex).reshape(4, 4)
+    g0 = np.arange(16, dtype=complex).reshape(4, 4)
+    g1 = 1j * np.arange(16, dtype=complex).reshape(4, 4)
+    j0, _ = grams_to_jacobians(g0, g1, 1.0)
     s = np.array([[0.5, 0.25 + 0.1j], [0.25 - 0.1j, -0.5]])
-    system = reduce_system(j0, j1, s)
+    system = reduce_system(g0, g1, 1.0, s)
     assert system.matrix.shape == (4, 4)
     assert system.matrix.dtype == float
     assert unknown_index_map(system.dim) == (
@@ -200,13 +202,15 @@ def random_complex(shape, rng):
 
 
 def test_reduction_matches_entry_loop(rng):
-    # the index-array gathers sum exactly the pairs the entry loop sums, so
-    # matrix, rhs and the expanded update agree byte for byte
+    # the index-array gathers from the Gram sums sum exactly the pairs the
+    # entry loop sums over the Jacobian blocks, so matrix, rhs and the
+    # expanded update agree byte for byte
     for d in range(1, 7):
-        j0, j1 = random_complex((d * d, d * d), rng), random_complex((d * d, d * d), rng)
+        g0, g1 = random_complex((d * d, d * d), rng), random_complex((d * d, d * d), rng)
         s = random_complex((d, d), rng)
-        system = reduce_system(j0, j1, s)
-        matrix, rhs = reduce_system_loop(j0, j1, s)
+        dt = rng.uniform(1e-3, 1.0)
+        system = reduce_system(g0, g1, dt, s)
+        matrix, rhs = reduce_system_loop(*grams_to_jacobians(g0, g1, dt), s)
         assert system.matrix.tobytes() == matrix.tobytes()
         assert system.rhs.tobytes() == rhs.tobytes()
         x = rng.normal(size=d * d)
@@ -229,9 +233,10 @@ def test_reduce_expand_round_trip_property(d, seed):
     x = np.array([(dh0 if which == "h0" else dh1)[i, j] for which, i, j in index_map])
     update = expand_update(x, d)
     assert np.array_equal(update.dh0, dh0) and np.array_equal(update.dh1, dh1)
-    j0, j1 = random_complex((d * d, d * d), rng), random_complex((d * d, d * d), rng)
+    g0, g1 = random_complex((d * d, d * d), rng), random_complex((d * d, d * d), rng)
+    j0, j1 = grams_to_jacobians(g0, g1, 0.3)
     s = (j0 @ vec_f(dh0) + j1 @ vec_f(dh1)).reshape(d, d, order="F")
-    system = reduce_system(j0, j1, s)
+    system = reduce_system(g0, g1, 0.3, s)
     assert system.matrix.shape == (d * d, len(index_map)) and system.dim == d
     np.testing.assert_allclose(system.matrix @ x, system.rhs, rtol=0, atol=1e-12 * d * d)
 
@@ -240,7 +245,7 @@ def test_reduce_system_refuses_blocks_without_d_squared_rows():
     # 5 rows are no d * d; round(sqrt(5)) = 2 built a 4 x 4 system from the
     # first columns, without a word
     with pytest.raises(ValueError, match="must have d \\* d rows, got 5"):
-        reduce_system(np.ones((5, 5)), np.ones((5, 5)), np.zeros((2, 2)))
+        reduce_system(np.ones((5, 5)), np.ones((5, 5)), 1.0, np.zeros((2, 2)))
 
 
 def test_reduce_identity_states_is_singular():
@@ -251,8 +256,7 @@ def test_reduce_identity_states_is_singular():
     grid = TimeGrid(t_f=1.0, n_steps=n)
     samples = np.full(n, 0.3)
     states = propagate(np.eye(d, dtype=complex), pair, samples, grid)
-    j0, j1 = assemble_jacobian(states, samples, grid.dt)
-    system = reduce_system(j0, j1, np.zeros((2, 2), dtype=complex))
+    system = reduce_system(*assemble_grams(states, samples), grid.dt, np.zeros((2, 2), dtype=complex))
     assert not np.isfinite(reduced_condition(system)) or reduced_condition(system) > 1e12
     with pytest.raises(SingularJacobianError):
         solve_update(system, NewtonConfig())
@@ -321,8 +325,7 @@ def test_solve_update_zero_rhs(rng):
     grid = TimeGrid(t_f=1.0, n_steps=n)
     samples = rng.normal(size=n)
     states = propagate(np.eye(d, dtype=complex), pair, samples, grid)
-    j0, j1 = assemble_jacobian(states, samples, grid.dt)
-    system = reduce_system(j0, j1, np.zeros((d, d), dtype=complex))
+    system = reduce_system(*assemble_grams(states, samples), grid.dt, np.zeros((d, d), dtype=complex))
     upd = solve_update(system, NewtonConfig())
     assert spec_norm(upd.dh0) < 1e-12 and spec_norm(upd.dh1) < 1e-12
 
@@ -337,10 +340,11 @@ def test_reduction_consistency(rng):
     grid = TimeGrid(t_f=1.4, n_steps=n)
     samples = rng.normal(size=n)
     states = propagate(np.eye(d, dtype=complex), pair, samples, grid)
-    j0, j1 = assemble_jacobian(states, samples, grid.dt)
+    g0, g1 = assemble_grams(states, samples)
+    j0, j1 = grams_to_jacobians(g0, g1, grid.dt)
     u_tar = haar_unitary(d, rng)
     s = hermitian_residual(states[-1], u_tar)
-    system = reduce_system(j0, j1, s)
+    system = reduce_system(g0, g1, grid.dt, s)
     upd = solve_update(system, NewtonConfig(singular_cond_threshold=1e14))
     lhs = (j0 @ vec_f(upd.dh0) + j1 @ vec_f(upd.dh1)).reshape(d, d, order="F")
     assert spec_norm(lhs - s) <= 1e-10 * max(1.0, spec_norm(s))
@@ -473,6 +477,31 @@ def test_one_factorization_per_system(monkeypatch):
     assert not any(np.shape(a) == (4, 4) for a in solved)
 
 
+def test_svd_calls_per_newton_iteration(monkeypatch):
+    # a d = 2 iteration makes three SVDs: its reduced system's, one batched
+    # over the real norms (e_k's two and the two deviations from the truth)
+    # and one over the complex ones (dev_U and the residual's skew part);
+    # the unitarity checks of the operators pass on a Frobenius bound
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return svd(*args, **kwargs)
+
+    pair, samples, grid = _benchmark_two_level()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, pair, samples, grid)
+    guess = perturb_pair(pair, PerturbationSpec(eta=1e-5, seed=2))
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for max_iters in (1, 2, 3):
+        calls.clear()
+        _, report = newton_identify(u0, u_tar, guess, samples, grid, NewtonConfig(max_iters=max_iters), truth=pair)
+        assert report.n_iterations == max_iters
+        assert len(calls) == 3 * max_iters
+        assert sorted(np.shape(a) for a in calls) == sorted([(2, 2, 2), (4, 2, 2), (4, 4)] * max_iters)
+
+
 def test_newton_report_serialization(tmp_path):
     pair, samples, grid = _benchmark_two_level()
     u0 = np.eye(2, dtype=complex)
@@ -530,5 +559,5 @@ def test_identify_from_linearization_matches_pair_start():
     assert got_pair.h1.tobytes() == ref_pair.h1.tobytes()
     closing = linearize(u0, got_pair, samples, grid)
     assert got.linearization.pair is got_pair
-    for name in ("u_n", "j0", "j1"):
+    for name in ("u_n", "g0", "g1"):
         assert getattr(got.linearization, name).tobytes() == getattr(closing, name).tobytes()

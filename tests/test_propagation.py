@@ -27,7 +27,7 @@ from hamid import (
 from hamid.linalg import SYMMETRY_TOL, unitarity_defect
 from hamid.models import TWO_LEVEL_DEFAULT_STEPS
 from hamid import propagation
-from hamid.propagation import GRAM_CHUNK
+from hamid.propagation import EMBED_SLICE, GRAM_CHUNK
 
 from helpers import (
     cayley_loop_reference,
@@ -513,6 +513,72 @@ def test_two_level_huge_and_unit_steps_in_one_block():
     assert unitarity_defect(u_n) <= 1e-14
 
 
+def _two_level_operands(pair, e, dt):
+    """The d = 2 step operands of samples ``e``, built in fresh buffers, as
+    a contiguous (n, 4, 4) array: the layout of ``_Workspace.embedded``."""
+    temps, planes = np.full((8, e.size), np.nan), np.full((16, e.size), np.nan)
+    propagation._two_level_operands(pair, e, dt, temps, planes)
+    return np.ascontiguousarray(planes.T).reshape(e.size, 4, 4)
+
+
+# block sizes of the operand property: one step, slices either side of
+# EMBED_SLICE, and samples that cross GRAM_CHUNK
+_OPERAND_SIZES = [1, EMBED_SLICE - 1, EMBED_SLICE + 1, 3 * EMBED_SLICE + 5, GRAM_CHUNK + 300]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from(_OPERAND_SIZES),
+    log_norm=st.floats(min_value=-8.0, max_value=0.0),
+    huge=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_two_level_operand_property(n, log_norm, huge, seed):
+    # every operand the d = 2 builder writes is the exact real embedding of
+    # C_n^T, its complex entries are LAPACK's Cayley factor to 1e-15, and the
+    # stepping loop multiplies each state by the operand of its step, across
+    # slices and blocks.  Unit steps have ||(dt/2)(H0 + E_n H1)|| up to 1;
+    # with ``huge``, steps whose entries are at or above 2**250 take the
+    # solve, mixed with E_n = 0 and unit steps.
+    rng = np.random.default_rng(seed)
+    pair = random_pair(2, rng)
+    e = rng.uniform(-1.0, 1.0, size=n)
+    e[rng.random(n) < 0.2] = 0.0
+    if huge:
+        # h1 = 2**251 sigma_x and dt = 1: E_n = 1 puts exactly 2**250 into A_n
+        pair = HamiltonianPair(pair.h0 / spec_norm(pair.h0), 2.0**251 * _SX)
+        dt = 1.0
+        kind = rng.integers(0, 3, size=n)
+        e = np.where(kind == 0, 2.0**-252 * e, e)
+        e = np.where(kind == 1, np.sign(e) + 3.0 * e, e)
+        e[rng.integers(n)] = 1.0
+    else:
+        dt = 2.0 * 10.0**log_norm / max(spec_norm(pair.h0 + x * pair.h1) for x in (-1.0, 1.0))
+    operands = _two_level_operands(pair, e, dt)
+    blocks = operands.reshape(n, 2, 2, 2, 2)
+    re, im = blocks[:, :, 0, :, 0], blocks[:, :, 0, :, 1]
+    assert np.array_equal(blocks[:, :, 1, :, 1], re)
+    assert np.array_equal(blocks[:, :, 1, :, 0], -im)
+    eye = np.eye(2)
+    l = 0.5j * dt * (pair.h0 + e[:, None, None] * pair.h1)
+    lapack = np.linalg.solve(eye + l, eye - l)
+    assert np.abs((re + 1j * im).transpose(0, 2, 1) - lapack).max() <= 1e-15
+    a_max = np.abs(l).max(axis=(1, 2))
+    at_or_above = a_max >= 2.0**250
+    assert np.array_equal((re + 1j * im)[at_or_above], lapack[at_or_above].transpose(0, 2, 1))
+    assert not huge or at_or_above.any()
+    # the loop steps W_{n+1} = W_n B_n with these operands, bit for bit
+    start = 0
+    dot = np.ndarray.dot
+    for e_block, states, _ in propagation._cayley_blocks(_I2, pair, e, dt):
+        block_operands = _two_level_operands(pair, e_block, dt)
+        for k, b in enumerate(block_operands):
+            w_next = dot(states[k].view(float), b)
+            assert np.array_equal(states[k + 1].view(float), w_next), start + k
+        start += e_block.size
+    assert start == n
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -655,18 +721,22 @@ def test_pooled_buffers_carry_nothing_between_calls(rng):
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
-# (d, pair, bound on a warm call's peak in blocks): at d = 2 the factors are
-# built in the pooled scratch, so no block-sized array is allocated; at
-# d = 3 the batched solve returns one
+# (call, d, pair, bound on a warm call's peak in blocks): at d = 2 the
+# operands are built in the pooled buffers, so no block-sized array is
+# allocated (measured: 0.02 block for propagate_final); the Gram sums' E_n
+# scaling makes numpy's iterator allocate its buffer of 8192 floats for the
+# broadcast samples, 64 KB or 0.25 block at d = 2 (measured 0.26); at d = 3
+# the batched solve returns one block
 _WARM_PAIR_3 = HamiltonianPair(np.diag([0.3, -0.2, 0.1]), np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1))
 
 
 @pytest.mark.parametrize(
     "call, d, pair, bound",
     [
-        (call, d, pair, bound)
-        for d, pair, bound in ((2, _PAIR, 0.9), (3, _WARM_PAIR_3, 1.5))
-        for call in (propagate_with_gram, propagate_final)
+        (propagate_with_gram, 2, _PAIR, 0.3),
+        (propagate_final, 2, _PAIR, 0.2),
+        (propagate_with_gram, 3, _WARM_PAIR_3, 1.5),
+        (propagate_final, 3, _WARM_PAIR_3, 1.5),
     ],
     ids=["propagate_with_gram", "propagate_final", "propagate_with_gram-d3", "propagate_final-d3"],
 )
