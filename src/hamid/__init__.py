@@ -63,7 +63,6 @@ from .newton import (
     ReducedSystem,
     SingularityDiagnostic,
     SingularJacobianError,
-    grams_to_jacobians,
     hermitian_residual,
     linearize,
     newton_identify,

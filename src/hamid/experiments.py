@@ -9,9 +9,9 @@ reads (see its ``_KINDS`` entry) once, into its dataclass, over the kind's
 defaults, checking each key against that dataclass's fields as it goes.
 An unknown key raises ``ValueError`` naming it, and so does the dataclass
 for a value of the wrong type or out of range, before any work starts.
-The result, a frozen ``Plan``, is kept as ``cfg.plan``; the runner reads it
-and nothing else.  ``run_experiment`` calls the runner and writes the
-manifest.
+So does a plan too large for the machine's physical memory.  The result,
+a frozen ``Plan``, is kept as ``cfg.plan``; the runner reads it and nothing
+else.  ``run_experiment`` calls the runner and writes the manifest.
 
 Every run writes CSV/JSON artifacts plus a manifest.json holding the config
 and every resolved setting, so a run is reproducible from its manifest
@@ -59,12 +59,13 @@ from .newton import (
     solve_update,
     system_diagnostic,
 )
-from .propagation import HamiltonianPair, cn_error_order, propagate_final
+from .propagation import GRAM_CHUNK, HamiltonianPair, cn_error_order, propagate_final
 from .reporting import format_float, json_default, write_json, write_table
 
 REGIME_RECOVERS = "RecoversOriginal"
 REGIME_ALTERNATE = "AlternateSolution"
 REGIME_DIVERGES = "Diverges"
+_REGIMES = (REGIME_RECOVERS, REGIME_ALTERNATE, REGIME_DIVERGES)  # best first
 
 # classification thresholds: between the recovered scales (~1e-11) and the
 # alternate-solution scales (~1e-7)
@@ -228,7 +229,38 @@ def resolve(cfg: ExperimentConfig) -> Plan:
         perturbation = _build(cfg.kind, "perturbation", PerturbationSpec, cfg.perturbation, eta, seed=cfg.seed)
     seed = cfg.seed if "seed" in kind.reads else None
     n_steps = kind.n_steps if cfg.n_steps is None else cfg.n_steps
+    _require_fits_memory(cfg.kind, kind, params, n_steps, sweep)
     return Plan(seed, n_steps, params, newton, continuation, perturbation, sweep)
+
+
+def _require_fits_memory(name: str, kind: "_Kind", params, n_steps: int, sweep) -> None:
+    """Refuse a plan whose largest arrays, estimated from its sizes, exceed
+    the physical memory ``os.sysconf`` reports, naming the key that sizes
+    most of them; where ``os.sysconf`` or its page counts are missing (on
+    Windows, say), refuse nothing."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return
+    d, n_points = kind.sizes(params)
+    steps = kind.longest * n_steps
+    # peak bytes by key, as tracemalloc measures them: sample_field's five
+    # temporaries per step; the double well's three n_points^2 arrays; a
+    # stepping workspace, 70 bytes per d^2 and block step, and the Newton
+    # system, 140 per d^4
+    nbytes = {
+        f"n_steps = {n_steps}": 40 * steps,
+        f"model.grid.n_points = {n_points}": 24 * n_points**2,
+        f"model.n_levels = {d}": 70 * min(steps, GRAM_CHUNK) * d**2 + 140 * d**4,
+    }
+    workers = _sweep_workers(sweep) if sweep else 1
+    need = workers * sum(nbytes.values())
+    if 0 < physical < need:
+        on = f" on {workers} workers (sweep.workers)" if workers > 1 else ""
+        raise ValueError(
+            f"{name}: {max(nbytes, key=nbytes.get)} needs about {need / 2**30:.3g} GiB{on}, "
+            f"more than the {physical / 2**30:.3g} GiB of physical memory"
+        )
 
 
 # each dataclass's field types, read once: a read evaluates every annotation string
@@ -346,6 +378,8 @@ class _Kind:
     newton: dict = field(default_factory=dict)  # NewtonConfig fields the kind sets
     continuation: dict = field(default_factory=dict)  # ContinuationConfig fields the kind sets
     eta: Callable = None  # params -> default perturbation magnitude
+    sizes: Callable = lambda params: (2, 0)  # params -> the largest (d, n_points) a run builds
+    longest: int = 1  # the most steps one propagation takes, per n_steps (cn_error_order: 8)
 
 
 # what the kinds of one model family share
@@ -361,6 +395,7 @@ _DOUBLE_WELL = {
     "newton": {"tol": BENCH_DOUBLE_WELL_TOL, "singular_cond_threshold": BENCH_DOUBLE_WELL_COND_THRESHOLD},
     "continuation": {"n_intermediate": 30},
     "eta": lambda params: 1e-5 if params.n_levels <= 6 else 1e-6,
+    "sizes": lambda params: (params.n_levels, params.grid.n_points),
 }
 
 
@@ -422,6 +457,11 @@ def run_eta_sweep(cfg: ExperimentConfig) -> EtaSweepResult:
     return _eta_sweep(cfg.plan)
 
 
+def _sweep_workers(sweep: SweepSpec) -> int:
+    """The sweep's processes: ``workers``, capped by the jobs and CPUs."""
+    return min(int(sweep.workers), len(sweep.etas) * int(sweep.n_seeds), os.cpu_count() or 1)
+
+
 def _eta_sweep(plan: Plan) -> EtaSweepResult:
     sweep = plan.sweep
     problem = _problem(_two_level, plan.model, plan.n_steps)
@@ -430,7 +470,7 @@ def _eta_sweep(plan: Plan) -> EtaSweepResult:
         for i, eta in enumerate(sweep.etas)
         for r in range(int(sweep.n_seeds))
     ]
-    workers = min(int(sweep.workers), len(jobs), os.cpu_count() or 1)
+    workers = _sweep_workers(sweep)
     if workers > 1:
         # multiprocessing is about 1.3 MB resident; a serial sweep never loads it
         from concurrent.futures import ProcessPoolExecutor
@@ -443,16 +483,9 @@ def _eta_sweep(plan: Plan) -> EtaSweepResult:
     aggregates = []
     for eta in sorted({r.eta for r in runs}):
         group = [r for r in runs if r.eta == eta]
-        counts = {
-            REGIME_RECOVERS: sum(r.regime == REGIME_RECOVERS for r in group),
-            REGIME_ALTERNATE: sum(r.regime == REGIME_ALTERNATE for r in group),
-            REGIME_DIVERGES: sum(r.regime == REGIME_DIVERGES for r in group),
-        }
+        counts = {name: sum(r.regime == name for r in group) for name in _REGIMES}
         # majority regime; ties resolve toward the worse outcome
-        label = max(
-            (REGIME_DIVERGES, REGIME_ALTERNATE, REGIME_RECOVERS),
-            key=lambda name: counts[name],
-        )
+        label = max(reversed(_REGIMES), key=counts.get)
         devs = {
             name: np.array([getattr(r, name) for r in group if getattr(r, name) is not None])
             for name in ("dev_h0", "dev_h1", "dev_u")
@@ -471,9 +504,7 @@ def _eta_sweep(plan: Plan) -> EtaSweepResult:
 SWEEP_AGG_HEADER = [
     "eta",
     "n_runs",
-    "n_recoversoriginal",
-    "n_alternatesolution",
-    "n_diverges",
+    *(f"n_{name.lower()}" for name in _REGIMES),
     "frac_recovers",
     *(f"{stat}_{dev}" for stat in ("median", "mean", "worst") for dev in ("dev_h0", "dev_h1", "dev_u")),
     "label",
@@ -721,8 +752,10 @@ _KINDS = {
     ),
     "eta-sweep": _Kind(_run_eta_sweep, ("seed", "newton", "sweep"), **_TWO_LEVEL),
     "singularity-demo": _Kind(_run_singularity_demo, (), _SingularityModel, TWO_LEVEL_DEFAULT_STEPS),
-    "cn-order-check": _Kind(_run_cn_order_check, ("seed",), _OrderCheckModel, 100),
-    "cpu-scaling": _Kind(_run_cpu_scaling, ("seed",), _CpuScalingModel, 2**15),
+    "cn-order-check": _Kind(_run_cn_order_check, ("seed",), _OrderCheckModel, 100, longest=8),
+    "cpu-scaling": _Kind(
+        _run_cpu_scaling, ("seed",), _CpuScalingModel, 2**15, sizes=lambda params: (12, DoubleWellParams().grid.n_points)
+    ),
 }
 KINDS = tuple(_KINDS)
 

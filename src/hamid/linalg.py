@@ -110,11 +110,6 @@ def require_real_symmetric(m: np.ndarray, name: str = "matrix", zero_diag: bool 
     return m, entry_max
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    u = require_square(u)
-    return spec_norm(u.conj().T @ u - np.eye(u.shape[0]))
-
-
 def require_unitary(
     u: np.ndarray, name: str = "matrix", tol: float = DEFAULT_UNITARITY_TOL
 ) -> np.ndarray:

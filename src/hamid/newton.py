@@ -121,7 +121,7 @@ class NewtonIteration:
 class Linearization:
     """What the Newton system at ``pair`` has that does not depend on the
     target: U_N and the Gram sums G0, G1 of one propagation with time step
-    ``dt`` (``grams_to_jacobians`` lays them out as the Jacobian blocks).
+    ``dt``, from which ``reduce_system`` gathers the Jacobian blocks.
     ``system(u_tar)`` is the Newton system for any target."""
 
     pair: HamiltonianPair
@@ -191,22 +191,6 @@ def residual_skew(u_n: np.ndarray, u_tar: np.ndarray) -> np.ndarray:
     return 0.5 * (r - r.conj().T)
 
 
-def grams_to_jacobians(g0: np.ndarray, g1: np.ndarray, dt: float):
-    """Reindex streaming Gram sums into the Kronecker Jacobian blocks.
-
-    With G[a, b] = sum_n vec(Ubar)[a] conj(vec(Ubar))[b] over the column-major
-    vec, the block dt sum_n Ubar^T kron Ubar^dag is
-
-        J[(c*d+r), (c'*d+r')] = dt * G[(c*d+c'), (r*d+r')],
-
-    i.e. a (0, 2, 1, 3) axis permutation of G viewed as a d^4 tensor.
-    ``reduce_system`` reads the same entries from G by its gather.
-    """
-    d2 = g0.shape[0]
-    d = int(round(d2**0.5))
-    return tuple(dt * g.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2) for g in (g0, g1))
-
-
 @lru_cache(maxsize=64)
 def unknown_index_map(d: int) -> tuple:
     entries = [("h0", i, j) for i in range(d) for j in range(i, d)]
@@ -226,10 +210,10 @@ def _reduction_indices(d: int):
     i <= j in row-major order, a = j*d+i, its real part and then, for
     i < j, its imaginary part.  Entry (a, col) of J_b is entry (c*d+c',
     r*d+r') of dt G_b, with (c, r) = divmod(a, d) and (c', r') = divmod(col
-    mod d^2, d), the (0, 2, 1, 3) permutation of ``grams_to_jacobians``.
-    So the reduced matrix is ``matrix_src`` gathered from the floats of
-    [dt G0, dt G1], plus ``pair_src`` gathered at columns ``pairs``, and
-    the right-hand side is ``rhs_src`` gathered from the floats of S.
+    mod d^2, d), the layout ``reduce_system`` states.  So the reduced
+    matrix is ``matrix_src`` gathered from the floats of [dt G0, dt G1],
+    plus ``pair_src`` gathered at columns ``pairs``, and the right-hand
+    side is ``rhs_src`` gathered from the floats of S.
     Unknown k sets entries (i, j) and (j, i) of matrix ``which`` (0 for dH0,
     1 for dH1), the rows of ``scatter`` = (which, i, j).
     """
@@ -264,9 +248,15 @@ def _reduction_indices(d: int):
 
 
 def reduce_system(g0: np.ndarray, g1: np.ndarray, dt: float, s_k: np.ndarray) -> ReducedSystem:
-    """Collapse the redundant complex system with Jacobian blocks
-    ``grams_to_jacobians(g0, g1, dt)`` and residual ``s_k`` to a square
-    real one, gathered from the Gram sums without forming the blocks."""
+    """Collapse the redundant complex system with Jacobian blocks J0, J1
+    and residual ``s_k`` to a square real one, gathered from the Gram sums
+    G[a, b] = sum_n vec(Ubar_n)[a] conj(vec(Ubar_n))[b] without forming the
+    blocks.  The block dt sum_n Ubar_n^T kron Ubar_n^dag of G is
+
+        J[c*d+r, c'*d+r'] = dt G[c*d+c', r*d+r'],
+
+    a (0, 2, 1, 3) axis permutation of G read as a d^4 tensor, which the
+    gather of ``_reduction_indices`` composes with the reduction."""
     d2 = g0.shape[0]
     d = int(round(d2**0.5))
     if g0.shape != (d2, d2) or g1.shape != (d2, d2):

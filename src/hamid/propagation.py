@@ -22,33 +22,33 @@ right by the 2d x 2d real embedding of C_n^T (each complex entry z as the
 one float64 BLAS call, which costs less than the complex one at small d.
 At d = 2 the factors are taken in closed form, 2 adj(I + L_n) / det(I +
 L_n) - I in real arithmetic, which writes the 16 entries of every
-embedding as contiguous planes; one transposing copy per ``EMBED_SLICE``
-steps lays them out step by step.  At every other d one batched LAPACK
-solve gives the factors, and three strided copies per slice embed them.
-The generator yields each block's samples and transposed states (the
-block's starting W first).
+embedding as contiguous planes, with no LAPACK call; one transposing copy
+per ``EMBED_SLICE`` steps lays them out step by step.  At every other d one
+batched LAPACK solve gives the factors, and three strided copies per slice
+embed them.
 
 Every entry point takes a ``HamiltonianPair`` and returns plain C-ordered
 arrays: ``propagate`` the stored states U_0..U_N, ``propagate_final`` U_N,
 ``propagate_with_gram`` U_N and the Gram sums over flat(W) = vec(U), which
 ``hamid.newton`` lays out as the Jacobian, and ``cn_step`` one step as a
-one-sample call.  Inputs whose generator (dt/2)(H0 + E_n H1) overflows are
-refused, since their steps would be NaN.  Constant generators take the same
-loop.  The factors are never regrouped, so every entry point (and a loop of
-``cn_step`` calls) produces the same bits for a fixed BLAS; temporary
-memory is bounded by the block, not by N.
+one-sample call.  Every entry point refuses inputs whose generator bound
+0.5 |dt| (max|H0| + max|E_n| max|H1|) is not below 2**249, where the d = 2
+closed form would overflow: one rule at every d.  Constant generators take
+the same loop.  The factors are never regrouped, so every entry point (and
+a loop of ``cn_step`` calls) produces the same bits for a fixed BLAS;
+temporary memory is bounded by the block, not by N.
 
 Every buffer of the loop (the block's states, the embedding slice and the
 state slab it is multiplied into, and the complex scratch for the factors
 and the Gram midpoints) lives in a ``_Workspace``, kept in a private pool
-with one idle workspace per dimension, sized to the largest block seen
-there.  A call takes its dimension's workspace out of the pool and puts it
-back when it ends, so two live propagations (in threads, or one generator
-inside another) never share one.  A warm call allocates one block-sized
-array, the factors the batched solve returns, and none at d = 2, where the
-embedding planes are written into the scratch and A_n into the states not
-yet stepped.  A workspace for ``GRAM_CHUNK`` steps holds 0.21 d^2 MB:
-0.84 MB at d = 2, 7.5 MB at d = 6 and 30 MB at d = 12.
+that holds one idle workspace, the one put back last.  A call takes it out
+if it fits the call (else builds one) and puts its own back when it ends,
+so two live propagations (in threads, or one generator inside another)
+never share one.  A warm call allocates one block-sized array, the factors
+the batched solve returns, and none at d = 2, where the embedding planes
+are written into the scratch and A_n into the states not yet stepped.  A
+workspace for ``GRAM_CHUNK`` steps holds 0.21 d^2 MB: 0.84 MB at d = 2,
+7.5 MB at d = 6 and 30 MB at d = 12.
 """
 from __future__ import annotations
 
@@ -78,10 +78,10 @@ GRAM_CHUNK = 4096
 # (whole blocks were 5-11% slower per step at d = 6 and 12)
 EMBED_SLICE = 256
 
-# at d = 2 a factor is built from products of up to four entries of
-# A_n = (dt/2)(H0 + E_n H1); below 2**_CLOSED_FORM_EXP they stay under
-# 2**1003, and a step with an entry at or above it takes the batched solve
-_CLOSED_FORM_EXP = 250
+# the refused bound 0.5 |dt| (max|H0| + max|E_n| max|H1|): a d = 2 factor
+# multiplies up to four entries of A_n = (dt/2)(H0 + E_n H1), under 2**1003
+# below 2**250; one power of two less covers the rounding of the bound
+_GENERATOR_LIMIT = 2.0**249
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class _Workspace:
         self.scratch = np.empty((2, capacity, d, d), dtype=complex)
 
 
-# d -> the idle workspace at d; a running propagation holds its own out of it
+# d -> the idle workspace, at the d of the call that ended last
 _POOL: dict[int, _Workspace] = {}
 
 
@@ -163,9 +163,8 @@ def _two_level_operands(
     share one layout): numpy copies a broadcast or differently strided
     operand into a buffer.  Re and Im are written once, into the rows
     r = 0, and copied and negated into the rows r = 1.  x^2 would overflow
-    for entries of A_n near 2**256: a step with an entry at or above
-    2**_CLOSED_FORM_EXP takes the LAPACK solve instead, into the same
-    planes."""
+    for entries of A_n near 2**256: ``_require_bounded_generator`` keeps
+    them below 2**250."""
     n = e.size
     # A_n's entries (0, 0), (0, 1), (1, 1), (1, 0), one plane each
     a = temps[:4]
@@ -175,13 +174,6 @@ def _two_level_operands(
         np.multiply(pair.h1[j, k], e, out=plane)
         np.add(pair.h0[j, k], plane, out=plane)
     np.multiply(0.5 * dt, a, out=a)
-    # a bound on every entry of the block's A_n, taken in Python floats
-    h0_max, h1_max = pair._entry_max
-    e_max = max(float(e.max()), -float(e.min()))
-    big = None
-    if 0.5 * abs(dt) * (h0_max + e_max * h1_max) >= 2.0 ** (_CLOSED_FORM_EXP - 1):
-        big = np.abs(a).max(axis=0) >= 2.0**_CLOSED_FORM_EXP
-        a[:, big] = 0.0
     # rows 12-15 of the planes are free until the end
     free = planes[12:14]
     # det A in t0, x in t1, y in t2, then m in t3, v = m x in t1, u = m y in t2
@@ -208,31 +200,19 @@ def _two_level_operands(
         np.multiply(a_jj, v, out=planes[row + 1])
         np.add(planes[row + 1], free[1], out=planes[row + 1])
     np.add(1.0, planes[::10], out=planes[::10])
-    out = planes.reshape(2, 2, 2, 2, n)
-    if big is not None:
-        # the ops of the solve at other d, on these steps alone
-        eye = np.eye(2)
-        l_big = 0.5j * dt * (pair.h0 + e[big, None, None] * pair.h1)
-        factors_t = np.linalg.solve(eye + l_big, eye - l_big).T
-        out[:, 0, :, 0][..., big] = factors_t.real
-        out[:, 0, :, 1][..., big] = factors_t.imag
-    for half in out:
+    for half in planes.reshape(2, 2, 2, 2, n):
         np.copyto(half[1, :, 1], half[0, :, 0])
         np.negative(half[0, :, 1], out=half[1, :, 0])
 
 
 def _step_block(ws: _Workspace, pair: HamiltonianPair, e: np.ndarray, dt: float) -> None:
-    """Step ``ws.states[0]`` over the block's samples ``e`` into
-    ``ws.states[1 : e.size + 1]``.
-
-    The states are transposes, W_n = U_n^T, so a step is the row product
-    W_{n+1} = W_n C_n^T of the block's Cayley factors C_n = (I + L_n)^{-1}
-    (I - L_n).  Each W is read as its real view (d x 2d, real and imaginary
-    parts interleaved) and each C_n^T as its real 2d x 2d embedding, whose
-    2 x 2 block (j, c) is [[Re, Im], [-Im, Re]] of C_n[c, j]; the step is
-    then one float64 matrix product.  The embeddings are written
-    ``EMBED_SLICE`` steps at a time into ``ws.embedded``, the products into
-    ``ws.slab``, which is then copied into ``ws.states``.
+    """Step the transposed state ``ws.states[0]`` over the block's samples
+    ``e`` into ``ws.states[1 : e.size + 1]``, W_{n+1} = W_n C_n^T as one
+    float64 product of real views each (see the module docstring).  The
+    embeddings of C_n^T, whose 2 x 2 block (j, c) is [[Re, Im], [-Im, Re]]
+    of C_n[c, j], are written ``EMBED_SLICE`` steps at a time into
+    ``ws.embedded``, the products into ``ws.slab``, then copied into
+    ``ws.states``.
 
     At d = 2 the embeddings are built in closed form as 16 float planes in
     ``ws.scratch`` (``_two_level_operands``, with A_n and its temporaries in
@@ -288,13 +268,14 @@ def _cayley_blocks(u: np.ndarray, pair: HamiltonianPair, samples: np.ndarray, dt
     Blocks hold at most ``GRAM_CHUNK`` samples and are stepped in time order
     into the states buffer of a workspace taken from the pool for the
     call's dimension (built if the pool has none, or only one for smaller
-    blocks) and put back when the generator ends.  Yields ``(E block,
-    states, scratch)`` with ``states[n]`` the transpose W_n = U_n^T
+    blocks) and put back, alone, when the generator ends.  Yields ``(E
+    block, states, scratch)`` with ``states[n]`` the transpose W_n = U_n^T
     (``states[0]`` the block's starting state) and ``states[n + 1] =
     states[n] C_n^T``, and ``scratch`` two complex arrays shaped like
     ``states[1:]`` that the caller may overwrite.  Both are overwritten by
     the next block and belong to another call once the generator ends, so a
     caller copies what it keeps inside its loop."""
+    global _POOL
     d = u.shape[0]
     ws = _POOL.pop(d, None)
     if ws is None or ws.capacity < min(samples.size, GRAM_CHUNK):
@@ -308,20 +289,21 @@ def _cayley_blocks(u: np.ndarray, pair: HamiltonianPair, samples: np.ndarray, dt
             yield e, states, ws.scratch[:, : e.size]
             ws.states[0] = states[-1]
     finally:
-        _POOL[d] = ws
+        # one binding, so the pool never holds two workspaces, in threads too
+        _POOL = {d: ws}
 
 
 def _require_bounded_generator(pair: HamiltonianPair, e_max: float, dt: float) -> None:
     """Refuse finite inputs whose generator (dt/2)(H0 + E_n H1), with
-    |E_n| <= ``e_max``, may overflow, which would make every step NaN.  The
-    bound is taken in Python floats, which overflow to inf without a
-    warning."""
+    |E_n| <= ``e_max``, may have an entry at or above 2**250, where the
+    d = 2 closed form overflows: one rule at every d.  The bound is taken in
+    Python floats, which overflow to inf (refused too) without a warning."""
     h0_max, h1_max = pair._entry_max
     h_max = h0_max + e_max * h1_max
-    if not math.isfinite(0.5 * abs(float(dt)) * h_max):
+    if not 0.5 * abs(float(dt)) * h_max < _GENERATOR_LIMIT:
         raise ValueError(
             "the time step, field samples, h0 and h1 overflow the generator "
-            "(dt/2)(H0 + E_n H1): 0.5 |dt| (max|H0| + max|E_n| max|H1|) is not finite"
+            "(dt/2)(H0 + E_n H1): 0.5 |dt| (max|H0| + max|E_n| max|H1|) is not below 2**249"
         )
 
 
@@ -428,8 +410,8 @@ def propagate_with_gram(
         G1[a, b] = sum_n E_n * vec(Ubar_n)[a] * conj(vec(Ubar_n))[b]
 
     where vec() is the column-major flattening of the d x d midpoint
-    product.  :func:`hamid.newton.grams_to_jacobians` lays these out as the
-    Kronecker-form Jacobian blocks.
+    product.  :func:`hamid.newton.reduce_system` gathers the Newton system
+    from these.
     """
     u_0, samples = _validated_inputs(u_0, pair, samples, grid)
     d = pair.dim

@@ -1,6 +1,6 @@
 """Shared test utilities, the complex step loop reference for the stepping
 kernel, the stored-trajectory reference for the streaming Jacobian path, the
-LU reference for the SVD step, the Schur reference for the unitary log, the
+Kronecker layout of the Jacobian blocks, the LU reference for the SVD step, the Schur reference for the unitary log, the
 numpy.random reference for the seeded perturbations, and the
 standalone-stage reference for the continuation walk."""
 import numpy as np
@@ -13,7 +13,6 @@ from hamid import (
     ContinuationReport,
     HamiltonianPair,
     decompose_target,
-    grams_to_jacobians,
     intermediate_target,
     m0_seed,
     newton_identify,
@@ -21,8 +20,14 @@ from hamid import (
     spec_norm,
 )
 from hamid.continuation import ContinuationStage
-from hamid.linalg import _BRANCH_SNAP
+from hamid.linalg import _BRANCH_SNAP, require_square
 from hamid.newton import expand_update
+
+
+def unitarity_defect(u):
+    """||U^dag U - I||_2 of a square matrix."""
+    u = require_square(u)
+    return spec_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
 
 def haar_unitary(d, rng):
@@ -87,6 +92,16 @@ def assemble_grams(states, samples):
     p = vec_midpoint_products(states)
     pc = p.conj()
     return p.T @ pc, (p.T * samples) @ pc
+
+
+def grams_to_jacobians(g0, g1, dt):
+    """The Kronecker Jacobian blocks dt sum_n Ubar_n^T kron Ubar_n^dag of
+    streaming Gram sums, J[c*d+r, c'*d+r'] = dt G[c*d+c', r*d+r']: the
+    (0, 2, 1, 3) axis permutation of G read as a d^4 tensor, which
+    ``reduce_system`` gathers from G directly."""
+    d2 = g0.shape[0]
+    d = int(round(d2**0.5))
+    return tuple(dt * g.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2) for g in (g0, g1))
 
 
 def assemble_jacobian(states, samples, dt):

@@ -50,7 +50,6 @@ from hamid.models import (
 )
 from hamid.newton import (
     SingularJacobianError,
-    grams_to_jacobians,
     hermitian_residual,
     linearize,
     reduce_system,
@@ -63,6 +62,7 @@ from helpers import (
     SIGMA_X,
     assemble_grams,
     assemble_jacobian,
+    grams_to_jacobians,
     haar_unitary,
     random_direction,
     random_pair,

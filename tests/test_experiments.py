@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import io
 import json
+import tracemalloc
 import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -275,6 +276,68 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
     assert main(["sweep", "--etas", "1e-5,,1e-4", "--out", str(tmp_path / "never")]) == 2
     assert "--etas: could not convert string to float: ''" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+# plans whose arrays exceed any machine's memory, and the key each names
+_OVERSIZED = [
+    ({"kind": "newton-two-level", "n_steps": 10**15}, "n_steps = 1000000000000000"),
+    (
+        {"kind": "newton-double-well", "model": {"n_levels": 6, "grid": {"n_points": 10**7}}},
+        "model.grid.n_points = 10000000",
+    ),
+    (
+        {"kind": "continuation-double-well", "model": {"n_levels": 400, "grid": {"n_points": 1600}}},
+        "model.n_levels = 400",
+    ),
+    ({"kind": "cn-order-check", "n_steps": 10**14}, "n_steps = 100000000000000"),
+]
+
+
+@pytest.mark.parametrize("config, key", _OVERSIZED, ids=["n_steps", "n_points", "n_levels", "cn-order-steps"])
+def test_plans_larger_than_memory_refused(tmp_path, capsys, config, key):
+    # refused while the plan is resolved, before any array it sizes exists:
+    # numpy's MemoryError was a traceback with exit code 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{key} needs about .* GiB, more than the .* GiB of physical memory"):
+            ExperimentConfig.from_dict(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "never").exists()
+
+
+def test_sweep_workers_named_when_their_copies_exceed_memory(monkeypatch):
+    # each worker holds its own problem: at 10^6 steps one fits in a
+    # 100 MiB machine and four do not
+    page = 4096
+    pages = {"SC_PHYS_PAGES": 100 * 2**20 // page, "SC_PAGE_SIZE": page}
+    monkeypatch.setattr("os.sysconf", pages.__getitem__)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    config = {"kind": "eta-sweep", "n_steps": 10**6, "sweep": {"etas": [1e-5], "n_seeds": 4, "workers": 4}}
+    with pytest.raises(ValueError, match=r"n_steps = 1000000 needs about .* on 4 workers \(sweep\.workers\)"):
+        ExperimentConfig.from_dict(config)
+    assert ExperimentConfig.from_dict(dict(config, sweep=dict(config["sweep"], workers=1))).plan.n_steps == 10**6
+
+
+def _unknown_sysconf_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("missing", ["function", "name"])
+def test_no_memory_refusal_without_sysconf(monkeypatch, missing):
+    # where the page counts cannot be read, the plan is not refused
+    if missing == "function":
+        monkeypatch.delattr("os.sysconf")
+    else:
+        monkeypatch.setattr("os.sysconf", _unknown_sysconf_name)
+    assert ExperimentConfig.from_dict({"kind": "newton-two-level", "n_steps": 10**15}).plan.n_steps == 10**15
 
 
 # a two-level-sized reduced system of full rank, for the diagnostic's checks

@@ -11,7 +11,6 @@ from hamid import (
     ReducedSystem,
     SingularJacobianError,
     TimeGrid,
-    grams_to_jacobians,
     hermitian_residual,
     newton_identify,
     propagate,
@@ -39,6 +38,7 @@ from helpers import (
     assemble_grams,
     assemble_jacobian,
     expand_update_loop,
+    grams_to_jacobians,
     haar_unitary,
     midpoint_products,
     random_direction,

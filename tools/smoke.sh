@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke checks: every demo runs, and the CLI's singularity demo, an override
-# refusal and a capped sweep behave as documented.  Run from the repository
+# refusal, a plan too large for memory and a capped sweep behave as
+# documented.  Run from the repository
 # root; outputs go under OUT_DIR:
 #
 #     tools/smoke.sh OUT_DIR
@@ -25,6 +26,15 @@ grep -q "numerical rank: 3" "$out/demo.txt"
 rc=0
 python -m hamid.cli demo singularity --seed 3 --out "$out/never" || rc=$?
 test "$rc" -eq 2
+
+# a plan whose arrays exceed the machine's memory exits 2 naming its key,
+# before any allocation
+echo '{"kind": "newton-two-level", "n_steps": 1000000000000000}' > "$out/oversized.json"
+rc=0
+python -m hamid.cli run "$out/oversized.json" --out "$out/never" 2> "$out/oversized.txt" || rc=$?
+cat "$out/oversized.txt"
+test "$rc" -eq 2
+grep -q "^error: .*n_steps = 1000000000000000" "$out/oversized.txt"
 
 # sweep.k_max (--k-max) is the sweep's only Newton iteration cap
 python -m hamid.cli sweep --etas 1e-5,1e-3 --n-seeds 1 --k-max 3 --steps 200 --out "$out/sweep"
