@@ -10,7 +10,6 @@ schema and the available experiment kinds.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -31,20 +30,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nd", type=int, help="Hilbert-space size (double-well levels)")
 
 
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """The config with the command-line overrides, validated again."""
-    changes = {}
-    if args.out:
-        changes["out_dir"] = args.out
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.steps is not None:
-        changes["n_steps"] = args.steps
-    if args.tol is not None:
-        changes["newton"] = {**cfg.newton, "tol": args.tol}
-    if args.nd is not None:
-        changes["model"] = {**cfg.model, "n_levels": args.nd}
-    return dataclasses.replace(cfg, **changes)
+def _apply_overrides(config, args: argparse.Namespace):
+    """``config`` with the command-line overrides written into it, before it
+    is checked, so an override replaces a value the check would refuse.  A
+    config or block that is not an object is left for
+    ``ExperimentConfig.from_dict`` to refuse."""
+    if not isinstance(config, dict):
+        return config
+    for key, value in (("out_dir", args.out or None), ("seed", args.seed), ("n_steps", args.steps)):
+        if value is not None:
+            config[key] = value
+    for block, key, value in (("newton", "tol", args.tol), ("model", "n_levels", args.nd)):
+        if value is not None and isinstance(config.setdefault(block, {}), dict):
+            config[block][key] = value
+    return config
 
 
 def _print_summary(result) -> None:
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             with open(args.config) as fh:
-                cfg = ExperimentConfig.from_dict(json.load(fh))
+                config = json.load(fh)
         elif args.command == "sweep":
             sweep = {"n_seeds": args.n_seeds, "k_max": args.k_max, "workers": args.workers}
             if args.etas:
@@ -86,10 +85,10 @@ def main(argv=None) -> int:
                     sweep["etas"] = [float(x) for x in args.etas.split(",")]
                 except ValueError as err:  # float's message quotes the entry
                     raise ValueError(f"--etas: {err}") from None
-            cfg = ExperimentConfig(kind="eta-sweep", sweep=sweep)
+            config = {"kind": "eta-sweep", "sweep": sweep}
         else:
-            cfg = ExperimentConfig(kind="singularity-demo")
-        result = run_experiment(_apply_overrides(cfg, args))
+            config = {"kind": "singularity-demo"}
+        result = run_experiment(ExperimentConfig.from_dict(_apply_overrides(config, args)))
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

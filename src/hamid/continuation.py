@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import TimeGrid, require_count
+from .fields import TimeGrid, require_count, require_type
 from .linalg import (
     TargetDecomposition,
     decompose_target,
@@ -38,7 +38,7 @@ from .linalg import (
     unitary_exp,
 )
 from . import reporting
-from .newton import FLAG_CONVERGED, NewtonConfig, NewtonReport, newton_identify
+from .newton import FLAG_CONVERGED, NewtonConfig, NewtonReport, newton_identify, require_truth
 from .propagation import HamiltonianPair, propagate_final
 
 CONTINUATION_OK = "converged"
@@ -52,8 +52,7 @@ class ContinuationConfig:
 
     def __post_init__(self):
         require_count("n_intermediate", self.n_intermediate)
-        if not isinstance(self.newton, NewtonConfig):
-            raise ValueError(f"newton must be a NewtonConfig, got {self.newton!r}")
+        require_type("newton", self.newton, NewtonConfig)
 
 
 @dataclass
@@ -125,11 +124,14 @@ def continuation_identify(
     """Walk the target path, warm-starting each Newton solve; returns
     (final pair, report).  The initial operator must be the identity, which
     the stage-0 closed form assumes."""
+    require_type("cfg", cfg, ContinuationConfig)
+    require_type("grid", grid, TimeGrid)
     u_0 = require_unitary(u_0, "initial operator")
     d = u_0.shape[0]
     if spec_norm(u_0 - np.eye(d)) > 1e-10:
         raise ValueError("continuation requires the identity as initial operator")
     u_tar = require_unitary(u_tar, "target operator")
+    require_truth(truth, d)
 
     n_c = cfg.n_intermediate
     dec = decompose_target(u_tar)

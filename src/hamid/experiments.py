@@ -37,7 +37,7 @@ from .continuation import (
     continuation_identify,
     m0_seed,
 )
-from .fields import SinSqEnvelope, TimeGrid, field_to_config, require_count, require_real, sample_field
+from .fields import SinSqEnvelope, TimeGrid, field_to_config, require_count, require_real, require_type, sample_field
 from .linalg import decompose_target, matrix_to_json
 from .models import (
     TWO_LEVEL_DEFAULT_STEPS,
@@ -100,6 +100,14 @@ BENCH_DOUBLE_WELL_STEPS = 2**16
 # exceed the stride
 _SWEEP_SEED_STRIDE = 1000
 
+# settings no key sets, which the manifests' resolved blocks record: the
+# singularity demo's horizon (the two-level benchmark's), the order check's
+# horizon and constant field value, and the scaling run's perturbation size
+_SINGULARITY_T_F = 9000.0
+_ORDER_CHECK_T_F = 1.0
+_ORDER_CHECK_FIELD = 0.7
+_CPU_SCALING_ETA = 1e-6
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -153,8 +161,7 @@ class ExperimentConfig:
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         try:  # resolve builds and checks the blocks
-            if not isinstance(self.out_dir, str):
-                raise ValueError(f"out_dir must be a str, got {self.out_dir!r}")
+            require_type("out_dir", self.out_dir, str)
             require_count("seed", self.seed, 0)
             if self.n_steps is not None:
                 require_count("n_steps", self.n_steps)
@@ -201,9 +208,9 @@ def resolve(cfg: ExperimentConfig) -> Plan:
     perturbation seed is built from ``seed`` and the sweep's Newton cap from
     ``k_max``."""
     kind = _KINDS[cfg.kind]
-    params = _build(cfg.kind, "model", kind.params, cfg.model, kind.defaults)
-    for name in ("perturbation", "newton", "continuation", "sweep"):
-        if name in kind.reads:
+    params = _build(cfg.kind, "model", kind.params, cfg.model, kind.defaults) if kind.params else None
+    for name in ("model", "perturbation", "newton", "continuation", "sweep"):
+        if name in kind.reads or name == "model" and kind.params:
             continue
         block = getattr(cfg, name)
         if not isinstance(block, dict):
@@ -372,7 +379,7 @@ class _Kind:
 
     run: Callable  # (plan, output directory) -> (files, resolved, summary)
     reads: tuple  # the optional keys it reads: seed, perturbation, newton, continuation, sweep
-    params: type  # the dataclass that the model block's keys set
+    params: Optional[type]  # the dataclass the model block's keys set; None: the kind reads no model block
     n_steps: int  # the default step count
     defaults: dict = field(default_factory=dict)  # params fields the kind sets
     newton: dict = field(default_factory=dict)  # NewtonConfig fields the kind sets
@@ -600,26 +607,15 @@ def _run_eta_sweep(plan: Plan, out: Path):
     return files, resolved, summary
 
 
-@dataclass(frozen=True)
-class _SingularityModel:
-    """The singularity demo's model block."""
-
-    t_f: float = 9000.0
-
-    def __post_init__(self):
-        require_real("t_f", self.t_f, positive=True)
-
-
 # the demo refuses the step as a Newton solve with the default settings does
 _SINGULARITY_NEWTON = NewtonConfig()
 
 
 def _run_singularity_demo(plan: Plan, out: Path):
-    t_f = float(plan.model.t_f)
     n_steps = int(plan.n_steps)
-    grid = TimeGrid(t_f=t_f, n_steps=n_steps)
+    grid = TimeGrid(t_f=_SINGULARITY_T_F, n_steps=n_steps)
     u_tar = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    pair = m0_seed(decompose_target(u_tar), t_f)
+    pair = m0_seed(decompose_target(u_tar), _SINGULARITY_T_F)
     field_desc = SinSqEnvelope(e0=2.0)  # E(t) = sin^2(pi t / t_f)
     samples = sample_field(field_desc, grid)
     system = linearize(np.eye(2, dtype=complex), pair, samples, grid).system(u_tar)
@@ -642,7 +638,7 @@ def _run_singularity_demo(plan: Plan, out: Path):
     }
     summary = {"numerical_rank": diag.numerical_rank, "newton_step_refused": refused}
     resolved = {
-        "t_f": t_f,
+        "t_f": _SINGULARITY_T_F,
         "n_steps": n_steps,
         "rank_tolerance": diag.rank_tolerance,
         "field": field_to_config(field_desc),
@@ -651,21 +647,7 @@ def _run_singularity_demo(plan: Plan, out: Path):
     return [write_json(out / "diagnostic.json", payload)], resolved, summary
 
 
-@dataclass(frozen=True)
-class _OrderCheckModel:
-    """The time-step order check's model block."""
-
-    t_f: float = 1.0
-    field_value: float = 0.7
-
-    def __post_init__(self):
-        require_real("t_f", self.t_f, positive=True)
-        require_real("field_value", self.field_value)
-
-
 def _run_cn_order_check(plan: Plan, out: Path):
-    t_f = float(plan.model.t_f)
-    e_value = float(plan.model.field_value)
     base_steps = int(plan.n_steps)
     rng = np.random.default_rng(plan.seed)
     h0 = rng.normal(size=(2, 2))
@@ -673,12 +655,14 @@ def _run_cn_order_check(plan: Plan, out: Path):
     h1 = np.zeros((2, 2))
     h1[0, 1] = h1[1, 0] = rng.normal()
     pair = HamiltonianPair(h0, h1)
-    ratios = {n: cn_error_order(pair, e_value, t_f, n_steps=n) for n in (base_steps, 4 * base_steps)}
+    ratios = {
+        n: cn_error_order(pair, _ORDER_CHECK_FIELD, _ORDER_CHECK_T_F, n_steps=n) for n in (base_steps, 4 * base_steps)
+    }
     path = write_table(out / "order.csv", ["n_steps", "error_ratio"], ratios.items())
     summary = {"ratios": {str(k): v for k, v in ratios.items()}}
     resolved = {
-        "t_f": t_f,
-        "field_value": e_value,
+        "t_f": _ORDER_CHECK_T_F,
+        "field_value": _ORDER_CHECK_FIELD,
         "base_steps": base_steps,
         "h0": matrix_to_json(pair.h0),
         "h1": matrix_to_json(pair.h1),
@@ -688,17 +672,12 @@ def _run_cn_order_check(plan: Plan, out: Path):
 
 @dataclass(frozen=True)
 class _CpuScalingModel:
-    """The scaling run's model block: Newton iterations per system size and
-    perturbation magnitude."""
+    """The scaling run's model block: Newton iterations per system size."""
 
     iterations: int = 3
-    eta: float = 1e-6
 
     def __post_init__(self):
         require_count("iterations", self.iterations)
-        require_real("eta", self.eta)
-        if not self.eta >= 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
 
 
 def _run_cpu_scaling(plan: Plan, out: Path):
@@ -710,9 +689,8 @@ def _run_cpu_scaling(plan: Plan, out: Path):
     """
     n_steps = int(plan.n_steps)
     iters = int(plan.model.iterations)
-    eta = float(plan.model.eta)
     budget = NewtonConfig(tol=1e-300, max_iters=iters, singular_cond_threshold=1e30)
-    spec = PerturbationSpec(eta=eta, seed=plan.seed)
+    spec = PerturbationSpec(eta=_CPU_SCALING_ETA, seed=plan.seed)
     entries = []
 
     def timed(label, p: _Problem):
@@ -735,7 +713,7 @@ def _run_cpu_scaling(plan: Plan, out: Path):
         timed(f"double-well-{n_levels}", _problem(_double_well, DoubleWellParams(n_levels=n_levels), n_steps))
     path = write_table(out / "cpu.csv", CPU_HEADER, [[e[col] for col in CPU_HEADER] for e in entries])
     summary = {"entries": entries}
-    resolved = {"n_steps": n_steps, "iterations": iters, "eta": eta}
+    resolved = {"n_steps": n_steps, "iterations": iters, "eta": _CPU_SCALING_ETA}
     return [path], resolved, summary
 
 
@@ -751,8 +729,8 @@ _KINDS = {
         partial(_run_continuation, _double_well, "fig6.csv"), _CONTINUATION_READS, **_DOUBLE_WELL
     ),
     "eta-sweep": _Kind(_run_eta_sweep, ("seed", "newton", "sweep"), **_TWO_LEVEL),
-    "singularity-demo": _Kind(_run_singularity_demo, (), _SingularityModel, TWO_LEVEL_DEFAULT_STEPS),
-    "cn-order-check": _Kind(_run_cn_order_check, ("seed",), _OrderCheckModel, 100, longest=8),
+    "singularity-demo": _Kind(_run_singularity_demo, (), None, TWO_LEVEL_DEFAULT_STEPS),
+    "cn-order-check": _Kind(_run_cn_order_check, ("seed",), None, 100, longest=8),
     "cpu-scaling": _Kind(
         _run_cpu_scaling, ("seed",), _CpuScalingModel, 2**15, sizes=lambda params: (12, DoubleWellParams().grid.n_points)
     ),

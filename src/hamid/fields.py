@@ -37,6 +37,12 @@ def require_real(name: str, x, positive: bool = False) -> None:
         raise ValueError(f"{name} must be {what}, got {x!r}")
 
 
+def require_type(name: str, x, cls: type) -> None:
+    """Refuse anything but an instance of ``cls`` for ``name``."""
+    if not isinstance(x, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Equidistant grid on [0, t_f] with n_steps intervals (atomic units)."""

@@ -59,23 +59,20 @@ def require_real_array(x, name: str = "matrix") -> np.ndarray:
 
 
 def spec_norm(m: np.ndarray) -> float:
-    """Largest singular value of a square matrix.
+    """Largest singular value of a square matrix: ``spec_norms(m)[0]``."""
+    return spec_norms(m)[0]
+
+
+def spec_norms(*ms: np.ndarray) -> list:
+    """The largest singular value of each square matrix of ``ms``, from one
+    batched SVD per group of matrices that share a dtype and a shape (the
+    batched call makes the LAPACK call a single matrix's SVD makes); a 1 x 1
+    matrix's is the modulus of its entry.
 
     For normal matrices (every Hermitian difference this package measures)
     this equals the maximum absolute eigenvalue; for non-normal arguments
     such as differences of unitaries it is the 2-norm.
     """
-    m = require_square(m)
-    if m.size == 1:
-        return float(abs(m[0, 0]))
-    # np.linalg.norm(m, 2) makes this LAPACK call too, behind a moveaxis and an amax
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def spec_norms(*ms: np.ndarray) -> list:
-    """``[spec_norm(m) for m in ms]``, bit for bit, with one batched SVD per
-    group of matrices that share a dtype and a shape: the batched call makes
-    the same LAPACK call on each matrix."""
     ms = [require_square(m) for m in ms]
     norms = [0.0] * len(ms)
     groups = {}

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import PiPulse, SinSqEnvelope, require_count, require_real
+from .fields import PiPulse, SinSqEnvelope, require_count, require_real, require_type
 from .propagation import HamiltonianPair
 
 # CODATA atomic unit of time, seconds
@@ -99,8 +99,7 @@ class DoubleWellParams:
         require_real("t_f", self.t_f, positive=True)
         # the pi pulse drives the 0 -> 3 transition
         require_count("n_levels", self.n_levels, 4)
-        if not isinstance(self.grid, SpatialGrid):
-            raise ValueError(f"grid must be a SpatialGrid, got {self.grid!r}")
+        require_type("grid", self.grid, SpatialGrid)
         if self.grid.n_points < 4 * self.n_levels:
             raise ValueError("grid.n_points must be at least 4 * n_levels")
 

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import TimeGrid, require_count, require_real
+from .fields import TimeGrid, require_count, require_real, require_type
 from .linalg import require_real_array, require_square, require_unitary, spec_norms
 from .propagation import HamiltonianPair, propagate_final, propagate_with_gram
 from . import reporting
@@ -340,6 +340,14 @@ def linearize(
     return Linearization(pair, *propagate_with_gram(u_0, pair, samples, grid), grid.dt)
 
 
+def require_truth(truth: Optional[HamiltonianPair], d: int) -> None:
+    """Refuse a ``truth`` that is neither None nor a pair of dimension ``d``,
+    which a solve would otherwise meet only after its first propagation."""
+    if truth is not None and not (isinstance(truth, HamiltonianPair) and truth.dim == d):
+        got = f"a pair of dimension {truth.dim}" if isinstance(truth, HamiltonianPair) else repr(truth)
+        raise ValueError(f"truth must be None or a HamiltonianPair of dimension {d}, got {got}")
+
+
 def newton_identify(
     u_0: np.ndarray,
     u_tar: np.ndarray,
@@ -354,8 +362,8 @@ def newton_identify(
     """Full Newton iteration; returns (final pair, report).
 
     ``guess`` is the starting pair, or a ``Linearization`` at it (taken with
-    the same ``u_0``, ``samples`` and ``grid``), whose first system then
-    costs no propagation.
+    the same ``u_0``, ``samples`` and ``grid``; one of another time step or
+    dimension is refused), whose first system then costs no propagation.
 
     Row k of the report describes iterate k (after k updates): e_k is the
     spectral-norm size of update k, dev_* the deviations of iterate k from
@@ -372,9 +380,19 @@ def newton_identify(
     way, since no caller solves on from a failure (both give U_N bit for
     bit, so the report is the same).
     """
+    require_type("cfg", cfg, NewtonConfig)
+    require_type("grid", grid, TimeGrid)
     u_0 = require_unitary(u_0, "initial operator")
     u_tar = require_unitary(u_tar, "target operator")
     samples = require_real_array(samples, "field samples")
+    require_truth(truth, u_0.shape[0])
+    if not isinstance(guess, Linearization):
+        require_type("guess", guess, HamiltonianPair)
+    elif guess.dt != grid.dt or guess.u_n.shape != u_0.shape:  # it would build a wrong first system
+        raise ValueError(
+            f"guess must be a pair or a Linearization of time step {grid.dt!r} and U_N shape {u_0.shape}, "
+            f"got one of {guess.dt!r} and {guess.u_n.shape}"
+        )
     lin = guess if isinstance(guess, Linearization) else linearize(u_0, guess, samples, grid)
     pair = lin.pair
     report = NewtonReport(iterations=[], flag=FLAG_MAX_ITERS)

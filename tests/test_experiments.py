@@ -24,15 +24,13 @@ from hamid.experiments import (
     ExperimentConfig,
     SweepSpec,
     _CpuScalingModel,
-    _OrderCheckModel,
-    _SingularityModel,
     _median,
     classify_devs,
     run_experiment,
     run_eta_sweep,
 )
 from hamid.continuation import ContinuationConfig
-from hamid.fields import PiPulse, SinSqEnvelope
+from hamid.fields import PiPulse, SinSqEnvelope, TimeGrid
 from hamid.models import DoubleWellParams, PerturbationSpec, SpatialGrid, TwoLevelParams
 from hamid.newton import NewtonConfig, ReducedSystem, system_diagnostic
 from hamid.propagation import HamiltonianPair
@@ -176,10 +174,10 @@ BAD_CONFIGS = [
     ({"kind": "newton-double-well", "model": {"grid": {"n_points": 64.5}}}, [], "n_points"),
     ({"kind": "cpu-scaling", "model": {"iterations": 1.0}}, [], "model.iterations"),
     # non-finite floats, which would otherwise fail deep inside the run
-    ({"kind": "cn-order-check", "model": {"t_f": float("inf")}}, [], "model.t_f"),
-    ({"kind": "cn-order-check", "model": {"field_value": float("nan")}}, [], "model.field_value"),
-    ({"kind": "cpu-scaling", "model": {"eta": float("nan")}}, [], "model.eta"),
-    ({"kind": "cn-order-check", "model": {"t_f": 10**400}}, [], "model.t_f"),
+    ({"kind": "newton-two-level", "model": {"t_f": float("inf")}}, [], "model.t_f"),
+    ({"kind": "newton-two-level", "model": {"delta": float("nan")}}, [], "model.delta"),
+    ({"kind": "newton-two-level", "perturbation": {"eta": float("nan")}}, [], "perturbation.eta"),
+    ({"kind": "newton-two-level", "model": {"t_f": 10**400}}, [], "model.t_f"),
     # counts out of range, which would otherwise become the default or an empty sweep
     ({"kind": "cn-order-check", "n_steps": 0}, [], "n_steps"),
     ({"kind": "cpu-scaling"}, ["--steps", "0"], "n_steps"),
@@ -204,10 +202,7 @@ BAD_CONFIGS = [
         "continuation.n_intermediate",
     ),
     ({"kind": "newton-two-level", "model": {"t_f": -5.0}}, [], "model.t_f"),
-    ({"kind": "singularity-demo", "model": {"t_f": -5.0}}, [], "model.t_f"),
-    ({"kind": "cn-order-check", "model": {"t_f": -1.0}}, [], "model.t_f"),
     ({"kind": "cpu-scaling", "model": {"iterations": 0}}, [], "model.iterations"),
-    ({"kind": "cpu-scaling", "model": {"eta": -1.0}}, [], "model.eta"),
     ({"kind": "eta-sweep", "sweep": {"etas": [-1e-3]}}, [], "sweep.etas"),
     ({"kind": "newton-double-well", "model": {"t_f": 0.0}}, [], "model.t_f"),
     ({"kind": "continuation-double-well", "model": {"t_f": -5.0}}, [], "model.t_f"),
@@ -216,12 +211,18 @@ BAD_CONFIGS = [
     ({"kind": "newton-double-well", "n_steps": 256}, ["--nd", "3"], "model.n_levels"),
     ({"kind": "continuation-double-well", "model": {"n_levels": 2}}, [], "model.n_levels"),
     # retired keys: the step count is the top-level n_steps only, the
-    # continuation walks its path once and Newton-polishes every stage, and
-    # the singularity demo reads ranks at one tolerance
+    # continuation walks its path once and Newton-polishes every stage, the
+    # singularity demo reads ranks at one tolerance, and the demo's horizon,
+    # the order check's horizon and field value and the scaling run's
+    # perturbation magnitude are constants, refused even at their values
     ({"kind": "newton-two-level", "model": {"n_steps": 200}}, [], "unknown model keys ['n_steps']"),
     ({"kind": "newton-double-well", "model": {"n_steps": 256}}, [], "unknown model keys ['n_steps']"),
-    ({"kind": "cn-order-check", "model": {"n_steps": 100}}, [], "unknown model keys ['n_steps']"),
+    ({"kind": "cn-order-check", "model": {"n_steps": 100}}, [], "this kind reads no model block, got keys ['n_steps']"),
     ({"kind": "cpu-scaling", "model": {"n_steps": 256}}, [], "unknown model keys ['n_steps']"),
+    ({"kind": "singularity-demo", "model": {"t_f": 9000.0}}, [], "this kind reads no model block, got keys ['t_f']"),
+    ({"kind": "cn-order-check", "model": {"t_f": 1.0}}, [], "this kind reads no model block, got keys ['t_f']"),
+    ({"kind": "cn-order-check", "model": {"field_value": 0.7}}, [], "reads no model block, got keys ['field_value']"),
+    ({"kind": "cpu-scaling", "model": {"eta": 1e-6}}, [], "unknown model keys ['eta']; accepted: ['iterations']"),
     (
         {"kind": "continuation-two-level", "continuation": {"retry_doubled": True}},
         [],
@@ -232,7 +233,11 @@ BAD_CONFIGS = [
         [],
         "unknown continuation keys ['refine_m0']",
     ),
-    ({"kind": "singularity-demo", "model": {"rank_tolerance": 1e-6}}, [], "unknown model keys ['rank_tolerance']"),
+    (
+        {"kind": "singularity-demo", "model": {"rank_tolerance": 1e-6}},
+        [],
+        "singularity-demo: this kind reads no model block, got keys ['rank_tolerance']",
+    ),
     # keys of values another key sets: the perturbation seed is the top-level
     # seed, and the sweep's Newton iteration cap is sweep.k_max
     ({"kind": "newton-two-level", "perturbation": {"seed": 5}}, [], "unknown perturbation keys ['seed']"),
@@ -313,6 +318,28 @@ def test_plans_larger_than_memory_refused(tmp_path, capsys, config, key):
     assert not (tmp_path / "never").exists()
 
 
+def test_cli_overrides_are_written_before_the_check(tmp_path, capsys):
+    # the overrides replace the file's values before the config is checked,
+    # so a file whose own step count and seed are refused runs with them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "newton-two-level", "n_steps": 10**15, "seed": -1}))
+    assert main(["run", str(path), "--out", str(tmp_path / "n"), "--steps", "200", "--seed", "5"]) == 0
+    manifest = json.loads((tmp_path / "n" / "manifest.json").read_text())
+    assert manifest["config"]["n_steps"] == manifest["resolved"]["n_steps"] == 200
+    assert manifest["config"]["seed"] == manifest["resolved"]["perturbation_seed"] == 5
+    # a config or block that is not an object is refused, override or not
+    for config, extra, message in (
+        ({"kind": "newton-two-level", "newton": 5}, ["--tol", "1e-3"], "the newton block must be an object"),
+        ({"kind": "newton-double-well", "model": None}, ["--nd", "6"], "the model block must be an object"),
+        ([{"kind": "newton-two-level"}], ["--steps", "200"], "must be an object with a 'kind' field"),
+    ):
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "--out", str(tmp_path / "never"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (config, err)
+    assert not (tmp_path / "never").exists()
+
+
 def test_sweep_workers_named_when_their_copies_exceed_memory(monkeypatch):
     # each worker holds its own problem: at 10^6 steps one fits in a
     # 100 MiB machine and four do not
@@ -374,10 +401,10 @@ _FULL_RANK = ReducedSystem(matrix=np.eye(4), rhs=np.zeros(4))
         (ContinuationConfig, {"newton": None}, "newton"),
         (PerturbationSpec, {"eta": "x", "seed": 0}, "eta"),
         (PerturbationSpec, {"eta": 1e-3, "seed": "x"}, "seed"),
-        (_SingularityModel, {"t_f": float("inf")}, "t_f"),
-        (_OrderCheckModel, {"t_f": float("inf")}, "t_f"),
-        (_OrderCheckModel, {"field_value": float("nan")}, "field_value"),
-        (_CpuScalingModel, {"eta": float("inf")}, "eta"),
+        (TimeGrid, {"t_f": float("inf"), "n_steps": 10}, "t_f"),
+        (PerturbationSpec, {"eta": 1e-3, "seed": -1}, "seed"),
+        (NewtonConfig, {"singular_cond_threshold": float("nan")}, "singular_cond_threshold"),
+        (SweepSpec, {"workers": 0}, "workers"),
         (_CpuScalingModel, {"iterations": 1.5}, "iterations"),
         # a nested block, which a config builds itself but a library caller passes
         (DoubleWellParams, {"grid": 5}, "grid"),
@@ -624,11 +651,12 @@ def test_config_accepts_numpy_and_integer_numbers(tmp_path):
     # numpy integers set int fields and plain integers set float fields; the
     # manifest keeps them as numbers a later config check accepts again
     cfg = ExperimentConfig(
-        kind="cn-order-check",
+        kind="newton-two-level",
         out_dir=str(tmp_path / "o"),
         seed=np.int64(3),
-        model={"t_f": 1, "field_value": np.float64(0.7)},
-        n_steps=np.int64(100),
+        model={"t_f": 9000, "delta": np.float64(1e-4)},
+        n_steps=np.int64(200),
+        newton={"max_iters": np.int64(2)},
     )
     run_experiment(cfg)
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())

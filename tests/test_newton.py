@@ -3,14 +3,17 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import hamid.continuation
 import hamid.newton
 from hamid import (
     FLAG_CONVERGED,
+    ContinuationConfig,
     HamiltonianPair,
     NewtonConfig,
     ReducedSystem,
     SingularJacobianError,
     TimeGrid,
+    continuation_identify,
     hermitian_residual,
     newton_identify,
     propagate,
@@ -28,7 +31,7 @@ from hamid.models import (
     perturb_pair,
     two_level_model,
 )
-from hamid.newton import expand_update, linearize, system_diagnostic
+from hamid.newton import Linearization, expand_update, linearize, system_diagnostic
 from hamid.propagation import GRAM_CHUNK
 from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
 from hamid.fields import sample_field
@@ -561,3 +564,81 @@ def test_identify_from_linearization_matches_pair_start():
     assert got.linearization.pair is got_pair
     for name in ("u_n", "g0", "g1"):
         assert getattr(got.linearization, name).tobytes() == getattr(closing, name).tobytes()
+
+
+def _two_level_problem(n_steps):
+    p = TwoLevelParams(delta=BENCH_TWO_LEVEL_DELTA, envelope_skew=BENCH_TWO_LEVEL_SKEW)
+    pair, fld = two_level_model(p)
+    grid = TimeGrid(p.t_f, n_steps)
+    return pair, sample_field(fld, grid), grid
+
+
+def _solver_args(solver):
+    """Arguments a solver accepts, on the two-level benchmark at 200 steps."""
+    pair, samples, grid = _two_level_problem(200)
+    u0 = np.eye(2, dtype=complex)
+    args = {"u_0": u0, "u_tar": propagate_final(u0, pair, samples, grid), "samples": samples, "grid": grid}
+    if solver is newton_identify:
+        return {**args, "guess": pair, "cfg": NewtonConfig(max_iters=2), "truth": pair}
+    return {**args, "cfg": ContinuationConfig(n_intermediate=1), "truth": pair}
+
+
+def _four_level_pair():
+    return HamiltonianPair(np.diag([0.0, 1.0, 2.0, 3.0]), np.zeros((4, 4)))
+
+
+def _coarse_linearization():
+    # taken on 100 steps: with the 200-step samples it built the first system
+    # from the wrong Gram sums, and the solve still ended converged
+    pair, samples, grid = _two_level_problem(100)
+    return linearize(np.eye(2, dtype=complex), pair, samples, grid)
+
+
+def _three_level_linearization():
+    dt = _two_level_problem(200)[2].dt
+    pair = HamiltonianPair(np.diag([0.0, 1.0, 2.0]), np.zeros((3, 3)))
+    return Linearization(pair, np.eye(3, dtype=complex), np.zeros((9, 9)), np.zeros((9, 9)), dt)
+
+
+@pytest.mark.parametrize(
+    "solver, bad, name",
+    [
+        (newton_identify, lambda: {"cfg": None}, "cfg"),
+        (newton_identify, lambda: {"cfg": ContinuationConfig()}, "cfg"),
+        (newton_identify, lambda: {"grid": (9000.0, 200)}, "grid"),
+        (newton_identify, lambda: {"truth": _four_level_pair()}, "truth"),
+        (newton_identify, lambda: {"truth": "truth"}, "truth"),
+        (newton_identify, lambda: {"guess": None}, "guess"),
+        (newton_identify, lambda: {"guess": _coarse_linearization()}, "guess"),
+        (newton_identify, lambda: {"guess": _three_level_linearization()}, "guess"),
+        (continuation_identify, lambda: {"cfg": NewtonConfig()}, "cfg"),
+        (continuation_identify, lambda: {"grid": None}, "grid"),
+        (continuation_identify, lambda: {"truth": _four_level_pair()}, "truth"),
+    ],
+    ids=[
+        "newton-cfg-none",
+        "newton-cfg-continuation",
+        "newton-grid-tuple",
+        "newton-truth-four-level",
+        "newton-truth-text",
+        "newton-guess-none",
+        "newton-guess-other-grid",
+        "newton-guess-three-level",
+        "continuation-cfg-newton",
+        "continuation-grid-none",
+        "continuation-truth-four-level",
+    ],
+)
+def test_solvers_refuse_bad_arguments_before_propagating(monkeypatch, solver, bad, name):
+    # a mistyped argument was an AttributeError, a truth of another dimension
+    # a broadcast error after the first propagation (after a whole stage in
+    # the continuation), and a linearization of another grid a wrong solve
+    args = {**_solver_args(solver), **bad()}
+    calls = []
+    for module in (hamid.newton, hamid.continuation):
+        for fn in ("propagate_final", "propagate_with_gram"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, lambda *a, fn=fn: calls.append(fn))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        solver(**args)
+    assert calls == []

@@ -3,15 +3,17 @@
     PYTHONPATH=src python3 tools/footprint.py
 
 Needs numpy only.  A loaded module stays resident, so each one a run does
-not use costs peak memory for nothing: scipy.linalg about 26 MB, and
-numpy.random, which brings OpenSSL with it, about 5 MB.  On the two-level
-benchmark problem at 200 steps:
+not use costs peak memory for nothing: scipy.linalg about 26 MB,
+numpy.random, which brings ``secrets`` and OpenSSL with it, about 5 MB, the
+process pool about 1.3 MB and numpy.ma (which ``np.median`` loads) 0.6 to
+1.5 MB.  On the two-level benchmark problem at 200 steps:
 
 - a Newton solve, a serial sweep, a target log (``decompose_target``) and a
   continuation load no scipy.linalg;
 - the continuation loads neither OpenSSL (``_hashlib``, which the manifest
   digest loads) nor the process pool (a sweep with workers > 1);
-- the serial sweep loads neither numpy.random nor OpenSSL.
+- the serial sweep loads neither numpy.random, ``secrets`` nor OpenSSL, nor
+  the process pool or numpy.ma.
 
 Prints ``footprint: ok``, or names the step and the modules it loaded and
 exits 1.
@@ -54,10 +56,10 @@ check("a continuation", walk.flag == hamid.CONTINUATION_OK and len(walk.stages) 
 
 sweep = run_eta_sweep(ExperimentConfig.from_dict({
     "kind": "eta-sweep", "n_steps": 200,
-    "sweep": {"etas": [1e-4], "n_seeds": 2, "k_max": 3, "workers": 1},
+    "sweep": {"etas": [1e-4, 1e-3], "n_seeds": 2, "k_max": 3, "workers": 1},
 }))
-drawn = ("_hashlib",) + (() if BARE_NUMPY_LOADS_RANDOM else ("numpy.random",))
-check("a serial sweep", len(sweep.runs) == 2, "scipy.linalg", *drawn)
+drawn = ("secrets", "_hashlib") + (() if BARE_NUMPY_LOADS_RANDOM else ("numpy.random",))
+check("a serial sweep", len(sweep.runs) == 4, "scipy.linalg", "numpy.ma", *drawn, *POOL)
 
 # a generic 3 x 3 unitary, made without numpy.random
 q, r = np.linalg.qr(np.sin(np.arange(1.0, 10.0)).reshape(3, 3) + 1j * np.cos(np.arange(9.0)).reshape(3, 3))

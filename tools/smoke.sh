@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke checks: every demo runs, and the CLI's singularity demo, an override
-# refusal, a plan too large for memory and a capped sweep behave as
-# documented.  Run from the repository
+# refusal, a plan too large for memory, the same plan with a --steps
+# override and a capped sweep behave as documented.  Run from the repository
 # root; outputs go under OUT_DIR:
 #
 #     tools/smoke.sh OUT_DIR
@@ -35,6 +35,11 @@ python -m hamid.cli run "$out/oversized.json" --out "$out/never" 2> "$out/oversi
 cat "$out/oversized.txt"
 test "$rc" -eq 2
 grep -q "^error: .*n_steps = 1000000000000000" "$out/oversized.txt"
+
+# an override is written into the config before it is checked: --steps
+# replaces the file's refused step count
+python -m hamid.cli run "$out/oversized.json" --steps 200 --out "$out/overridden"
+grep -q '"n_steps": 200' "$out/overridden/manifest.json"
 
 # sweep.k_max (--k-max) is the sweep's only Newton iteration cap
 python -m hamid.cli sweep --etas 1e-5,1e-3 --n-seeds 1 --k-max 3 --steps 200 --out "$out/sweep"
