@@ -80,7 +80,7 @@ def main(argv=None) -> int:
                 config = json.load(fh)
         elif args.command == "sweep":
             sweep = {"n_seeds": args.n_seeds, "k_max": args.k_max, "workers": args.workers}
-            if args.etas:
+            if args.etas is not None:  # "" is refused, not read as the default etas
                 try:
                     sweep["etas"] = [float(x) for x in args.etas.split(",")]
                 except ValueError as err:  # float's message quotes the entry

@@ -37,7 +37,6 @@ from .linalg import (
     spec_norm,
     unitary_exp,
 )
-from . import reporting
 from .newton import FLAG_CONVERGED, NewtonConfig, NewtonReport, newton_identify, require_truth
 from .propagation import HamiltonianPair, propagate_final
 
@@ -85,18 +84,6 @@ class ContinuationReport:
                 for st in self.stages
             ],
         }
-
-    def write_csv(self, path):
-        rows = [
-            [st.m, st.newton_report.n_iterations, st.dev_u_stage, st.dev_h0, st.dev_h1]
-            for st in self.stages
-        ]
-        return reporting.write_table(
-            path, ["m", "newton_iterations", "dev_U_stage", "dev_H0", "dev_H1"], rows
-        )
-
-    def write_json(self, path):
-        return reporting.write_json(path, self.to_json_dict())
 
 
 def intermediate_target(dec: TargetDecomposition, m: int, n_c: int) -> np.ndarray:

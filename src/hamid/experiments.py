@@ -11,7 +11,9 @@ An unknown key raises ``ValueError`` naming it, and so does the dataclass
 for a value of the wrong type or out of range, before any work starts.
 So does a plan too large for the machine's physical memory.  The result,
 a frozen ``Plan``, is kept as ``cfg.plan``; the runner reads it and nothing
-else.  ``run_experiment`` calls the runner and writes the manifest.
+else.  A runner writes nothing: it returns its artifacts, each file's name
+and its CSV table or JSON object, and ``run_experiment`` writes them, in
+order, and the manifest last, through ``reporting.write``.
 
 Every run writes CSV/JSON artifacts plus a manifest.json holding the config
 and every resolved setting, so a run is reproducible from its manifest
@@ -60,7 +62,7 @@ from .newton import (
     system_diagnostic,
 )
 from .propagation import GRAM_CHUNK, HamiltonianPair, cn_error_order, propagate_final
-from .reporting import format_float, json_default, write_json, write_table
+from .reporting import format_float, json_default, write
 
 REGIME_RECOVERS = "RecoversOriginal"
 REGIME_ALTERNATE = "AlternateSolution"
@@ -377,7 +379,9 @@ def _double_well(params: DoubleWellParams):
 class _Kind:
     """One experiment kind: its runner, the keys it reads and the defaults ``resolve`` fills in."""
 
-    run: Callable  # (plan, output directory) -> (files, resolved, summary)
+    # plan -> (artifacts, resolved, summary): artifacts maps each file name, in
+    # order, to a (header, rows) table (.csv) or a JSON object (.json)
+    run: Callable
     reads: tuple  # the optional keys it reads: seed, perturbation, newton, continuation, sweep
     params: Optional[type]  # the dataclass the model block's keys set; None: the kind reads no model block
     n_steps: int  # the default step count
@@ -406,12 +410,12 @@ _DOUBLE_WELL = {
 }
 
 
-def _manifest(out: Path, cfg: ExperimentConfig, resolved: dict, wall: float, files: list) -> Path:
+def _manifest(cfg: ExperimentConfig, resolved: dict, wall: float, files: list) -> dict:
     import hashlib  # OpenSSL, about 3.4 MB resident: loaded by the first manifest
 
     config = cfg.to_dict()
     digest = hashlib.sha256(json.dumps(config, sort_keys=True, default=json_default).encode())
-    payload = {
+    return {
         "kind": cfg.kind,
         "config": config,
         "config_sha256": digest.hexdigest(),
@@ -419,7 +423,6 @@ def _manifest(out: Path, cfg: ExperimentConfig, resolved: dict, wall: float, fil
         "wall_seconds": wall,
         "outputs": [f.name for f in files],
     }
-    return write_json(out / "manifest.json", payload)
 
 
 def _sweep_one(job) -> EtaSweepRun:
@@ -517,22 +520,22 @@ SWEEP_AGG_HEADER = [
     "label",
 ]
 CPU_HEADER = ["label", "n_d", "n_steps", "newton_iterations", "wall_seconds"]
+NEWTON_HEADER = ["k", "e_k", "dev_H0", "dev_H1", "dev_U", "cond"]
+STAGES_HEADER = ["m", "newton_iterations", "dev_U_stage", "dev_H0", "dev_H1"]
 
 
-def _run_newton(setup: Callable, plan: Plan, out: Path):
+def _run_newton(setup: Callable, plan: Plan):
     p = _problem(setup, plan.model, plan.n_steps)
     guess = perturb_pair(p.pair, plan.perturbation)
     recovered, report = newton_identify(
         p.u_0, p.u_tar, guess, p.samples, p.grid, plan.newton, truth=p.pair
     )
-    files = [
-        report.write_csv(out / "report.csv"),
-        report.write_json(out / "report.json"),
-        write_json(
-            out / "recovered.json",
-            {"h0": matrix_to_json(recovered.h0), "h1": matrix_to_json(recovered.h1)},
-        ),
-    ]
+    rows = [[it.k, it.e_k, it.dev_h0, it.dev_h1, it.dev_u, it.jacobian_condition] for it in report.iterations]
+    artifacts = {
+        "report.csv": (NEWTON_HEADER, rows),
+        "report.json": report.to_json_dict(),
+        "recovered.json": {"h0": matrix_to_json(recovered.h0), "h1": matrix_to_json(recovered.h1)},
+    }
     fin = report.final()
     summary = {
         "flag": report.flag,
@@ -550,17 +553,15 @@ def _run_newton(setup: Callable, plan: Plan, out: Path):
         "perturbation_seed": int(plan.perturbation.seed),
         "newton": asdict(plan.newton),
     }
-    return files, resolved, summary
+    return artifacts, resolved, summary
 
 
-def _run_continuation(setup: Callable, figure: str, plan: Plan, out: Path):
+def _run_continuation(setup: Callable, figure: str, plan: Plan):
     p = _problem(setup, plan.model, plan.n_steps)
     _, report = continuation_identify(p.u_0, p.u_tar, p.samples, p.grid, plan.continuation, truth=p.pair)
-    files = [
-        report.write_csv(out / "stages.csv"),
-        report.write_csv(out / figure),
-        report.write_json(out / "stages.json"),
-    ]
+    rows = [[st.m, st.newton_report.n_iterations, st.dev_u_stage, st.dev_h0, st.dev_h1] for st in report.stages]
+    stages = (STAGES_HEADER, rows)  # one table, written under two names
+    artifacts = {"stages.csv": stages, figure: stages, "stages.json": report.to_json_dict()}
     last = report.stages[-1]  # stage 0 is always recorded
     summary = {
         "flag": report.flag,
@@ -577,24 +578,16 @@ def _run_continuation(setup: Callable, figure: str, plan: Plan, out: Path):
         "refine_m0": True,  # every stage, stage 0 included, is a Newton solve
         "newton": asdict(plan.newton),
     }
-    return files, resolved, summary
+    return artifacts, resolved, summary
 
 
-def _run_eta_sweep(plan: Plan, out: Path):
+def _run_eta_sweep(plan: Plan):
     result = _eta_sweep(plan)
     summary = {"labels": {format_float(a["eta"]): a["label"] for a in result.aggregates}}
-    files = [
-        write_table(
-            out / "fig2.csv",
-            SWEEP_AGG_HEADER,
-            [[a[col] for col in SWEEP_AGG_HEADER] for a in result.aggregates],
-        ),
-        write_table(
-            out / "fig2_raw.csv",
-            [f.name for f in fields(EtaSweepRun)],
-            [astuple(r) for r in result.runs],
-        ),
-    ]
+    artifacts = {
+        "fig2.csv": (SWEEP_AGG_HEADER, [[a[col] for col in SWEEP_AGG_HEADER] for a in result.aggregates]),
+        "fig2_raw.csv": ([f.name for f in fields(EtaSweepRun)], [astuple(r) for r in result.runs]),
+    }
     resolved = {
         "etas": sorted({float(eta) for eta in plan.sweep.etas}),
         "n_seeds": int(plan.sweep.n_seeds),
@@ -604,14 +597,14 @@ def _run_eta_sweep(plan: Plan, out: Path):
         "envelope_skew": plan.model.envelope_skew,
         "newton": asdict(plan.newton),
     }
-    return files, resolved, summary
+    return artifacts, resolved, summary
 
 
 # the demo refuses the step as a Newton solve with the default settings does
 _SINGULARITY_NEWTON = NewtonConfig()
 
 
-def _run_singularity_demo(plan: Plan, out: Path):
+def _run_singularity_demo(plan: Plan):
     n_steps = int(plan.n_steps)
     grid = TimeGrid(t_f=_SINGULARITY_T_F, n_steps=n_steps)
     u_tar = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -644,10 +637,10 @@ def _run_singularity_demo(plan: Plan, out: Path):
         "field": field_to_config(field_desc),
         "singular_cond_threshold": _SINGULARITY_NEWTON.singular_cond_threshold,
     }
-    return [write_json(out / "diagnostic.json", payload)], resolved, summary
+    return {"diagnostic.json": payload}, resolved, summary
 
 
-def _run_cn_order_check(plan: Plan, out: Path):
+def _run_cn_order_check(plan: Plan):
     base_steps = int(plan.n_steps)
     rng = np.random.default_rng(plan.seed)
     h0 = rng.normal(size=(2, 2))
@@ -658,7 +651,6 @@ def _run_cn_order_check(plan: Plan, out: Path):
     ratios = {
         n: cn_error_order(pair, _ORDER_CHECK_FIELD, _ORDER_CHECK_T_F, n_steps=n) for n in (base_steps, 4 * base_steps)
     }
-    path = write_table(out / "order.csv", ["n_steps", "error_ratio"], ratios.items())
     summary = {"ratios": {str(k): v for k, v in ratios.items()}}
     resolved = {
         "t_f": _ORDER_CHECK_T_F,
@@ -667,7 +659,7 @@ def _run_cn_order_check(plan: Plan, out: Path):
         "h0": matrix_to_json(pair.h0),
         "h1": matrix_to_json(pair.h1),
     }
-    return [path], resolved, summary
+    return {"order.csv": (["n_steps", "error_ratio"], ratios.items())}, resolved, summary
 
 
 @dataclass(frozen=True)
@@ -680,7 +672,7 @@ class _CpuScalingModel:
         require_count("iterations", self.iterations)
 
 
-def _run_cpu_scaling(plan: Plan, out: Path):
+def _run_cpu_scaling(plan: Plan):
     """Matched fixed-iteration identification workloads across system sizes.
 
     Every run uses the same step count and the same iteration budget (the
@@ -711,10 +703,10 @@ def _run_cpu_scaling(plan: Plan, out: Path):
     timed("two-level", _problem(_two_level, TwoLevelParams(**_TWO_LEVEL["defaults"]), n_steps))
     for n_levels in (6, 12):
         timed(f"double-well-{n_levels}", _problem(_double_well, DoubleWellParams(n_levels=n_levels), n_steps))
-    path = write_table(out / "cpu.csv", CPU_HEADER, [[e[col] for col in CPU_HEADER] for e in entries])
+    table = (CPU_HEADER, [[e[col] for col in CPU_HEADER] for e in entries])
     summary = {"entries": entries}
     resolved = {"n_steps": n_steps, "iterations": iters, "eta": _CPU_SCALING_ETA}
-    return [path], resolved, summary
+    return {"cpu.csv": table}, resolved, summary
 
 
 _NEWTON_READS = ("seed", "perturbation", "newton")
@@ -739,10 +731,14 @@ KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
+    """Run the kind's runner on the plan, then write what it returns into
+    ``out_dir``: each artifact, in the runner's order, then the manifest.
+    ``wall_seconds`` covers the runner and the artifacts' writes."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    files, resolved, summary = _KINDS[cfg.kind].run(cfg.plan, out)
+    artifacts, resolved, summary = _KINDS[cfg.kind].run(cfg.plan)
+    files = [write(out / name, payload) for name, payload in artifacts.items()]
     wall = time.perf_counter() - t0
-    files.append(_manifest(out, cfg, resolved, wall, files))
+    files.append(write(out / "manifest.json", _manifest(cfg, resolved, wall, files)))
     return RunResult(out_dir=out, files=files, wall_seconds=wall, summary=summary)

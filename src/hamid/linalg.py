@@ -67,7 +67,7 @@ def spec_norms(*ms: np.ndarray) -> list:
     """The largest singular value of each square matrix of ``ms``, from one
     batched SVD per group of matrices that share a dtype and a shape (the
     batched call makes the LAPACK call a single matrix's SVD makes); a 1 x 1
-    matrix's is the modulus of its entry.
+    matrix's is the modulus of its entry, and a 0 x 0 matrix is refused.
 
     For normal matrices (every Hermitian difference this package measures)
     this equals the maximum absolute eigenvalue; for non-normal arguments
@@ -77,6 +77,8 @@ def spec_norms(*ms: np.ndarray) -> list:
     norms = [0.0] * len(ms)
     groups = {}
     for k, m in enumerate(ms):
+        if m.size == 0:
+            raise ValueError(f"spec_norms input {k} must be at least 1 x 1, got shape {m.shape}")
         if m.size == 1:
             norms[k] = float(abs(m[0, 0]))
         else:

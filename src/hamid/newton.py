@@ -36,9 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .fields import TimeGrid, require_count, require_real, require_type
-from .linalg import require_real_array, require_square, require_unitary, spec_norms
-from .propagation import HamiltonianPair, propagate_final, propagate_with_gram
-from . import reporting
+from .linalg import require_square, require_unitary, spec_norms
+from .propagation import HamiltonianPair, _validated_inputs, propagate_final, propagate_with_gram
 
 FLAG_CONVERGED = "converged"
 FLAG_MAX_ITERS = "max_iters"
@@ -163,16 +162,6 @@ class NewtonReport:
             "failed_iteration": self.failed_iteration,
             "iterations": [asdict(it) for it in self.iterations],
         }
-
-    def write_csv(self, path):
-        rows = [
-            [it.k, it.e_k, it.dev_h0, it.dev_h1, it.dev_u, it.jacobian_condition]
-            for it in self.iterations
-        ]
-        return reporting.write_table(path, ["k", "e_k", "dev_H0", "dev_H1", "dev_U", "cond"], rows)
-
-    def write_json(self, path):
-        return reporting.write_json(path, self.to_json_dict())
 
 
 def hermitian_residual(u_n: np.ndarray, u_tar: np.ndarray) -> np.ndarray:
@@ -382,19 +371,20 @@ def newton_identify(
     """
     require_type("cfg", cfg, NewtonConfig)
     require_type("grid", grid, TimeGrid)
-    u_0 = require_unitary(u_0, "initial operator")
-    u_tar = require_unitary(u_tar, "target operator")
-    samples = require_real_array(samples, "field samples")
-    require_truth(truth, u_0.shape[0])
     if not isinstance(guess, Linearization):
         require_type("guess", guess, HamiltonianPair)
-    elif guess.dt != grid.dt or guess.u_n.shape != u_0.shape:  # it would build a wrong first system
+    elif guess.dt != grid.dt or guess.u_n.shape != np.shape(u_0):  # it would build a wrong first system
         raise ValueError(
-            f"guess must be a pair or a Linearization of time step {grid.dt!r} and U_N shape {u_0.shape}, "
+            f"guess must be a pair or a Linearization of time step {grid.dt!r} and U_N shape {np.shape(u_0)}, "
             f"got one of {guess.dt!r} and {guess.u_n.shape}"
         )
+    pair = guess.pair if isinstance(guess, Linearization) else guess
+    # the checks a propagation makes, made on the starting pair before the
+    # first solve: a Linearization guess needs no propagation until then
+    u_0, samples = _validated_inputs(u_0, pair, samples, grid)
+    u_tar = require_unitary(u_tar, "target operator")
+    require_truth(truth, u_0.shape[0])
     lin = guess if isinstance(guess, Linearization) else linearize(u_0, guess, samples, grid)
-    pair = lin.pair
     report = NewtonReport(iterations=[], flag=FLAG_MAX_ITERS)
     for k in range(1, cfg.max_iters + 1):
         system = lin.system(u_tar)

@@ -1,4 +1,4 @@
-"""Shared formatting and writers for deterministic CSV and JSON output."""
+"""Shared formatting and the one writer of deterministic CSV and JSON output."""
 from __future__ import annotations
 
 import csv
@@ -29,25 +29,27 @@ def _cell(value):
     return value
 
 
-def write_table(path, header, rows) -> Path:
-    """Write a CSV file: the header row, then the rows, with floats (and
-    None) through :func:`format_float` and bools as 0/1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
-    return Path(path)
-
-
 def json_default(value):
     """JSON form of a value json cannot write: a numpy scalar becomes the
     Python number it holds, anything else a float."""
     return value.item() if isinstance(value, np.generic) else float(value)
 
 
-def write_json(path, payload) -> Path:
-    """Write indented JSON with a trailing newline, through :func:`json_default`."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=json_default)
-        fh.write("\n")
-    return Path(path)
+def write(path, payload) -> Path:
+    """Write ``payload`` in the format the suffix of ``path`` names.  A
+    ``.csv`` payload is a ``(header, rows)`` table: the header row, then the
+    rows, with floats (and None) through :func:`format_float` and bools as
+    0/1.  Any other payload (a ``.json`` file's) is written as indented JSON
+    with a trailing newline, through :func:`json_default`."""
+    path = Path(path)
+    if path.suffix == ".csv":
+        header, rows = payload
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_cell(v) for v in row] for row in rows)
+    else:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, default=json_default)
+            fh.write("\n")
+    return path

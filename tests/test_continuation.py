@@ -35,6 +35,7 @@ from hamid.experiments import (
     BENCH_TWO_LEVEL_SKEW,
     ExperimentConfig,
     run_eta_sweep,
+    run_experiment,
 )
 from hamid.models import TwoLevelParams, two_level_model
 
@@ -144,14 +145,15 @@ def test_continuation_m0_refinement_polishes():
 
 
 def test_continuation_report_csv(tmp_path):
-    pair, samples, grid = _benchmark_setup()
-    u0 = np.eye(2, dtype=complex)
-    u_tar = propagate_final(u0, pair, samples, grid)
-    cfg = ContinuationConfig(n_intermediate=2, newton=NewtonConfig(max_iters=30))
-    _, report = continuation_identify(u0, u_tar, samples, grid, cfg, truth=pair)
-    path = tmp_path / "stages.csv"
-    report.write_csv(path)
-    lines = path.read_text().strip().splitlines()
+    cfg = ExperimentConfig(
+        kind="continuation-two-level",
+        out_dir=str(tmp_path),
+        n_steps=2000,
+        continuation={"n_intermediate": 2},
+        newton={"max_iters": 30},
+    )
+    run_experiment(cfg)
+    lines = (tmp_path / "stages.csv").read_text().strip().splitlines()
     assert lines[0] == "m,newton_iterations,dev_U_stage,dev_H0,dev_H1"
     assert len(lines) == 4  # header + stages 0..2
 

@@ -280,6 +280,8 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
     assert "sweep.etas" in capsys.readouterr().err
     assert main(["sweep", "--etas", "1e-5,,1e-4", "--out", str(tmp_path / "never")]) == 2
     assert "--etas: could not convert string to float: ''" in capsys.readouterr().err
+    assert main(["sweep", "--etas", "", "--out", str(tmp_path / "never")]) == 2
+    assert "--etas: could not convert string to float: ''" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
 
 
@@ -632,6 +634,20 @@ def test_each_key_changes_the_output(tmp_path, kind):
         if changed == reference:
             unchanged.append(".".join(path))
     assert unchanged == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_experiment_is_the_one_writer(tmp_path, monkeypatch, kind):
+    # a runner returns its artifacts and writes nothing; run_experiment
+    # writes them in the runner's order, then the manifest, which lists them
+    plan = ExperimentConfig.from_dict({"kind": kind, **_SMALL[kind]}).plan
+    monkeypatch.chdir(tmp_path)
+    artifacts, _, _ = experiments._KINDS[kind].run(plan)
+    assert list(tmp_path.iterdir()) == []
+    result = run_experiment(ExperimentConfig.from_dict({"kind": kind, "out_dir": "out", **_SMALL[kind]}))
+    assert [f.name for f in result.files] == [*artifacts, "manifest.json"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == list(artifacts)
 
 
 def test_type_hints_read_once_per_class(monkeypatch):

@@ -127,6 +127,11 @@ def test_require_unitary_refuses_empty_operator():
     # an IndexError from the spectral norm, which did not name it
     with pytest.raises(ValueError, match=r"^target operator must be at least 1 x 1, got shape \(0, 0\)"):
         require_unitary(np.zeros((0, 0)), "target operator")
+    # the spectral norms of an empty matrix raised that IndexError too
+    with pytest.raises(ValueError, match=r"^spec_norms input 0 must be at least 1 x 1, got shape \(0, 0\)"):
+        spec_norm(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"^spec_norms input 1 must be at least 1 x 1, got shape \(0, 0\)"):
+        spec_norms(np.eye(2), np.zeros((0, 0)))
 
 
 def test_non_finite_matrices_rejected():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,7 +35,7 @@ from hamid.models import (
 )
 from hamid.newton import Linearization, expand_update, linearize, system_diagnostic
 from hamid.propagation import GRAM_CHUNK
-from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
+from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW, ExperimentConfig, run_experiment
 from hamid.fields import sample_field
 
 from helpers import (
@@ -506,21 +508,20 @@ def test_svd_calls_per_newton_iteration(monkeypatch):
 
 
 def test_newton_report_serialization(tmp_path):
-    pair, samples, grid = _benchmark_two_level()
-    u0 = np.eye(2, dtype=complex)
-    u_tar = propagate_final(u0, pair, samples, grid)
-    guess = perturb_pair(pair, PerturbationSpec(eta=1e-5, seed=1))
-    _, report = newton_identify(
-        u0, u_tar, guess, samples, grid, NewtonConfig(max_iters=9), truth=pair
+    cfg = ExperimentConfig(
+        kind="newton-two-level",
+        out_dir=str(tmp_path),
+        n_steps=2000,
+        perturbation={"eta": 1e-5},
+        newton={"max_iters": 9},
     )
-    csv_path = tmp_path / "report.csv"
-    report.write_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
+    summary = run_experiment(cfg).summary
+    lines = (tmp_path / "report.csv").read_text().strip().splitlines()
     assert lines[0] == "k,e_k,dev_H0,dev_H1,dev_U,cond"
-    assert len(lines) == report.n_iterations + 1
-    payload = report.to_json_dict()
-    assert payload["flag"] == report.flag
-    assert len(payload["iterations"]) == report.n_iterations
+    assert len(lines) == summary["iterations"] + 1
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["flag"] == summary["flag"]
+    assert len(payload["iterations"]) == summary["iterations"]
     # every recorded iteration has its dev_u filled in
     assert all(it["dev_u"] is not None for it in payload["iterations"])
 
@@ -594,6 +595,18 @@ def _coarse_linearization():
     return linearize(np.eye(2, dtype=complex), pair, samples, grid)
 
 
+def _plain_start(samples):
+    """A Linearization guess on the plain two-level model at 100 steps, its
+    grid and ``samples``.  The plain model's first system is singular, so a
+    solve that did not check the samples refused that system and returned a
+    report of 0 iterations."""
+    p = TwoLevelParams()
+    pair, fld = two_level_model(p)
+    grid = TimeGrid(p.t_f, 100)
+    guess = linearize(np.eye(2, dtype=complex), pair, sample_field(fld, grid), grid)
+    return {"guess": guess, "grid": grid, "samples": samples}
+
+
 def _three_level_linearization():
     dt = _two_level_problem(200)[2].dt
     pair = HamiltonianPair(np.diag([0.0, 1.0, 2.0]), np.zeros((3, 3)))
@@ -601,19 +614,21 @@ def _three_level_linearization():
 
 
 @pytest.mark.parametrize(
-    "solver, bad, name",
+    "solver, bad, message",
     [
-        (newton_identify, lambda: {"cfg": None}, "cfg"),
-        (newton_identify, lambda: {"cfg": ContinuationConfig()}, "cfg"),
-        (newton_identify, lambda: {"grid": (9000.0, 200)}, "grid"),
-        (newton_identify, lambda: {"truth": _four_level_pair()}, "truth"),
-        (newton_identify, lambda: {"truth": "truth"}, "truth"),
-        (newton_identify, lambda: {"guess": None}, "guess"),
-        (newton_identify, lambda: {"guess": _coarse_linearization()}, "guess"),
-        (newton_identify, lambda: {"guess": _three_level_linearization()}, "guess"),
-        (continuation_identify, lambda: {"cfg": NewtonConfig()}, "cfg"),
-        (continuation_identify, lambda: {"grid": None}, "grid"),
-        (continuation_identify, lambda: {"truth": _four_level_pair()}, "truth"),
+        (newton_identify, lambda: {"cfg": None}, "cfg must be"),
+        (newton_identify, lambda: {"cfg": ContinuationConfig()}, "cfg must be"),
+        (newton_identify, lambda: {"grid": (9000.0, 200)}, "grid must be"),
+        (newton_identify, lambda: {"truth": _four_level_pair()}, "truth must be"),
+        (newton_identify, lambda: {"truth": "truth"}, "truth must be"),
+        (newton_identify, lambda: {"guess": None}, "guess must be"),
+        (newton_identify, lambda: {"guess": _coarse_linearization()}, "guess must be"),
+        (newton_identify, lambda: {"guess": _three_level_linearization()}, "guess must be"),
+        (newton_identify, lambda: _plain_start(np.zeros(50)), r"field has \(50,\) samples, grid has 100 steps"),
+        (newton_identify, lambda: _plain_start(np.full(100, np.nan)), "field samples has non-finite entries"),
+        (continuation_identify, lambda: {"cfg": NewtonConfig()}, "cfg must be"),
+        (continuation_identify, lambda: {"grid": None}, "grid must be"),
+        (continuation_identify, lambda: {"truth": _four_level_pair()}, "truth must be"),
     ],
     ids=[
         "newton-cfg-none",
@@ -624,21 +639,24 @@ def _three_level_linearization():
         "newton-guess-none",
         "newton-guess-other-grid",
         "newton-guess-three-level",
+        "newton-samples-too-few",
+        "newton-samples-nan",
         "continuation-cfg-newton",
         "continuation-grid-none",
         "continuation-truth-four-level",
     ],
 )
-def test_solvers_refuse_bad_arguments_before_propagating(monkeypatch, solver, bad, name):
+def test_solvers_refuse_bad_arguments_before_propagating(monkeypatch, solver, bad, message):
     # a mistyped argument was an AttributeError, a truth of another dimension
     # a broadcast error after the first propagation (after a whole stage in
-    # the continuation), and a linearization of another grid a wrong solve
+    # the continuation), a linearization of another grid a wrong solve, and
+    # samples that do not fit the grid a singular_jacobian report
     args = {**_solver_args(solver), **bad()}
     calls = []
     for module in (hamid.newton, hamid.continuation):
         for fn in ("propagate_final", "propagate_with_gram"):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, lambda *a, fn=fn: calls.append(fn))
-    with pytest.raises(ValueError, match=f"^{name} must be"):
+    with pytest.raises(ValueError, match=f"^{message}"):
         solver(**args)
     assert calls == []

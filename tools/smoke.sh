@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke checks: every demo runs, and the CLI's singularity demo, an override
 # refusal, a plan too large for memory, the same plan with a --steps
-# override and a capped sweep behave as documented.  Run from the repository
+# override, a capped sweep and an empty --etas behave as documented.  Run from the repository
 # root; outputs go under OUT_DIR:
 #
 #     tools/smoke.sh OUT_DIR
@@ -45,4 +45,11 @@ grep -q '"n_steps": 200' "$out/overridden/manifest.json"
 python -m hamid.cli sweep --etas 1e-5,1e-3 --n-seeds 1 --k-max 3 --steps 200 --out "$out/sweep"
 grep -q '"k_max": 3' "$out/sweep/manifest.json"
 grep -q '"max_iters": 3' "$out/sweep/manifest.json"
+
+# an empty --etas is refused, not read as the default etas
+rc=0
+python -m hamid.cli sweep --etas "" --out "$out/never" 2> "$out/etas.txt" || rc=$?
+cat "$out/etas.txt"
+test "$rc" -eq 2
+grep -q "^error: --etas" "$out/etas.txt"
 echo "smoke: ok"
