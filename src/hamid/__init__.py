@@ -59,7 +59,6 @@ from .newton import (
     NewtonConfig,
     NewtonIteration,
     NewtonReport,
-    NewtonUpdate,
     ReducedSystem,
     SingularityDiagnostic,
     SingularJacobianError,

@@ -35,6 +35,7 @@ from .linalg import (
     decompose_target,
     require_unitary,
     spec_norm,
+    spec_norms,
     unitary_exp,
 )
 from .newton import FLAG_CONVERGED, NewtonConfig, NewtonReport, newton_identify, require_truth
@@ -143,13 +144,16 @@ def continuation_identify(
             # no Newton row was taken at the stage's pair: a refusal at the
             # first iteration
             dev_u_stage = spec_norm(target_m - propagate_final(u_0, pair, samples, grid))
+        dev_h0 = dev_h1 = None
+        if truth is not None:
+            dev_h0, dev_h1 = spec_norms(truth.h0 - pair.h0, truth.h1 - pair.h1)
         report.stages.append(
             ContinuationStage(
                 m=m,
                 newton_report=newton_report,
                 dev_u_stage=dev_u_stage,
-                dev_h0=spec_norm(truth.h0 - pair.h0) if truth is not None else None,
-                dev_h1=spec_norm(truth.h1 - pair.h1) if truth is not None else None,
+                dev_h0=dev_h0,
+                dev_h1=dev_h1,
             )
         )
         if newton_report.flag != FLAG_CONVERGED:

@@ -733,11 +733,13 @@ KINDS = tuple(_KINDS)
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run the kind's runner on the plan, then write what it returns into
     ``out_dir``: each artifact, in the runner's order, then the manifest.
-    ``wall_seconds`` covers the runner and the artifacts' writes."""
+    ``out_dir`` is created only once the runner has returned, so a run
+    refused while it runs leaves nothing behind.  ``wall_seconds`` covers
+    the runner and the artifacts' writes."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     artifacts, resolved, summary = _KINDS[cfg.kind].run(cfg.plan)
+    out.mkdir(parents=True, exist_ok=True)
     files = [write(out / name, payload) for name, payload in artifacts.items()]
     wall = time.perf_counter() - t0
     files.append(write(out / "manifest.json", _manifest(cfg, resolved, wall, files)))

@@ -71,24 +71,13 @@ class NewtonConfig:
 
 
 @dataclass(frozen=True)
-class NewtonUpdate:
-    dh0: np.ndarray
-    dh1: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReducedSystem:
-    """Real system over the independent symmetric entries, laid out by
-    :func:`reduce_system`: one column per unknown of
-    ``unknown_index_map(dim)``."""
+    """Real system M x = b over the reduced unknowns x.  From
+    :func:`reduce_system`, one column per unknown of ``unknown_index_map(d)``,
+    which :func:`expand_update` maps back to (dH0, dH1)."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        """d, from the d^2 unknowns (the column count)."""
-        return int(round(self.matrix.shape[1] ** 0.5))
 
     @cached_property
     def svd(self):
@@ -270,17 +259,18 @@ def reduced_condition(system: ReducedSystem) -> float:
     return system.condition
 
 
-def expand_update(x: np.ndarray, d: int) -> NewtonUpdate:
+def expand_update(x: np.ndarray, d: int) -> tuple:
     """(dH0, dH1) from the reduced unknowns ``x`` at dimension d."""
     which, i, j = _reduction_indices(d)[4]
     dh = np.zeros((2, d, d))
     dh[which, i, j] = x
     dh[which, j, i] = x
-    return NewtonUpdate(dh0=dh[0], dh1=dh[1])
+    return dh[0], dh[1]
 
 
-def solve_update(system: ReducedSystem, cfg: NewtonConfig) -> NewtonUpdate:
-    """Solve M x = b from the system's SVD, refusing numerically singular maps.
+def solve_update(system: ReducedSystem, cfg: NewtonConfig) -> np.ndarray:
+    """The step x solving M x = b, one entry per column of M, from the
+    system's SVD, refusing numerically singular maps.
 
     x = V ((U^T b) / s), then one refinement step on the same factors: the
     SVD mixes columns whose norms span 1e-6..1e4 in the double-well systems,
@@ -291,7 +281,7 @@ def solve_update(system: ReducedSystem, cfg: NewtonConfig) -> NewtonUpdate:
     u, sv, vt = system.svd
     x = vt.T @ ((u.T @ system.rhs) / sv)
     x += vt.T @ ((u.T @ (system.rhs - system.matrix @ x)) / sv)
-    return expand_update(x, system.dim)
+    return x
 
 
 @dataclass(frozen=True)
@@ -390,21 +380,19 @@ def newton_identify(
         system = lin.system(u_tar)
         try:
             cond = reduced_condition(system)
-            update = solve_update(system, cfg)
+            dh0, dh1 = expand_update(solve_update(system, cfg), u_0.shape[0])
         except np.linalg.LinAlgError as err:
             # a refusal, or an SVD that did not converge and made no estimate
             report.flag = FLAG_SINGULAR
             report.failure_condition = err.condition if isinstance(err, SingularJacobianError) else None
             report.failed_iteration = k
             break
-        pair = pair.shifted(update.dh0, update.dh1)
+        pair = pair.shifted(dh0, dh1)
         # one batched SVD for the real norms, one for the complex ones
         if truth is None:
-            (n0, n1), dev_h0, dev_h1 = spec_norms(update.dh0, update.dh1), None, None
+            (n0, n1), dev_h0, dev_h1 = spec_norms(dh0, dh1), None, None
         else:
-            n0, n1, dev_h0, dev_h1 = spec_norms(
-                update.dh0, update.dh1, truth.h0 - pair.h0, truth.h1 - pair.h1
-            )
+            n0, n1, dev_h0, dev_h1 = spec_norms(dh0, dh1, truth.h0 - pair.h0, truth.h1 - pair.h1)
         e_k = n0 + n1
         converged = e_k <= cfg.tol
         if converged:

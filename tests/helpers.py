@@ -21,7 +21,6 @@ from hamid import (
 )
 from hamid.continuation import ContinuationStage
 from hamid.linalg import _BRANCH_SNAP, require_square
-from hamid.newton import expand_update
 
 
 def unitarity_defect(u):
@@ -147,10 +146,9 @@ def expand_update_loop(x, index_map, d):
 
 
 def solve_update_lu(system):
-    """(dH0, dH1) from a dense LU solve of a reduced system: the reference
-    the SVD step must match."""
-    x = scipy.linalg.solve(system.matrix, system.rhs)
-    return expand_update(x, system.dim)
+    """The reduced step x from a dense LU solve of a reduced system: the
+    reference the SVD step must match."""
+    return scipy.linalg.solve(system.matrix, system.rhs)
 
 
 def unitary_log_schur(u):

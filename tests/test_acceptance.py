@@ -50,6 +50,7 @@ from hamid.models import (
 )
 from hamid.newton import (
     SingularJacobianError,
+    expand_update,
     hermitian_residual,
     linearize,
     reduce_system,
@@ -333,10 +334,8 @@ def test_criterion_8_invariant_suites(rng, tmp_path):
     j0, j1 = grams_to_jacobians(g0, g1, g3.dt)
     s_k = hermitian_residual(states3[-1], haar_unitary(d, rng))
     system = reduce_system(g0, g1, g3.dt, s_k)
-    upd = solve_update(system, NewtonConfig(singular_cond_threshold=1e14))
-    back = (
-        j0 @ upd.dh0.reshape(-1, order="F") + j1 @ upd.dh1.reshape(-1, order="F")
-    ).reshape(d, d, order="F")
+    up0, up1 = expand_update(solve_update(system, NewtonConfig(singular_cond_threshold=1e14)), d)
+    back = (j0 @ up0.reshape(-1, order="F") + j1 @ up1.reshape(-1, order="F")).reshape(d, d, order="F")
     red_err = spec_norm(back - s_k)
     if red_err > 1e-10:
         problems.append(f"reduction consistency {red_err:.1e}")

@@ -315,6 +315,30 @@ def test_converged_walk_propagates_each_pair_once(monkeypatch):
     }
 
 
+def test_svd_calls_per_continuation_walk(monkeypatch):
+    # a walk with a truth makes two SVDs before its first stage (the check
+    # that U_0 is the identity and the target's decomposition), one batched
+    # over each stage's two deviations from the truth, and the three of each
+    # Newton iteration (test_svd_calls_per_newton_iteration)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return svd(*args, **kwargs)
+
+    truth, samples, grid = _benchmark_setup()
+    u0 = np.eye(2, dtype=complex)
+    u_tar = propagate_final(u0, truth, samples, grid)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for n_c in (2, 4):
+        calls.clear()
+        _, report = continuation_identify(u0, u_tar, samples, grid, ContinuationConfig(n_intermediate=n_c), truth=truth)
+        assert report.flag == CONTINUATION_OK
+        n_iterations = sum(st.newton_report.n_iterations for st in report.stages)
+        assert len(calls) == 2 + len(report.stages) + 3 * n_iterations
+
+
 @pytest.mark.parametrize("case", ["two-level-max-iters-1"])
 def test_failed_stage_closes_without_gram(case, monkeypatch):
     # the walk stops at a failed stage, so a linearization at its final pair

@@ -29,11 +29,20 @@ from hamid.experiments import (
     run_experiment,
     run_eta_sweep,
 )
-from hamid.continuation import ContinuationConfig
+from hamid.continuation import ContinuationConfig, m0_seed
 from hamid.fields import PiPulse, SinSqEnvelope, TimeGrid
-from hamid.models import DoubleWellParams, PerturbationSpec, SpatialGrid, TwoLevelParams
-from hamid.newton import NewtonConfig, ReducedSystem, system_diagnostic
-from hamid.propagation import HamiltonianPair
+from hamid.linalg import TargetDecomposition, unitary_exp
+from hamid.models import (
+    DoubleWellModel,
+    DoubleWellParams,
+    PerturbationSpec,
+    SpatialGrid,
+    TwoLevelParams,
+    pi_pulse_field,
+)
+from hamid.newton import NewtonConfig, ReducedSystem, hermitian_residual, reduce_system, system_diagnostic
+from hamid.propagation import HamiltonianPair, cn_step
+from hamid.reporting import format_float
 
 
 def test_classify_devs_examples():
@@ -429,13 +438,75 @@ _FULL_RANK = ReducedSystem(matrix=np.eye(4), rhs=np.zeros(4))
         # an empty pair was built with dim 0 and failed only when propagated,
         # with an IndexError from the spectral norm
         (HamiltonianPair, {"h0": np.zeros((0, 0)), "h1": np.zeros((0, 0))}, "h0"),
+        # finite values that are still out of range
+        (TwoLevelParams, {"mu": 0.0}, "mu"),
+        (m0_seed, {"dec": TargetDecomposition(s=np.zeros((2, 2)), a=np.zeros((2, 2))), "t_f": 0.0}, "t_f"),
+        (m0_seed, {"dec": TargetDecomposition(s=np.zeros((2, 2)), a=np.zeros((2, 2))), "t_f": -1.0}, "t_f"),
     ],
 )
 def test_library_specs_refuse_bad_values(cls, kwargs, key):
-    # the dataclasses a library caller builds directly, and the rank
-    # diagnostic, refuse what the config path refuses, before any run starts
+    # the dataclasses a library caller builds directly, the rank diagnostic
+    # and the stage-0 seed refuse what the config path refuses, before any
+    # run starts
     with pytest.raises(ValueError, match=f"^{key} must be"):
         cls(**kwargs)
+
+
+_PAIR_2 = HamiltonianPair(np.eye(2), np.zeros((2, 2)))
+_NO_DIPOLE = DoubleWellModel(
+    pair=HamiltonianPair(np.diag([0.0, 1.0, 2.0, 3.0]), np.zeros((4, 4))),
+    omega_03=3.0,
+    mu_03=0.0,
+    eigenenergies=np.arange(4.0),
+    params=DoubleWellParams(),
+)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TargetDecomposition(s=np.eye(2), a=np.ones((2, 2))), "A is not antisymmetric"),
+        (lambda: TargetDecomposition(s=np.eye(2), a=np.zeros((3, 3))), "S and A must share a dimension"),
+        (lambda: unitary_exp(np.eye(2)), "generator is not anti-Hermitian"),
+        (lambda: pi_pulse_field(_NO_DIPOLE), "model has no usable 0-3 dipole element"),
+        (lambda: hermitian_residual(np.eye(2), np.eye(3)), "U_N and U_tar dimensions differ"),
+        (
+            lambda: reduce_system(np.zeros((4, 4)), np.zeros((9, 9)), 1.0, np.zeros((2, 2))),
+            "Gram sums must be square and equally sized",
+        ),
+        (
+            lambda: reduce_system(np.zeros((4, 4)), np.zeros((4, 4)), 1.0, np.zeros((3, 3))),
+            "residual dimension does not match the Gram sums",
+        ),
+        (lambda: HamiltonianPair(np.eye(2), np.zeros((3, 3))), r"h0 \(2, 2\) and h1 \(3, 3\) differ in dimension"),
+        (lambda: cn_step(np.eye(3), _PAIR_2, 0.3, 0.1), "Hamiltonian dimensions do not match the state"),
+    ],
+    ids=[
+        "decomposition-a-not-antisymmetric",
+        "decomposition-shapes-differ",
+        "exp-not-anti-hermitian",
+        "pi-pulse-no-dipole",
+        "residual-shapes-differ",
+        "reduce-gram-shapes-differ",
+        "reduce-residual-shape",
+        "pair-dimensions-differ",
+        "cn-step-state-dimension",
+    ],
+)
+def test_library_calls_refuse_inconsistent_values(call, message):
+    # values each valid alone that do not fit together, or that the
+    # operation cannot use, refused with a message naming the mismatch
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [(None, ""), (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"), (np.float64(0.1), "0.1")],
+    ids=["none", "nan", "inf", "minus-inf", "finite"],
+)
+def test_format_float_fields(x, text):
+    assert format_float(x) == text
 
 
 def test_specs_accept_numpy_counts():
@@ -719,6 +790,19 @@ def test_cli_sweep_refuses_an_overflowing_guess(tmp_path, capsys):
     rc = main(["sweep", "--etas", "1e307", "--n-seeds", "1", "--steps", "50", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error: the time step, field samples, h0 and h1 overflow" in capsys.readouterr().err
+
+
+def test_run_refused_by_its_runner_leaves_no_out_dir(tmp_path):
+    # the config check accepts this sweep, and its runner refuses the
+    # overflowing guess; the output directory is made only once the runner
+    # has returned
+    out = tmp_path / "never"
+    cfg = ExperimentConfig.from_dict(
+        {"kind": "eta-sweep", "n_steps": 50, "out_dir": str(out), "sweep": {"etas": [1e307], "n_seeds": 1}}
+    )
+    with pytest.raises(ValueError, match="overflow"):
+        run_experiment(cfg)
+    assert not out.exists()
 
 
 def test_sweep_worker_pool_matches_serial():

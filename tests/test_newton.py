@@ -162,7 +162,7 @@ def test_linearized_system_matches_stored_trajectory_oracle(rng):
     scale = np.max(np.abs(oracle.matrix))
     np.testing.assert_allclose(system.matrix, oracle.matrix, rtol=0, atol=tol * scale)
     np.testing.assert_allclose(system.rhs, oracle.rhs, rtol=0, atol=tol)
-    assert system.dim == oracle.dim == d
+    assert system.matrix.shape == oracle.matrix.shape == (d * d, d * d)
     
 
 def test_unknown_index_map_counts():
@@ -182,7 +182,7 @@ def test_reduce_system_shape_and_ordering():
     system = reduce_system(g0, g1, 1.0, s)
     assert system.matrix.shape == (4, 4)
     assert system.matrix.dtype == float
-    assert unknown_index_map(system.dim) == (
+    assert unknown_index_map(d) == (
         ("h0", 0, 0),
         ("h0", 0, 1),
         ("h0", 1, 1),
@@ -219,10 +219,10 @@ def test_reduction_matches_entry_loop(rng):
         assert system.matrix.tobytes() == matrix.tobytes()
         assert system.rhs.tobytes() == rhs.tobytes()
         x = rng.normal(size=d * d)
-        update = expand_update(x, d)
-        dh0, dh1 = expand_update_loop(x, unknown_index_map(d), d)
-        assert update.dh0.tobytes() == dh0.tobytes()
-        assert update.dh1.tobytes() == dh1.tobytes()
+        dh0, dh1 = expand_update(x, d)
+        loop0, loop1 = expand_update_loop(x, unknown_index_map(d), d)
+        assert dh0.tobytes() == loop0.tobytes()
+        assert dh1.tobytes() == loop1.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,13 +236,13 @@ def test_reduce_expand_round_trip_property(d, seed):
     dh0, dh1 = random_direction(d, rng)
     index_map = unknown_index_map(d)
     x = np.array([(dh0 if which == "h0" else dh1)[i, j] for which, i, j in index_map])
-    update = expand_update(x, d)
-    assert np.array_equal(update.dh0, dh0) and np.array_equal(update.dh1, dh1)
+    up0, up1 = expand_update(x, d)
+    assert np.array_equal(up0, dh0) and np.array_equal(up1, dh1)
     g0, g1 = random_complex((d * d, d * d), rng), random_complex((d * d, d * d), rng)
     j0, j1 = grams_to_jacobians(g0, g1, 0.3)
     s = (j0 @ vec_f(dh0) + j1 @ vec_f(dh1)).reshape(d, d, order="F")
     system = reduce_system(g0, g1, 0.3, s)
-    assert system.matrix.shape == (d * d, len(index_map)) and system.dim == d
+    assert system.matrix.shape == (d * d, len(index_map)) == (d * d, d * d)
     np.testing.assert_allclose(system.matrix @ x, system.rhs, rtol=0, atol=1e-12 * d * d)
 
 
@@ -281,18 +281,20 @@ def test_singular_error_names_threshold_not_estimate():
 
 def test_solve_update_identity_system():
     system = ReducedSystem(matrix=np.eye(4), rhs=np.array([1.0, 0.0, 0.0, 0.0]))
-    upd = solve_update(system, NewtonConfig())
-    np.testing.assert_allclose(upd.dh0, [[1.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_allclose(upd.dh1, 0.0)
+    dh0, dh1 = expand_update(solve_update(system, NewtonConfig()), 2)
+    np.testing.assert_allclose(dh0, [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(dh1, 0.0)
 
 
 def test_solve_update_stacked_system():
     # a stacked K d^2 x d^2 system solves like a square one: here two copies
     # of the identity at d = 2, whose step sets every unknown to 1
     system = ReducedSystem(np.vstack([np.eye(4), np.eye(4)]), np.ones(8))
-    upd = solve_update(system, NewtonConfig())
-    np.testing.assert_array_equal(upd.dh0, np.ones((2, 2)))
-    np.testing.assert_array_equal(upd.dh1, [[0.0, 1.0], [1.0, 0.0]])
+    x = solve_update(system, NewtonConfig())
+    assert x.shape == (4,)  # one entry per column, not per row
+    dh0, dh1 = expand_update(x, 2)
+    np.testing.assert_array_equal(dh0, np.ones((2, 2)))
+    np.testing.assert_array_equal(dh1, [[0.0, 1.0], [1.0, 0.0]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,15 +314,15 @@ def test_stacked_copies_give_the_same_step_property(d, k, seed):
         np.eye(d, dtype=complex), random_pair(d, rng), rng.uniform(-1.0, 1.0, size=n), grid
     ).system(haar_unitary(d, rng))
     stacked = ReducedSystem(np.vstack([system.matrix] * k), np.concatenate([system.rhs] * k))
-    assert stacked.dim == d
+    assert stacked.matrix.shape == (k * d * d, d * d)
     assert system_diagnostic(stacked).numerical_rank >= system_diagnostic(system).numerical_rank
     cfg = NewtonConfig()
     if not system.condition <= cfg.singular_cond_threshold:
         return
-    ref = solve_update(system, cfg)
-    update = solve_update(stacked, cfg)
-    size = spec_norm(ref.dh0) + spec_norm(ref.dh1)
-    err = spec_norm(update.dh0 - ref.dh0) + spec_norm(update.dh1 - ref.dh1)
+    ref0, ref1 = expand_update(solve_update(system, cfg), d)
+    dh0, dh1 = expand_update(solve_update(stacked, cfg), d)
+    size = spec_norm(ref0) + spec_norm(ref1)
+    err = spec_norm(dh0 - ref0) + spec_norm(dh1 - ref1)
     assert err <= 1e-13 * system.condition * max(1.0, size)
 
 
@@ -331,8 +333,8 @@ def test_solve_update_zero_rhs(rng):
     samples = rng.normal(size=n)
     states = propagate(np.eye(d, dtype=complex), pair, samples, grid)
     system = reduce_system(*assemble_grams(states, samples), grid.dt, np.zeros((d, d), dtype=complex))
-    upd = solve_update(system, NewtonConfig())
-    assert spec_norm(upd.dh0) < 1e-12 and spec_norm(upd.dh1) < 1e-12
+    dh0, dh1 = expand_update(solve_update(system, NewtonConfig()), d)
+    assert spec_norm(dh0) < 1e-12 and spec_norm(dh1) < 1e-12
 
 
 def test_reduction_consistency(rng):
@@ -350,8 +352,8 @@ def test_reduction_consistency(rng):
     u_tar = haar_unitary(d, rng)
     s = hermitian_residual(states[-1], u_tar)
     system = reduce_system(g0, g1, grid.dt, s)
-    upd = solve_update(system, NewtonConfig(singular_cond_threshold=1e14))
-    lhs = (j0 @ vec_f(upd.dh0) + j1 @ vec_f(upd.dh1)).reshape(d, d, order="F")
+    dh0, dh1 = expand_update(solve_update(system, NewtonConfig(singular_cond_threshold=1e14)), d)
+    lhs = (j0 @ vec_f(dh0) + j1 @ vec_f(dh1)).reshape(d, d, order="F")
     assert spec_norm(lhs - s) <= 1e-10 * max(1.0, spec_norm(s))
 
 
@@ -367,10 +369,10 @@ def test_svd_step_matches_lu_reference(rng):
             samples = rng.uniform(-1.0, 1.0, size=n)
             u_tar = haar_unitary(d, rng)
             system = linearize(np.eye(d, dtype=complex), pair, samples, grid).system(u_tar)
-            update = solve_update(system, NewtonConfig())  # raises unless full rank
-            ref = solve_update_lu(system)
-            size = spec_norm(ref.dh0) + spec_norm(ref.dh1)
-            err = spec_norm(update.dh0 - ref.dh0) + spec_norm(update.dh1 - ref.dh1)
+            dh0, dh1 = expand_update(solve_update(system, NewtonConfig()), d)  # raises unless full rank
+            ref0, ref1 = expand_update(solve_update_lu(system), d)
+            size = spec_norm(ref0) + spec_norm(ref1)
+            err = spec_norm(dh0 - ref0) + spec_norm(dh1 - ref1)
             assert err <= 1e-13 * reduced_condition(system) * max(1.0, size)
 
 
@@ -386,11 +388,9 @@ def test_svd_step_accurate_on_column_scaled_systems(rng):
         scales = np.logspace(-6, 4, n)[rng.permutation(n)]
         y = rng.normal(size=n)
         y /= np.linalg.norm(y)
-        index_map = unknown_index_map(d)
         system = ReducedSystem(matrix=m0 * scales, rhs=m0 @ y)
         cfg = NewtonConfig(singular_cond_threshold=1e15)
-        for update in (solve_update(system, cfg), solve_update_lu(system)):
-            x = np.array([(update.dh0 if w == "h0" else update.dh1)[i, j] for w, i, j in index_map])
+        for x in (solve_update(system, cfg), solve_update_lu(system)):
             assert np.linalg.norm(scales * x - y) <= 1e-12
 
 
@@ -411,8 +411,8 @@ def test_zero_update_at_truth_property(d, n, t_f, seed):
     u_0 = haar_unitary(d, rng)
     u_tar = propagate_final(u_0, truth, samples, grid)
     system = linearize(u_0, truth, samples, grid).system(u_tar)
-    update = solve_update(system, NewtonConfig())
-    assert spec_norm(update.dh0) + spec_norm(update.dh1) <= 1e-10
+    dh0, dh1 = expand_update(solve_update(system, NewtonConfig()), d)
+    assert spec_norm(dh0) + spec_norm(dh1) <= 1e-10
 
 
 def _benchmark_two_level():

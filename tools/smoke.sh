@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke checks: every demo runs, and the CLI's singularity demo, an override
 # refusal, a plan too large for memory, the same plan with a --steps
-# override, a capped sweep and an empty --etas behave as documented.  Run from the repository
-# root; outputs go under OUT_DIR:
+# override, a capped sweep, an empty --etas and a sweep refused while it
+# runs behave as documented; no refused run leaves an output directory.
+# Run from the repository root; outputs go under OUT_DIR:
 #
 #     tools/smoke.sh OUT_DIR
 #
@@ -52,4 +53,15 @@ python -m hamid.cli sweep --etas "" --out "$out/never" 2> "$out/etas.txt" || rc=
 cat "$out/etas.txt"
 test "$rc" -eq 2
 grep -q "^error: --etas" "$out/etas.txt"
+
+# a sweep the config check accepts but whose guess overflows the generator
+# is refused while it runs, exit 2, before its output directory is made
+rc=0
+python -m hamid.cli sweep --etas 1e307 --n-seeds 1 --steps 50 --out "$out/never" 2> "$out/overflow.txt" || rc=$?
+cat "$out/overflow.txt"
+test "$rc" -eq 2
+grep -q "^error: the time step, field samples, h0 and h1 overflow" "$out/overflow.txt"
+
+# no refused run above left an output directory
+test ! -e "$out/never"
 echo "smoke: ok"
