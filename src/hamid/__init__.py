@@ -31,7 +31,6 @@ from .linalg import (
     decompose_target,
     matrix_to_json,
     spec_norm,
-    split_log,
     unitary_exp,
     unitary_log,
 )
@@ -74,7 +73,6 @@ from .newton import (
 from .propagation import (
     HamiltonianPair,
     cn_error_order,
-    cn_step,
     propagate,
     propagate_final,
     propagate_with_gram,

@@ -92,15 +92,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.command == "demo":
-        rank = result.summary["numerical_rank"]
-        refused = result.summary["newton_step_refused"]
-        print(f"reduced-system numerical rank: {rank} (of 4)")
-        print(
-            "Newton step refused (singular Jacobian)"
-            if refused
-            else "Newton step was NOT refused"
-        )
     _print_summary(result)
     return 0
 

@@ -207,26 +207,13 @@ def unitary_exp(m: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def split_log(m: np.ndarray) -> TargetDecomposition:
-    """Split an anti-Hermitian log into i*S + A with S symmetric, A antisymmetric.
-
-    For anti-Hermitian m the imaginary part is the symmetric S and the real
-    part the antisymmetric A.  One check of m against ``SYMMETRY_TOL`` covers
-    both parts: entrywise, neither part's defect exceeds that of m.
-    """
-    m = require_square(np.asarray(m, dtype=complex), "log matrix")
-    if anti_hermitian_defect(m) > SYMMETRY_TOL:
-        raise ValueError("input to split_log must be anti-Hermitian")
-    s = np.imag(m)
-    a = np.real(m)
-    s = 0.5 * (s + s.T)
-    a = 0.5 * (a - a.T)
-    return TargetDecomposition(s=s, a=a)
-
-
 def decompose_target(u_tar: np.ndarray) -> TargetDecomposition:
-    """unitary_log followed by split_log."""
-    return split_log(unitary_log(u_tar))
+    """The principal log i*S + A of a unitary target: S is the imaginary
+    part of ``unitary_log``'s m and A its real part.  m = 0.5 (X - X^H) is
+    exactly anti-Hermitian, so S is exactly symmetric and A exactly
+    antisymmetric, with a zero diagonal."""
+    m = unitary_log(u_tar)
+    return TargetDecomposition(s=m.imag.copy(), a=m.real.copy())
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -79,12 +79,27 @@ class ReducedSystem:
     matrix: np.ndarray
     rhs: np.ndarray
 
+    def __post_init__(self):
+        # a wide M would get a minimum-norm step, its null space unseen by
+        # the thin SVD's condition
+        shape, rhs_shape = np.shape(self.matrix), np.shape(self.rhs)
+        if not (len(shape) == 2 and 1 <= shape[1] <= shape[0] and rhs_shape == shape[:1]):
+            raise ValueError(
+                "a reduced system needs a 2-D matrix with at least one column and no "
+                "fewer rows than columns, and one right-hand side entry per row; got "
+                f"matrix {shape} and right-hand side {rhs_shape}"
+            )
+
     @cached_property
     def svd(self):
         """Thin (U, s, V^T) of ``matrix``, s descending: the one
         factorization the condition, the rank diagnostic and the step read,
         computed on first use.  U has one column per unknown, so a stacked
-        K d^2 x d^2 system solves as a square one does."""
+        K d^2 x d^2 system solves as a square one does.  A matrix with a
+        NaN or inf entry raises ``LinAlgError`` before LAPACK sees it (an
+        inf entry can keep its SVD from returning)."""
+        if not np.isfinite(self.matrix).all():
+            raise np.linalg.LinAlgError("reduced Newton system matrix has non-finite entries")
         return np.linalg.svd(self.matrix, full_matrices=False)
 
     @cached_property
@@ -235,7 +250,8 @@ def reduce_system(g0: np.ndarray, g1: np.ndarray, dt: float, s_k: np.ndarray) ->
 
     a (0, 2, 1, 3) axis permutation of G read as a d^4 tensor, which the
     gather of ``_reduction_indices`` composes with the reduction."""
-    d2 = g0.shape[0]
+    g0, g1, s_k = np.asarray(g0), np.asarray(g1), np.asarray(s_k)
+    d2 = g0.shape[0] if g0.ndim else 0
     d = int(round(d2**0.5))
     if g0.shape != (d2, d2) or g1.shape != (d2, d2):
         raise ValueError("Gram sums must be square and equally sized")
@@ -296,8 +312,9 @@ def system_diagnostic(system: ReducedSystem, rank_tolerance: float = 1e-9) -> Si
     """Numerical rank and condition of an assembled reduced system.
 
     Singular values below rank_tolerance times the largest are treated as
-    zero; the tolerance must be a finite real in [0, 1).  Always returns a
-    diagnostic; never raises on deficiency.
+    zero; the tolerance must be a finite real in [0, 1).  Returns a
+    diagnostic for every finite system, deficient or not; a system with a
+    NaN or inf entry raises ``LinAlgError``, as its SVD does.
     """
     require_real("rank_tolerance", rank_tolerance)
     if not 0 <= rank_tolerance < 1:
@@ -382,7 +399,8 @@ def newton_identify(
             cond = reduced_condition(system)
             dh0, dh1 = expand_update(solve_update(system, cfg), u_0.shape[0])
         except np.linalg.LinAlgError as err:
-            # a refusal, or an SVD that did not converge and made no estimate
+            # a refusal, or no estimate: a non-finite system, or an SVD that
+            # did not converge
             report.flag = FLAG_SINGULAR
             report.failure_condition = err.condition if isinstance(err, SingularJacobianError) else None
             report.failed_iteration = k

@@ -27,16 +27,18 @@ per ``EMBED_SLICE`` steps lays them out step by step.  At every other d one
 batched LAPACK solve gives the factors, and three strided copies per slice
 embed them.
 
-Every entry point takes a ``HamiltonianPair`` and returns plain C-ordered
-arrays: ``propagate`` the stored states U_0..U_N, ``propagate_final`` U_N,
+Every entry point takes a unitary U_0, a ``HamiltonianPair`` and the
+samples of a ``TimeGrid``, and returns plain C-ordered arrays:
+``propagate`` the stored states U_0..U_N, ``propagate_final`` U_N, and
 ``propagate_with_gram`` U_N and the Gram sums over flat(W) = vec(U), which
-``hamid.newton`` lays out as the Jacobian, and ``cn_step`` one step as a
-one-sample call.  Every entry point refuses inputs whose generator bound
-0.5 |dt| (max|H0| + max|E_n| max|H1|) is not below 2**249, where the d = 2
-closed form would overflow: one rule at every d.  Constant generators take
-the same loop.  The factors are never regrouped, so every entry point (and
-a loop of ``cn_step`` calls) produces the same bits for a fixed BLAS;
-temporary memory is bounded by the block, not by N.
+``hamid.newton`` lays out as the Jacobian.  A single step is a one-step
+grid, and a step back is a step of the negated pair.  One input check,
+``_validated_inputs``, serves all three; it also refuses inputs whose
+generator bound 0.5 dt (max|H0| + max|E_n| max|H1|) is not below 2**249,
+where the d = 2 closed form would overflow: one rule at every d.  Constant
+generators take the same loop.  The factors are never regrouped, so every
+entry point (and a loop of one-step calls) produces the same bits for a
+fixed BLAS; temporary memory is bounded by the block, not by N.
 
 Every buffer of the loop (the block's states, the embedding slice and the
 state slab it is multiplied into, and the complex scratch for the factors
@@ -59,7 +61,6 @@ import numpy as np
 
 from .fields import TimeGrid
 from .linalg import (
-    require_finite,
     require_real_array,
     require_real_symmetric,
     require_unitary,
@@ -163,8 +164,8 @@ def _two_level_operands(
     share one layout): numpy copies a broadcast or differently strided
     operand into a buffer.  Re and Im are written once, into the rows
     r = 0, and copied and negated into the rows r = 1.  x^2 would overflow
-    for entries of A_n near 2**256: ``_require_bounded_generator`` keeps
-    them below 2**250."""
+    for entries of A_n near 2**256: ``_validated_inputs`` keeps them below
+    2**250."""
     n = e.size
     # A_n's entries (0, 0), (0, 1), (1, 1), (1, 0), one plane each
     a = temps[:4]
@@ -293,36 +294,13 @@ def _cayley_blocks(u: np.ndarray, pair: HamiltonianPair, samples: np.ndarray, dt
         _POOL = {d: ws}
 
 
-def _require_bounded_generator(pair: HamiltonianPair, e_max: float, dt: float) -> None:
-    """Refuse finite inputs whose generator (dt/2)(H0 + E_n H1), with
-    |E_n| <= ``e_max``, may have an entry at or above 2**250, where the
-    d = 2 closed form overflows: one rule at every d.  The bound is taken in
-    Python floats, which overflow to inf (refused too) without a warning."""
-    h0_max, h1_max = pair._entry_max
-    h_max = h0_max + e_max * h1_max
-    if not 0.5 * abs(float(dt)) * h_max < _GENERATOR_LIMIT:
-        raise ValueError(
-            "the time step, field samples, h0 and h1 overflow the generator "
-            "(dt/2)(H0 + E_n H1): 0.5 |dt| (max|H0| + max|E_n| max|H1|) is not below 2**249"
-        )
-
-
-def cn_step(u_n: np.ndarray, pair: HamiltonianPair, e_n: float, dt: float) -> np.ndarray:
-    """One Cayley step (I + L)^{-1} (I - L) U with L = i (dt/2)(h0 + e_n h1).
-    ``u_n`` need not be unitary, and a negative ``dt`` steps back."""
-    u_n = np.asarray(u_n, dtype=complex)
-    if u_n.shape != (pair.dim, pair.dim):
-        raise ValueError("Hamiltonian dimensions do not match the state")
-    e_dt = require_real_array([e_n, dt], "field value and time step")
-    require_finite(e_dt, "field value and time step")
-    _require_bounded_generator(pair, abs(float(e_dt[0])), e_dt[1])
-    for _, states, _ in _cayley_blocks(u_n, pair, e_dt[:1], e_dt[1]):
-        u = states[1].T.copy()
-    return u
-
-
 def _validated_inputs(u_0, pair: HamiltonianPair, samples, grid: TimeGrid):
-    """(U_0, samples) after the checks every propagation entry point makes."""
+    """(U_0, samples) after the checks every propagation entry point makes:
+    a unitary U_0 of the pair's dimension, and real, finite samples of the
+    grid's length whose generator (dt/2)(H0 + E_n H1) has no entry at or
+    above 2**250, where the d = 2 closed form overflows: one rule at every
+    d.  The bound is taken in Python floats, which overflow to inf (refused
+    too) without a warning."""
     u_0 = require_unitary(u_0, "initial operator")
     if u_0.shape != (pair.dim, pair.dim):
         raise ValueError("initial operator dimension does not match the pair")
@@ -336,7 +314,12 @@ def _validated_inputs(u_0, pair: HamiltonianPair, samples, grid: TimeGrid):
     e_hi, e_lo = float(samples.max()), float(samples.min())
     if not (math.isfinite(e_hi) and math.isfinite(e_lo)):
         raise ValueError("field samples has non-finite entries")
-    _require_bounded_generator(pair, max(e_hi, -e_lo), grid.dt)
+    h0_max, h1_max = pair._entry_max
+    if not 0.5 * float(grid.dt) * (h0_max + max(e_hi, -e_lo) * h1_max) < _GENERATOR_LIMIT:
+        raise ValueError(
+            "the time step, field samples, h0 and h1 overflow the generator "
+            "(dt/2)(H0 + E_n H1): 0.5 |dt| (max|H0| + max|E_n| max|H1|) is not below 2**249"
+        )
     return u_0, samples
 
 

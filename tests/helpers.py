@@ -2,7 +2,13 @@
 kernel, the stored-trajectory reference for the streaming Jacobian path, the
 Kronecker layout of the Jacobian blocks, the LU reference for the SVD step, the Schur reference for the unitary log, the
 numpy.random reference for the seeded perturbations, and the
-standalone-stage reference for the continuation walk."""
+standalone-stage reference for the continuation walk, and a runner for
+child Python processes."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg
 
@@ -21,6 +27,21 @@ from hamid import (
 )
 from hamid.continuation import ContinuationStage
 from hamid.linalg import _BRANCH_SNAP, require_square
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, timeout=120):
+    """stdout of a child Python with the package on its path; fails the
+    test if the child exits non-zero, and kills it after ``timeout``
+    seconds."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def unitarity_defect(u):

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from hamid import (
     matrix_to_json,
     spec_norm,
-    split_log,
     unitary_exp,
     unitary_log,
 )
 import hamid.linalg
 from hamid.linalg import TargetDecomposition, decompose_target, require_unitary, spec_norms
 
-from helpers import SIGMA_X, haar_unitary, unitary_log_schur
+from helpers import ROOT, SIGMA_X, haar_unitary, run_python, unitary_log_schur
 
 
 def test_spec_norm_diagonal():
@@ -276,34 +271,30 @@ def test_log_matches_schur_oracle_property(phases, seed):
 
 
 def test_split_log_zero():
-    dec = split_log(np.zeros((2, 2), dtype=complex))
+    dec = decompose_target(np.eye(2, dtype=complex))
     assert np.all(dec.s == 0) and np.all(dec.a == 0)
 
 
 def test_split_log_sigma_x_target():
-    dec = split_log(unitary_log(SIGMA_X))
+    dec = decompose_target(SIGMA_X)
     np.testing.assert_allclose(dec.s, 0.5 * np.pi * np.array([[1, -1], [-1, 1]]), atol=1e-12)
     np.testing.assert_allclose(dec.a, 0.0, atol=1e-13)
 
 
 def test_split_log_pure_antisymmetric():
     m = np.array([[0.0, 0.2], [-0.2, 0.0]], dtype=complex)
-    dec = split_log(m)
+    dec = decompose_target(unitary_exp(m))
     np.testing.assert_allclose(dec.s, 0.0, atol=1e-14)
     np.testing.assert_allclose(dec.a, np.array([[0.0, 0.2], [-0.2, 0.0]]), atol=1e-14)
 
 
 def test_split_log_recombination(rng):
+    # S and A are the parts of unitary_log's m, bit for bit
     for _ in range(10):
         u = haar_unitary(5, rng)
         m = unitary_log(u)
-        dec = split_log(m)
-        np.testing.assert_allclose(1j * dec.s + dec.a, m, atol=1e-12)
-
-
-def test_split_log_rejects_hermitian():
-    with pytest.raises(ValueError):
-        split_log(np.eye(2, dtype=complex))
+        dec = decompose_target(u)
+        assert np.array_equal(1j * dec.s + dec.a, m)
 
 
 def test_unitary_exp_examples():
@@ -358,29 +349,16 @@ for kind in ("continuation-two-level", "singularity-demo"):
 """
 
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _run_python(*args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_newton_and_sweep_leave_scipy_linalg_unloaded():
     # nothing in hamid imports scipy: a Newton solve, a sweep, a target log
     # and a continuation all run without scipy.linalg; the same script
     # checks that the continuation loads no OpenSSL or process pool, and the
     # serial sweep no numpy.random, secrets, OpenSSL, process pool or numpy.ma
-    assert _run_python(str(ROOT / "tools" / "footprint.py")).strip() == "footprint: ok"
+    assert run_python(str(ROOT / "tools" / "footprint.py")).strip() == "footprint: ok"
 
 
 def test_log_kinds_run_without_scipy(tmp_path):
-    out = _run_python("-c", NUMPY_ONLY_SCRIPT, str(tmp_path)).splitlines()
+    out = run_python("-c", NUMPY_ONLY_SCRIPT, str(tmp_path)).splitlines()
     assert [line.split()[0] for line in out] == ["continuation-two-level", "singularity-demo"]
     assert "'flag': 'converged'" in out[0] and "'stages': 21" in out[0]
     assert "'numerical_rank': 3" in out[1]

@@ -49,6 +49,7 @@ from helpers import (
     random_direction,
     random_pair,
     reduce_system_loop,
+    run_python,
     solve_update_lu,
 )
 
@@ -251,6 +252,95 @@ def test_reduce_system_refuses_blocks_without_d_squared_rows():
     # first columns, without a word
     with pytest.raises(ValueError, match="must have d \\* d rows, got 5"):
         reduce_system(np.ones((5, 5)), np.ones((5, 5)), 1.0, np.zeros((2, 2)))
+
+
+def test_reduce_system_takes_nested_lists(rng):
+    # array-likes are read as arrays, as hermitian_residual reads them: the
+    # same bytes, where nested lists ended in an AttributeError
+    zeros = reduce_system(np.zeros((4, 4)), np.zeros((4, 4)), 1.0, [[0, 0], [0, 0]])
+    assert not zeros.matrix.any() and not zeros.rhs.any()
+    g0, g1 = random_complex((4, 4), rng), random_complex((4, 4), rng)
+    s = hermitian_residual(haar_unitary(2, rng), haar_unitary(2, rng))
+    arrays = reduce_system(g0, g1, 0.3, s)
+    lists = reduce_system(g0.tolist(), g1.tolist(), 0.3, s.tolist())
+    assert arrays.matrix.tobytes() == lists.matrix.tobytes()
+    assert arrays.rhs.tobytes() == lists.rhs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs, shapes",
+    [
+        (np.eye(4)[:3], np.ones(3), r"matrix \(3, 4\) and right-hand side \(3,\)"),
+        (np.eye(4), np.ones(3), r"matrix \(4, 4\) and right-hand side \(3,\)"),
+        (np.zeros((4, 0)), np.zeros(4), r"matrix \(4, 0\) and right-hand side \(4,\)"),
+        (np.ones(4), np.ones(4), r"matrix \(4,\) and right-hand side \(4,\)"),
+        (np.eye(4), np.ones((4, 1)), r"matrix \(4, 4\) and right-hand side \(4, 1\)"),
+    ],
+    ids=["wide", "rhs-length", "no-columns", "matrix-1d", "rhs-2d"],
+)
+def test_reduced_system_refuses_malformed_shapes(matrix, rhs, shapes):
+    # a wide matrix got a minimum-norm step with condition 1.0, and a
+    # right-hand side of the wrong length ended in numpy's matmul error
+    with pytest.raises(ValueError, match=shapes):
+        ReducedSystem(matrix, rhs)
+
+
+# an inf entry of M can keep LAPACK's SVD from returning (seen with numpy
+# 2.4.6's OpenBLAS at M = I with M[0, 0] = inf), so the non-finite systems
+# run in a child process with a timeout: a regression fails, not stalls
+NON_FINITE_SCRIPT = """
+import warnings
+import numpy as np
+from hamid import NewtonConfig, ReducedSystem, TimeGrid, TwoLevelParams, newton_identify
+from hamid import propagate_final, reduced_condition, sample_field, solve_update, two_level_model
+from hamid.experiments import BENCH_TWO_LEVEL_DELTA, BENCH_TWO_LEVEL_SKEW
+from hamid.newton import Linearization, linearize, system_diagnostic
+
+calls = {
+    "solve_update": lambda system: solve_update(system, NewtonConfig()),
+    "reduced_condition": reduced_condition,
+    "system_diagnostic": system_diagnostic,
+}
+for bad in ("inf", "nan"):
+    matrix = np.eye(4)
+    matrix[0, 0] = float(bad)
+    for name, call in calls.items():
+        try:
+            call(ReducedSystem(matrix, np.ones(4)))
+            print(bad, name, "returned")
+        except np.linalg.LinAlgError as err:
+            print(bad, name, "LinAlgError:", err)
+
+p = TwoLevelParams(delta=BENCH_TWO_LEVEL_DELTA, envelope_skew=BENCH_TWO_LEVEL_SKEW)
+pair, fld = two_level_model(p)
+grid = TimeGrid(p.t_f, 200)
+samples = sample_field(fld, grid)
+u_0 = np.eye(2, dtype=complex)
+lin = linearize(u_0, pair, samples, grid)
+g0 = lin.g0.copy()
+g0[0, 0] = np.inf
+guess = Linearization(lin.pair, lin.u_n, g0, lin.g1, lin.dt)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    _, report = newton_identify(u_0, propagate_final(u_0, pair, samples, grid), guess, samples, grid)
+print("newton", report.flag, report.failed_iteration, report.failure_condition, report.n_iterations)
+print("warnings", sorted({str(w.message) for w in caught}))
+"""
+
+
+def test_non_finite_systems_refused_without_hanging():
+    # LinAlgError before LAPACK, so a solve flags singular_jacobian with no
+    # condition estimate, as for an SVD that does not converge; the complex
+    # inf * 0 of reduce_system's scaling warns "invalid value"
+    lines = run_python("-c", NON_FINITE_SCRIPT, timeout=60).splitlines()
+    refused = "LinAlgError: reduced Newton system matrix has non-finite entries"
+    assert lines[:6] == [
+        f"{bad} {name} {refused}"
+        for bad in ("inf", "nan")
+        for name in ("solve_update", "reduced_condition", "system_diagnostic")
+    ]
+    assert lines[6] == "newton singular_jacobian 1 None 0"
+    assert lines[7] == "warnings ['invalid value encountered in multiply']"
 
 
 def test_reduce_identity_states_is_singular():

@@ -13,7 +13,6 @@ from hamid import (
     TimeGrid,
     TwoLevelParams,
     cn_error_order,
-    cn_step,
     newton_identify,
     propagate,
     propagate_final,
@@ -43,16 +42,21 @@ def zero_pair(d):
     return HamiltonianPair(np.zeros((d, d)), np.zeros((d, d)))
 
 
+def one_step(u, pair, e, dt):
+    """One Cayley step from ``u`` with field value ``e``: a one-step grid."""
+    return propagate_final(u, pair, np.array([e]), TimeGrid(dt, 1))
+
+
 def test_cn_step_free_evolution(rng):
     u = np.eye(3, dtype=complex)
-    out = cn_step(u, zero_pair(3), 0.7, 0.1)
+    out = one_step(u, zero_pair(3), 0.7, 0.1)
     np.testing.assert_allclose(out, u, atol=1e-15)
 
 
 def test_cn_step_diagonal_cayley():
     h = np.diag([0.4, -1.3, 2.2])
     dt = 0.37
-    out = cn_step(np.eye(3, dtype=complex), HamiltonianPair(h, np.zeros((3, 3))), 0.0, dt)
+    out = one_step(np.eye(3, dtype=complex), HamiltonianPair(h, np.zeros((3, 3))), 0.0, dt)
     expected = np.diag((1 - 0.5j * np.diag(h) * dt) / (1 + 0.5j * np.diag(h) * dt))
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -60,7 +64,7 @@ def test_cn_step_diagonal_cayley():
 def test_cn_step_unitary(rng):
     pair = random_pair(4, rng)
     u = np.eye(4, dtype=complex)
-    out = cn_step(u, pair, 0.3, 0.05)
+    out = one_step(u, pair, 0.3, 0.05)
     assert spec_norm(out.conj().T @ out - np.eye(4)) < 1e-13
 
 
@@ -90,7 +94,7 @@ def test_fast_path_matches_loop(rng):
     states = propagate(np.eye(3, dtype=complex), pair, samples, grid)
     u = np.eye(3, dtype=complex)
     for e in samples:
-        u = cn_step(u, pair, e, grid.dt)
+        u = one_step(u, pair, e, grid.dt)
     np.testing.assert_allclose(states[-1], u, atol=1e-12)
     np.testing.assert_allclose(
         propagate_final(np.eye(3, dtype=complex), pair, samples, grid), u, atol=1e-12
@@ -104,8 +108,8 @@ KERNEL_LENGTHS = (1, GRAM_CHUNK, GRAM_CHUNK + 1, 2 * GRAM_CHUNK + 123)
 
 
 @pytest.fixture(scope="module")
-def cn_step_loops():
-    # (pair, samples, U_0..U_N from a loop of cn_step calls) for each case,
+def step_loops():
+    # (pair, samples, U_0..U_N from a loop of one-step calls) for each case,
     # over the longest N; every N is checked against the loop's prefix.
     # d = 1 is the real embedding's 2 x 2 edge case, and a constant
     # generator (H1 = 0) must take the same steps too
@@ -118,19 +122,19 @@ def cn_step_loops():
             samples = rng.normal(size=n)
             loop = [np.eye(d, dtype=complex)]
             for e in samples:
-                loop.append(cn_step(loop[-1], case, e, KERNEL_DT))
+                loop.append(one_step(loop[-1], case, e, KERNEL_DT))
             cases.append((case, samples, loop))
     return cases
 
 
 @pytest.mark.parametrize("n", KERNEL_LENGTHS)
-def test_entry_points_share_one_kernel(n, cn_step_loops):
+def test_entry_points_share_one_kernel(n, step_loops):
     # every entry point takes the same steps in the same order as a loop of
-    # cn_step calls, so U_N agrees bit for bit; each N leaves a different
+    # one-step calls, so U_N agrees bit for bit; each N leaves a different
     # last block in the reused step buffer
     grid = TimeGrid(t_f=n * KERNEL_DT, n_steps=n)
     assert grid.dt == KERNEL_DT
-    for case, samples, loop in cn_step_loops:
+    for case, samples, loop in step_loops:
         u_0 = loop[0]
         finals = [
             propagate(u_0, case, samples[:n], grid)[-1],
@@ -151,7 +155,6 @@ def test_final_states_own_their_memory(rng):
     finals = [
         propagate_final(u0, pair, samples, grid),
         propagate_with_gram(u0, pair, samples, grid)[0],
-        cn_step(u0, pair, 0.3, 0.1),
     ]
     assert all(final.base is None for final in finals)
 
@@ -191,12 +194,12 @@ def test_kernel_matches_complex_loop_property(d, n, seed):
 
 
 def _two_level_factor(pair, e, dt):
-    """(the kernel's factor C from one ``cn_step`` of I, A = (dt/2)(H0 + E
+    """(the kernel's factor C from one step of I, A = (dt/2)(H0 + E
     H1) by the kernel's own ops, LAPACK's (I + iA)^{-1} (I - iA), and the
     bound on C's distance from any reference)."""
     a = 0.5 * dt * (pair.h0 + e * pair.h1)
     eye = np.eye(2)
-    factor = cn_step(eye, pair, e, dt)
+    factor = one_step(eye, pair, e, dt)
     # rounding errors of the closed form, of LAPACK and of eigh each grow
     # like eps ||A||: through det A, or the condition of I + iA
     bound = 32 * np.finfo(float).eps * (1.0 + spec_norm(a))
@@ -363,8 +366,10 @@ def test_time_reversal(rng):
     grid = TimeGrid(t_f=1.0, n_steps=n)
     samples = rng.normal(size=n)
     u = propagate(np.eye(4, dtype=complex), pair, samples, grid)[-1]
+    # a step of the negated pair is a step back
+    negated = HamiltonianPair(-pair.h0, -pair.h1)
     for e in samples[::-1]:
-        u = cn_step(u, pair, e, -grid.dt)
+        u = one_step(u, negated, e, grid.dt)
     assert spec_norm(u - np.eye(4)) < 1e-10
 
 
@@ -443,9 +448,6 @@ def test_non_finite_inputs_rejected(rng):
     for t_f in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             TimeGrid(t_f=t_f, n_steps=8)
-    for e_n, dt in ((np.nan, 0.1), (0.3, np.nan), (0.3, np.inf)):
-        with pytest.raises(ValueError, match="non-finite"):
-            cn_step(np.eye(2, dtype=complex), pair, e_n, dt)
 
 
 _I2 = np.eye(2, dtype=complex)
@@ -467,12 +469,12 @@ _GRID_10 = TimeGrid(t_f=1.0, n_steps=10)
         lambda: propagate_final(_I2, _HUGE_PAIR, _HUGE_SAMPLES, _GRID_10),
         lambda: propagate_with_gram(_I2, _HUGE_PAIR, _HUGE_SAMPLES, _GRID_10),
         lambda: propagate(_I2, _HUGE_PAIR, _HUGE_SAMPLES, _GRID_10),
-        lambda: cn_step(_I2, _HUGE_PAIR, -1e200, 0.1),
+        lambda: propagate_final(_I2, _HUGE_PAIR, -_HUGE_SAMPLES, _GRID_10),
         lambda: propagate_final(
             _I2, HamiltonianPair(np.diag([1e300, 0.0]), np.zeros((2, 2))), np.zeros(1), TimeGrid(1e10, 1)
         ),
     ],
-    ids=["propagate-final", "propagate-with-gram", "propagate", "cn-step", "propagate-final-dt"],
+    ids=["propagate-final", "propagate-with-gram", "propagate", "propagate-final-negative", "propagate-final-dt"],
 )
 def test_overflowing_generator_refused(call):
     # every step would be NaN, with only a RuntimeWarning; the bound itself
@@ -494,17 +496,17 @@ def test_two_level_huge_generator_refused():
 
 def test_two_level_huge_step_in_a_unit_block_refused():
     # the bound is taken over the call's samples: one huge step refuses the
-    # whole call, while cn_step still steps the unit samples alone
+    # whole call, while one-step calls still step the unit samples alone
     pair = HamiltonianPair(np.diag([0.3, -0.2]), 1e199 * _SX)
     samples = np.tile([0.0, 1.0, 1e-199, -0.5], 5)
     grid = TimeGrid(t_f=1.0, n_steps=samples.size)
     with pytest.raises(ValueError, match="time step, field samples, h0 and h1 overflow"):
         propagate_final(_I2, pair, samples, grid)
     with pytest.raises(ValueError, match="time step, field samples, h0 and h1 overflow"):
-        cn_step(_I2, pair, 1.0, grid.dt)
+        one_step(_I2, pair, 1.0, grid.dt)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u = cn_step(cn_step(_I2, pair, 1e-199, grid.dt), pair, 0.0, grid.dt)
+        u = one_step(one_step(_I2, pair, 1e-199, grid.dt), pair, 0.0, grid.dt)
     assert unitarity_defect(u) <= 1e-14
 
 
@@ -527,7 +529,7 @@ def _pair_at_limit(d, below, seed):
 @pytest.mark.parametrize("d", [2, 3])
 def test_generator_just_below_the_limit_steps(d):
     # the largest bound the rule lets through steps as any other: finite,
-    # unitary, and the bits of a loop of cn_step calls
+    # unitary, and the bits of a loop of one-step calls
     pair, samples, grid = _pair_at_limit(d, True, 7 + d)
     h0_max, h1_max = pair._entry_max
     assert 0.5 * grid.dt * (h0_max + h1_max) == np.nextafter(2.0**249, 0.0)
@@ -537,7 +539,7 @@ def test_generator_just_below_the_limit_steps(d):
         u_n = propagate_final(u_0, pair, samples, grid)
         u = u_0
         for e in samples:
-            u = cn_step(u, pair, e, grid.dt)
+            u = one_step(u, pair, e, grid.dt)
     assert np.all(np.isfinite(u_n))
     assert unitarity_defect(u_n) <= 1e-14
     assert np.array_equal(u_n, u)
@@ -549,9 +551,8 @@ def test_generator_just_below_the_limit_steps(d):
         lambda pair, samples, grid: propagate(np.eye(pair.dim), pair, samples, grid),
         lambda pair, samples, grid: propagate_final(np.eye(pair.dim), pair, samples, grid),
         lambda pair, samples, grid: propagate_with_gram(np.eye(pair.dim), pair, samples, grid),
-        lambda pair, samples, grid: cn_step(np.eye(pair.dim), pair, float(np.abs(samples).max()), grid.dt),
     ],
-    ids=["propagate", "propagate-final", "propagate-with-gram", "cn-step"],
+    ids=["propagate", "propagate-final", "propagate-with-gram"],
 )
 @pytest.mark.parametrize("d", [2, 3])
 def test_generator_at_the_limit_refused(call, d):
@@ -640,13 +641,8 @@ def test_two_level_operand_property(n, log_norm, seed):
         (lambda: propagate_final(_I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
         (lambda: propagate_with_gram(_I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
         (lambda: newton_identify(_I2, _I2, _PAIR, _COMPLEX_SAMPLES, _GRID), "field samples"),
-        (lambda: cn_step(_I2, _PAIR, 0.3 + 1j, 0.1), "field value and time step"),
-        (lambda: cn_step(_I2, _PAIR, 0.3, 0.1 + 1e-9j), "field value and time step"),
     ],
-    ids=[
-        "pair-h0", "pair-h1", "propagate", "propagate-final", "propagate-with-gram", "newton",
-        "cn-step-e", "cn-step-dt",
-    ],
+    ids=["pair-h0", "pair-h1", "propagate", "propagate-final", "propagate-with-gram", "newton"],
 )
 def test_complex_values_refused(call, name):
     # a float cast would keep the real part and drop the rest with only a
@@ -660,12 +656,9 @@ def test_complex_values_refused(call, name):
     [
         (lambda: HamiltonianPair([["a", "b"], ["c", "d"]], _SX), "h0"),
         (lambda: propagate_final(_I2, _PAIR, np.array(["a", "b", "c", "d"]), _GRID), "field samples"),
-        (lambda: cn_step(_I2, _PAIR, "x", 0.1), "field value and time step"),
         (lambda: HamiltonianPair(_PAIR.h0, [["0", "1"], ["1", "0"]]), "h1"),
-        (lambda: cn_step(_I2, _PAIR, 0.3, "0.1"), "field value and time step"),
-        (lambda: cn_step(_I2, _PAIR, {}, 0.1), "field value and time step"),
     ],
-    ids=["pair-h0", "propagate-final", "cn-step", "pair-h1-numeric-text", "cn-step-dt-numeric-text", "cn-step-dict"],
+    ids=["pair-h0", "propagate-final", "pair-h1-numeric-text"],
 )
 def test_non_numeric_values_refused(call, name):
     # the float cast's own error names the value but not the input, and it
@@ -680,9 +673,7 @@ def test_complex_dtype_with_zero_imaginary_part_is_real():
         warnings.simplefilter("error")
         pair = HamiltonianPair(_PAIR.h0.astype(complex), _PAIR.h1.astype(complex))
         u_n = propagate_final(_I2, pair, _COMPLEX_SAMPLES.real.astype(complex), _GRID)
-        step = cn_step(_I2, _PAIR, complex(0.3), 0.1)
     assert u_n.tobytes() == propagate_final(_I2, _PAIR, _COMPLEX_SAMPLES.real, _GRID).tobytes()
-    assert step.tobytes() == cn_step(_I2, _PAIR, 0.3, 0.1).tobytes()
 
 
 def test_propagate_peak_memory_is_the_trajectory():
@@ -712,7 +703,6 @@ def _every_entry_point(pair, samples, grid):
         g1,
         propagate_final(u_0, pair, samples, grid),
         propagate(u_0, pair, samples, grid),
-        cn_step(u_0, pair, samples[0], grid.dt),
     ]
 
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Smoke checks: every demo runs, and the CLI's singularity demo, an override
+# Smoke checks: every demo runs, and the CLI's singularity demo (its
+# numerical_rank and newton_step_refused summary lines), an override
 # refusal, a plan too large for memory, the same plan with a --steps
 # override, a capped sweep, an empty --etas and a sweep refused while it
 # runs behave as documented; no refused run leaves an output directory.
@@ -19,9 +20,11 @@ for demo in demos/0[1-6]_*.py; do
   python "$demo"
 done
 
+# the demo prints its result once, as the summary lines of every run
 python -m hamid.cli demo singularity --out "$out/demo" > "$out/demo.txt"
 cat "$out/demo.txt"
-grep -q "numerical rank: 3" "$out/demo.txt"
+grep -qx "  numerical_rank: 3" "$out/demo.txt"
+grep -qx "  newton_step_refused: True" "$out/demo.txt"
 
 # an override the kind does not take exits 2: the demo reads no seed
 rc=0
